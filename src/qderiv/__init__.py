@@ -27,7 +27,7 @@ from qderiv.series import (
     DividedSeries,
 )
 from qderiv.tcomb import BruteForceBoundError, TComposition, TPermutation
-from qderiv.tables import FormalSum, PolyTable
+from qderiv.tables import PolyTable
 from qderiv.verify import Bounds, VerificationReport, run_suite
 
 __version__ = "0.1.0"
@@ -51,7 +51,6 @@ __all__ = [
     "BruteForceBoundError",
     "TComposition",
     "TPermutation",
-    "FormalSum",
     "PolyTable",
     "Bounds",
     "VerificationReport",

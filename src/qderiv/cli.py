@@ -22,9 +22,9 @@ from dataclasses import replace
 from typing import Optional
 
 from qderiv import series as series_mod
-from qderiv import special, verify
+from qderiv import special, tcomb, verify
 from qderiv.render import FORMATS, Table, render, table_from_payload, table_to_payload
-from qderiv.tables import a_table, ac_table, b_table, oracle_a, oracle_ac, oracle_b
+from qderiv.tables import KIND_AC, PolyTable, a_table, ac_table, b_table, oracle_all
 from qderiv.tcomb import BruteForceBoundError, alpha, beta
 
 CACHE_SCHEMA = 1
@@ -65,31 +65,25 @@ def _log(message: str) -> None:
 # -- family builders -----------------------------------------------------
 
 
-def _triple_rows(table) -> tuple:
-    rows = []
-    for key in table.sorted_keys():
-        n, k, a, b = key
-        rows.append((n, k, a, b, table.entries[key]))
-    return tuple(rows)
+_TRIPLE_COLUMNS = (("n", "int"), ("k", "int"), ("a", "int"), ("b", "int"), ("poly", "qpoly"))
+_COMP_COLUMNS = (("n", "int"), ("c", "parts"), ("poly", "qpoly"))
 
 
-def build_family(family: str, n_max: int, brute_bound: Optional[int] = None) -> Table:
+def _poly_family(table: PolyTable) -> Table:
+    """Render rows (n, k, a, b, poly) or (n, c, poly) of any route's table."""
+    columns = _COMP_COLUMNS if table.kind == KIND_AC else _TRIPLE_COLUMNS
+    rows = tuple(key + (poly,) for key, poly in table.sorted_items())
+    return Table(table.kind, table.n_max, columns, rows)
+
+
+def build_family(family: str, n_max: int) -> Table:
     if family == "a_small" or family == "b_small":
         tri = special.small_triangles(n_max)[0 if family == "a_small" else 1]
         rows = tuple((n, m, v) for (n, m), v in sorted(tri.rows.items()))
         return Table(family, n_max, (("n", "int"), ("m", "int"), ("value", "int")), rows)
-    if family in ("A", "B"):
-        table = a_table(n_max) if family == "A" else b_table(n_max)
-        return Table(
-            family,
-            n_max,
-            (("n", "int"), ("k", "int"), ("a", "int"), ("b", "int"), ("poly", "qpoly")),
-            _triple_rows(table),
-        )
-    if family == "Ac":
-        table = ac_table(n_max)
-        rows = tuple((key[0], key[1], table.entries[key]) for key in table.sorted_keys())
-        return Table(family, n_max, (("n", "int"), ("c", "parts"), ("poly", "qpoly")), rows)
+    recurrence = {"A": a_table, "B": b_table, "Ac": ac_table}.get(family)
+    if recurrence is not None:
+        return _poly_family(recurrence(n_max))
     if family == "carlitz":
         table = special.carlitz_table(n_max)
         rows = tuple((n, j, poly) for (n, j), poly in sorted(table.items()))
@@ -139,19 +133,10 @@ def build_family(family: str, n_max: int, brute_bound: Optional[int] = None) -> 
 
 
 def build_oracle(family: str, n_max: int, brute_bound: Optional[int]) -> Table:
-    if family in ("A", "B"):
-        table = oracle_a(n_max, brute_bound) if family == "A" else oracle_b(n_max, brute_bound)
-        return Table(
-            family,
-            n_max,
-            (("n", "int"), ("k", "int"), ("a", "int"), ("b", "int"), ("poly", "qpoly")),
-            _triple_rows(table),
-        )
-    if family == "Ac":
-        table = oracle_ac(n_max, brute_bound)
-        rows = tuple((key[0], key[1], table.entries[key]) for key in table.sorted_keys())
-        return Table(family, n_max, (("n", "int"), ("c", "parts"), ("poly", "qpoly")), rows)
-    raise ValueError("unknown oracle family %r" % (family,))
+    tcomb._guard(n_max, brute_bound)
+    index = ORACLE_FAMILIES.index(family)
+    rows = tuple(oracle_all(n)[index] for n in range(n_max + 1))
+    return _poly_family(PolyTable(family, rows))
 
 
 # -- cache ----------------------------------------------------------------
@@ -211,6 +196,13 @@ def _cached_family(family: str, n_max: int, cache_dir: Optional[str]) -> Table:
 # -- argument parsing -------------------------------------------------------
 
 
+def _nonnegative(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError("must be nonnegative, got %d" % value)
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qderiv",
@@ -220,32 +212,31 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_table = sub.add_parser("table", help="compute and print a polynomial family")
     p_table.add_argument("family", choices=TABLE_FAMILIES)
-    p_table.add_argument("--n", type=int, required=True, dest="n_max")
+    p_table.add_argument("--n", type=_nonnegative, required=True, dest="n_max")
     p_table.add_argument("--format", choices=FORMATS, default="text")
     p_table.add_argument("--cache-dir", default=None)
 
     p_oracle = sub.add_parser("oracle", help="brute-force recomputation of a family")
     p_oracle.add_argument("family", choices=ORACLE_FAMILIES)
-    p_oracle.add_argument("--n", type=int, required=True, dest="n_max")
+    p_oracle.add_argument("--n", type=_nonnegative, required=True, dest="n_max")
     p_oracle.add_argument("--format", choices=FORMATS, default="text")
-    p_oracle.add_argument("--bound-bruteforce", type=int, default=None)
+    p_oracle.add_argument("--bound-bruteforce", type=_nonnegative, default=None)
 
     p_verify = sub.add_parser("verify", help="run identity checks")
     p_verify.add_argument("ids", nargs="*", default=["all"])
-    p_verify.add_argument("--n", type=int, default=None)
-    p_verify.add_argument("--order", type=int, default=None)
-    p_verify.add_argument("--bound-bruteforce", type=int, default=None)
-    p_verify.add_argument("--jobs", type=int, default=1)
+    p_verify.add_argument("--n", type=_nonnegative, default=None)
+    p_verify.add_argument("--order", type=_nonnegative, default=None)
+    p_verify.add_argument("--bound-bruteforce", type=_nonnegative, default=None)
     p_verify.add_argument("--format", choices=("json", "text"), default="json")
 
     p_series = sub.add_parser("series", help="print series coefficients")
     p_series.add_argument("name", choices=sorted(SERIES_NAMES))
-    p_series.add_argument("--order", type=int, default=10)
+    p_series.add_argument("--order", type=_nonnegative, default=10)
     p_series.add_argument("--format", choices=("json", "text"), default="text")
 
     p_export = sub.add_parser("export", help="write a rendered family to a file")
     p_export.add_argument("family", choices=TABLE_FAMILIES)
-    p_export.add_argument("--n", type=int, required=True, dest="n_max")
+    p_export.add_argument("--n", type=_nonnegative, required=True, dest="n_max")
     p_export.add_argument("--format", choices=FORMATS, default="json")
     p_export.add_argument("--out", required=True)
     p_export.add_argument("--cache-dir", default=None)
@@ -285,9 +276,11 @@ def _cmd_verify(args) -> int:
     bounds = verify.Bounds()
     if args.bound_bruteforce is not None:
         bounds = replace(bounds, brute_n=args.bound_bruteforce)
-    reports = verify.run_checks(
-        specs, bounds, jobs=max(1, args.jobs), n=args.n, order=args.order
-    )
+    try:
+        reports = verify.run_checks(specs, bounds, n=args.n, order=args.order)
+    except verify.InvalidBoundsError as exc:
+        _log("error: %s" % exc)
+        return 2
     failed = 0
     for report in reports:
         if args.format == "json":

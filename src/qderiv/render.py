@@ -39,9 +39,7 @@ def _encode_value(value, kind: str):
         return value
     if kind == "parts":
         return list(value)
-    if kind == "qpoly":
-        return value.to_json()
-    if kind == "xqpoly":
+    if kind in ("qpoly", "xqpoly"):
         return value.to_json()
     raise ValueError("unknown column type %r" % (kind,))
 

@@ -167,10 +167,6 @@ class XQPoly:
             raise ValueError("exponent must be nonnegative")
         return XQPoly((_Q_ZERO,) * exp + (coeff,))
 
-    @staticmethod
-    def constant(coeff: QPoly) -> "XQPoly":
-        return XQPoly((coeff,))
-
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1

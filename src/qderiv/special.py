@@ -20,17 +20,12 @@ from qderiv.series import (
 )
 from qderiv.tables import PolyTable, a_table, b_table
 
-A_SMALL = "a_small"
-B_SMALL = "b_small"
-
 _ZERO = QPoly.zero()
 _ONE = QPoly.one()
 
 
 @dataclass(frozen=True)
 class IntTriangle:
-    kind: str
-    n_max: int
     rows: Mapping
 
     def get(self, n: int, m: int) -> int:
@@ -41,18 +36,6 @@ class IntTriangle:
 
     def row_sum(self, n: int) -> int:
         return sum(self.row(n).values())
-
-    def to_json(self) -> dict:
-        entries = [
-            {"n": n, "m": m, "value": str(v)}
-            for (n, m), v in sorted(self.rows.items())
-        ]
-        return {"kind": self.kind, "n_max": self.n_max, "entries": entries}
-
-    @staticmethod
-    def from_json(data: dict) -> "IntTriangle":
-        rows = {(e["n"], e["m"]): int(e["value"]) for e in data["entries"]}
-        return IntTriangle(data["kind"], data["n_max"], rows)
 
 
 def small_triangles(n_max: int) -> Tuple[IntTriangle, IntTriangle]:
@@ -80,42 +63,40 @@ def small_triangles(n_max: int) -> Tuple[IntTriangle, IntTriangle]:
                 b_cur[m] = bv
                 b_rows[(n + 1, m)] = bv
         a_prev, b_prev = a_cur, b_cur
-    return (
-        IntTriangle(A_SMALL, n_max, a_rows),
-        IntTriangle(B_SMALL, n_max, b_rows),
-    )
+    return IntTriangle(a_rows), IntTriangle(b_rows)
 
 
 def hoffman_polys(n_max: int) -> Tuple[Tuple[QPoly, ...], Tuple[QPoly, ...]]:
     """Derivative polynomials in one variable, assembled from the triangles."""
+    def polys(tri: IntTriangle) -> Tuple[QPoly, ...]:
+        out = []
+        for n in range(n_max + 1):
+            row = tri.row(n)
+            out.append(QPoly(row.get(m, 0) for m in range(max(row) + 1)) if row else _ZERO)
+        return tuple(out)
+
     tri_a, tri_b = small_triangles(n_max)
-    a_polys = []
-    b_polys = []
-    for n in range(n_max + 1):
-        row = tri_a.row(n)
-        a_polys.append(QPoly(row.get(m, 0) for m in range(max(row) + 1)) if row else _ZERO)
-        row = tri_b.row(n)
-        b_polys.append(QPoly(row.get(m, 0) for m in range(max(row) + 1)) if row else _ZERO)
-    return tuple(a_polys), tuple(b_polys)
+    return polys(tri_a), polys(tri_b)
 
 
 # -- (t,q)-tangent and secant ---------------------------------------------
 
 
-def tq_tangent(n: int, table: Optional[PolyTable] = None) -> XQPoly:
-    """Assemble the (t,q)-tangent polynomial from the first table column."""
-    if n % 2 == 0:
-        raise ValueError("(t,q)-tangent polynomials have odd index")
-    tab = table if table is not None else a_table(n)
-    coeffs: Dict[int, QPoly] = {}
-    for (rn, k, a, b), poly in tab.entries.items():
-        if rn == n and a == 0 and b == 0:
-            coeffs[k + 1] = coeffs.get(k + 1, _ZERO) + poly
+def _first_column(table: PolyTable, n: int) -> XQPoly:
+    """Row n's entries with a = b = 0, as a polynomial in t with t^(k+1) for k."""
+    coeffs = {k + 1: poly for (k, a, b), poly in table.row(n).items() if a == 0 and b == 0}
     top = max(coeffs, default=0)
     return XQPoly(coeffs.get(j, _ZERO) for j in range(top + 1))
 
 
-def tq_secant(n: int, table: Optional[PolyTable] = None) -> XQPoly:
+def tq_tangent(n: int) -> XQPoly:
+    """Assemble the (t,q)-tangent polynomial from the first table column."""
+    if n % 2 == 0:
+        raise ValueError("(t,q)-tangent polynomials have odd index")
+    return _first_column(a_table(n), n)
+
+
+def tq_secant(n: int) -> XQPoly:
     """Assemble the (t,q)-secant polynomial from the first table column.
 
     The empty order is the single empty permutation, contributing t.
@@ -124,13 +105,7 @@ def tq_secant(n: int, table: Optional[PolyTable] = None) -> XQPoly:
         raise ValueError("(t,q)-secant polynomials have even index")
     if n == 0:
         return XQPoly((_ZERO, _ONE))
-    tab = table if table is not None else b_table(n)
-    coeffs: Dict[int, QPoly] = {}
-    for (rn, k, a, b), poly in tab.entries.items():
-        if rn == n and a == 0 and b == 0:
-            coeffs[k + 1] = coeffs.get(k + 1, _ZERO) + poly
-    top = max(coeffs, default=0)
-    return XQPoly(coeffs.get(j, _ZERO) for j in range(top + 1))
+    return _first_column(b_table(n), n)
 
 
 # -- q-Eulerian polynomials and their refinement ---------------------------
@@ -162,20 +137,11 @@ def carlitz_table(n_max: int) -> Dict[Tuple[int, int], QPoly]:
     return out
 
 
-def carlitz_poly(n: int) -> XQPoly:
-    table = carlitz_table(n)
-    top = max(j for (rn, j) in table if rn == n)
-    return XQPoly(table.get((n, j), _ZERO) for j in range(top + 1))
-
-
-def carlitz_refinement(n: int, table: Optional[PolyTable] = None) -> Dict[Tuple[int, int, int], QPoly]:
+def carlitz_refinement(n: int) -> Dict[Tuple[int, int, int], QPoly]:
     """Refined coefficients read off the super-diagonal a+b = n+1."""
-    tab = table if table is not None else a_table(n)
-    out: Dict[Tuple[int, int, int], QPoly] = {}
-    for (rn, k, a, b), poly in tab.entries.items():
-        if rn == n and a + b == n + 1:
-            out[(n, k, a)] = poly
-    return out
+    return {
+        (n, k, a): poly for (k, a, b), poly in a_table(n).row(n).items() if a + b == n + 1
+    }
 
 
 @lru_cache(maxsize=None)
@@ -239,11 +205,10 @@ def diagonal_closed_forms(n: int) -> DiagonalForms:
 # -- q-Springer polynomials ---------------------------------------------------
 
 
-def springer_poly_from_tables(n: int, table: Optional[PolyTable] = None) -> QPoly:
+def springer_poly_from_tables(n: int) -> QPoly:
     """Total row sum of the trailing-empty table: the outer variable at 1."""
-    tab = table if table is not None else b_table(n)
     out = _ZERO
-    for poly in tab.aggregate_by_m(n).values():
+    for poly in b_table(n).aggregate_by_m(n).values():
         out = out + poly
     return out
 

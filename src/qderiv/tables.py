@@ -15,9 +15,10 @@ checked by the verification suite, not assumed.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Dict, Mapping, Optional, Tuple, Union
+from functools import lru_cache, partial
+from typing import Dict, Iterator, List, Tuple, Union
 
 from qderiv import permstats, tcomb
 from qderiv.ring import QPoly, q_multinomial
@@ -28,71 +29,62 @@ KIND_A = "A"
 KIND_B = "B"
 KIND_AC = "Ac"
 
-TripleKey = Tuple[int, int, int, int]          # (n, k, a, b)
-CompKey = Tuple[int, Tuple[int, ...]]          # (n, parts)
-
 _ZERO = QPoly.zero()
 _ONE = QPoly.one()
 
 
 @dataclass(frozen=True)
 class PolyTable:
+    """Rows 0..n_max of one family, shared with every other view of it.
+
+    Row n maps (k, a, b) to a polynomial for the triple families and the
+    parts of a t-composition for ``Ac``.  Flat keys prepend n: (n, k, a, b)
+    or (n, parts).  Rows are shared, so callers must not mutate them.
+    """
+
     kind: str
-    n_max: int
-    entries: Mapping
+    rows: Tuple[dict, ...]
+
+    @property
+    def n_max(self) -> int:
+        return len(self.rows) - 1
+
+    def _flat(self, n: int, key) -> tuple:
+        return (n, key) if self.kind == KIND_AC else (n,) + key
 
     def get(self, key) -> QPoly:
-        return self.entries.get(key, _ZERO)
+        n = key[0]
+        if not 0 <= n < len(self.rows):
+            return _ZERO
+        return self.rows[n].get(key[1] if self.kind == KIND_AC else key[1:], _ZERO)
 
     def row(self, n: int) -> dict:
-        if self.kind == KIND_AC:
-            return {k[1]: v for k, v in self.entries.items() if k[0] == n}
-        return {k[1:]: v for k, v in self.entries.items() if k[0] == n}
+        return self.rows[n]
+
+    def items(self) -> Iterator[Tuple[tuple, QPoly]]:
+        """Flat ``(key, poly)`` pairs, row by row in insertion order."""
+        for n, row in enumerate(self.rows):
+            for key, poly in row.items():
+                yield self._flat(n, key), poly
+
+    def sorted_items(self) -> Iterator[Tuple[tuple, QPoly]]:
+        """As ``items`` with each row sorted; compositions by part count first."""
+        order = _comp_order if self.kind == KIND_AC else None
+        for n, row in enumerate(self.rows):
+            for key in sorted(row, key=order):
+                yield self._flat(n, key), row[key]
 
     def aggregate_by_m(self, n: int) -> Dict[int, QPoly]:
         """Row sums grouped by a+b (triple tables) or by the part count mu."""
         out: Dict[int, QPoly] = {}
-        for key, poly in self.entries.items():
-            if key[0] != n:
-                continue
-            if self.kind == KIND_AC:
-                m = len(key[1]) - 1
-            else:
-                m = key[2] + key[3]
+        for key, poly in self.rows[n].items():
+            m = len(key) - 1 if self.kind == KIND_AC else key[1] + key[2]
             out[m] = out.get(m, _ZERO) + poly
         return out
 
-    def sorted_keys(self):
-        return sorted(self.entries, key=_key_sort)
 
-    def to_json(self) -> dict:
-        entries = []
-        for key in self.sorted_keys():
-            poly = self.entries[key]
-            if self.kind == KIND_AC:
-                entries.append({"n": key[0], "c": list(key[1]), "poly": poly.to_json()})
-            else:
-                n, k, a, b = key
-                entries.append({"n": n, "k": k, "a": a, "b": b, "poly": poly.to_json()})
-        return {"kind": self.kind, "n_max": self.n_max, "entries": entries}
-
-    @staticmethod
-    def from_json(data: dict) -> "PolyTable":
-        kind = data["kind"]
-        entries = {}
-        for item in data["entries"]:
-            poly = QPoly.from_json(item["poly"])
-            if kind == KIND_AC:
-                entries[(item["n"], tuple(item["c"]))] = poly
-            else:
-                entries[(item["n"], item["k"], item["a"], item["b"])] = poly
-        return PolyTable(kind, data["n_max"], entries)
-
-
-def _key_sort(key):
-    if isinstance(key[1], tuple):
-        return (key[0], len(key[1]), key[1])
-    return key
+def _comp_order(parts: Tuple[int, ...]) -> tuple:
+    return (len(parts), parts)
 
 
 # -- route 1: recurrences ------------------------------------------------
@@ -126,82 +118,78 @@ def _fill_triple_row(prev: dict, n: int, relaxed_first_sum: bool) -> dict:
     return cur
 
 
-def _triple_table(n_max: int, kind: str) -> PolyTable:
+def _fill_comp_row(row: dict, n: int) -> dict:
+    """Composition-indexed row n+1, filled by part surgery on each target."""
+    cur: dict = {}
+    for comp in enumerate_t_compositions(n + 1):
+        cp = comp.parts
+        mp = len(cp) - 1
+        acc = _ZERO
+        c0 = cp[0]
+        for j in range(0, (c0 - 1) // 2 + 1):
+            target = (2 * j, c0 - 2 * j - 1) + cp[1:]
+            val = row.get(target)
+            if val:
+                acc = acc + val.shift(2 * j)
+        prefix = 0
+        for i in range(1, mp + 1):
+            prefix += cp[i - 1]
+            ci = cp[i]
+            for j in range(1, ci // 2 + 1):
+                target = cp[:i] + (2 * j - 1, ci - 2 * j) + cp[i + 1 :]
+                val = row.get(target)
+                if val:
+                    acc = acc + val.shift(prefix + 2 * j - 1)
+            if ci == 1 and i <= mp - 1:
+                target = cp[:i] + cp[i + 1 :]
+                val = row.get(target)
+                if val:
+                    acc = acc + val.shift(prefix)
+        if acc:
+            cur[cp] = acc
+    return cur
+
+
+# One growing row list per family: each row is computed once per process.
+_ROWS: Dict[str, List[dict]] = {
+    KIND_A: [{(0, 1, 0): _ONE}],
+    KIND_B: [{(-1, 0, 0): _ONE}],
+    KIND_AC: [{(0, 0): _ONE}],
+}
+_STEPS = {
+    KIND_A: partial(_fill_triple_row, relaxed_first_sum=False),
+    KIND_B: partial(_fill_triple_row, relaxed_first_sum=True),
+    KIND_AC: _fill_comp_row,
+}
+_GROW_LOCK = threading.Lock()
+
+
+def _recurrence_table(kind: str, n_max: int) -> PolyTable:
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    seed = (0, 1, 0) if kind == KIND_A else (-1, 0, 0)
-    row = {seed: _ONE}
-    entries = {(0,) + seed: _ONE}
-    for n in range(n_max):
-        row = _fill_triple_row(row, n, relaxed_first_sum=(kind == KIND_B))
-        for key, poly in row.items():
-            entries[(n + 1,) + key] = poly
-    return PolyTable(kind, n_max, entries)
+    rows = _ROWS[kind]
+    with _GROW_LOCK:
+        while len(rows) <= n_max:
+            rows.append(_STEPS[kind](rows[-1], len(rows) - 1))
+    return PolyTable(kind, tuple(rows[: n_max + 1]))
 
 
 @lru_cache(maxsize=None)
 def a_table(n_max: int) -> PolyTable:
-    return _triple_table(n_max, KIND_A)
+    return _recurrence_table(KIND_A, n_max)
 
 
 @lru_cache(maxsize=None)
 def b_table(n_max: int) -> PolyTable:
-    return _triple_table(n_max, KIND_B)
+    return _recurrence_table(KIND_B, n_max)
 
 
 @lru_cache(maxsize=None)
 def ac_table(n_max: int) -> PolyTable:
-    """Composition-indexed table filled by part surgery on each target."""
-    if n_max < 0:
-        raise ValueError("n_max must be nonnegative")
-    row = {(0, 0): _ONE}
-    entries = {(0, (0, 0)): _ONE}
-    for n in range(n_max):
-        cur: dict = {}
-        for comp in enumerate_t_compositions(n + 1):
-            cp = comp.parts
-            mp = len(cp) - 1
-            acc = _ZERO
-            c0 = cp[0]
-            for j in range(0, (c0 - 1) // 2 + 1):
-                target = (2 * j, c0 - 2 * j - 1) + cp[1:]
-                val = row.get(target)
-                if val:
-                    acc = acc + val.shift(2 * j)
-            prefix = 0
-            for i in range(1, mp + 1):
-                prefix += cp[i - 1]
-                ci = cp[i]
-                for j in range(1, ci // 2 + 1):
-                    target = cp[:i] + (2 * j - 1, ci - 2 * j) + cp[i + 1 :]
-                    val = row.get(target)
-                    if val:
-                        acc = acc + val.shift(prefix + 2 * j - 1)
-                if ci == 1 and i <= mp - 1:
-                    target = cp[:i] + cp[i + 1 :]
-                    val = row.get(target)
-                    if val:
-                        acc = acc + val.shift(prefix)
-            if acc:
-                cur[cp] = acc
-        row = cur
-        for parts, poly in row.items():
-            entries[(n + 1, parts)] = poly
-    return PolyTable(KIND_AC, n_max, entries)
+    return _recurrence_table(KIND_AC, n_max)
 
 
 # -- route 2: symbolic rewrite engines -----------------------------------
-
-
-@dataclass(frozen=True)
-class FormalSum:
-    """Finite linear combination of formal symbols with QPoly coefficients."""
-
-    kind: str
-    terms: Mapping
-
-    def coefficient(self, symbol) -> QPoly:
-        return self.terms.get(symbol, _ZERO)
 
 
 def _accumulate(acc: dict, symbol, coeff: QPoly) -> None:
@@ -209,26 +197,10 @@ def _accumulate(acc: dict, symbol, coeff: QPoly) -> None:
     acc[symbol] = coeff if cur is None else cur + coeff
 
 
-def _step_tan(terms: dict) -> dict:
-    nxt: dict = {}
-    for (k, a, b), coeff in terms.items():
-        ck = coeff.shift(k)
-        ck1 = coeff.shift(k + 1)
-        for i in range(0, a):
-            _accumulate(nxt, (k, i, a + b - 1 - i), ck)
-        for i in range(0, b):
-            _accumulate(nxt, (k + 1, a + i, b - 1 - i), ck1)
-        for i in range(1, a + 1):
-            _accumulate(nxt, (k, i, a + b + 1 - i), ck)
-        for i in range(1, b + 1):
-            _accumulate(nxt, (k + 1, a + i, b + 1 - i), ck1)
-    return {s: c for s, c in nxt.items() if c}
-
-
-def _step_sec(terms: dict) -> dict:
-    # Same expansion as the tangent engine except the last sum runs one
-    # step further, absorbing the derivative of the secant factor.  The
-    # seed sits at k = -1, where only the shifted-by-k+1 sums fire.
+def _step_triple(terms: dict, secant: bool) -> dict:
+    # The secant engine's last sum runs one step further, absorbing the
+    # derivative of the secant factor.  Its seed sits at k = -1, where
+    # only the shifted-by-k+1 sums fire.
     nxt: dict = {}
     for (k, a, b), coeff in terms.items():
         ck = coeff.shift(k) if a else None
@@ -239,7 +211,7 @@ def _step_sec(terms: dict) -> dict:
             _accumulate(nxt, (k + 1, a + i, b - 1 - i), ck1)
         for i in range(1, a + 1):
             _accumulate(nxt, (k, i, a + b + 1 - i), ck)
-        for i in range(1, b + 2):
+        for i in range(1, b + 1 + secant):
             _accumulate(nxt, (k + 1, a + i, b + 1 - i), ck1)
     return {s: c for s, c in nxt.items() if c}
 
@@ -252,80 +224,63 @@ def _insert_one(c: tuple, i: int) -> tuple:
     return c[:i] + (1,) + c[i:]
 
 
-def _step_comp_tan(terms: dict) -> dict:
+def _step_comp(terms: dict, secant: bool) -> dict:
+    # Secant symbols are s-compositions (trailing zero part); the secant
+    # factor differentiates into one extra insertion just before the zero.
     nxt: dict = {}
     for c, coeff in terms.items():
-        m = len(c) - 1
+        m = len(c) - 1 - secant
         prefix = 0
         for i in range(1, m + 1):
             prefix += c[i - 1]
             shifted = coeff.shift(prefix)
             _accumulate(nxt, _merge_parts(c, i), shifted)
             _accumulate(nxt, _insert_one(c, i), shifted)
+        if secant:
+            _accumulate(nxt, _insert_one(c, m + 1), coeff.shift(sum(c)))
     return {s: c for s, c in nxt.items() if c}
 
 
-def _step_comp_sec(terms: dict) -> dict:
-    # Symbols are s-compositions (trailing zero part).  The secant factor
-    # differentiates into one extra insertion just before the zero.
-    nxt: dict = {}
-    for c, coeff in terms.items():
-        m = len(c) - 2
-        prefix = 0
-        for i in range(1, m + 1):
-            prefix += c[i - 1]
-            shifted = coeff.shift(prefix)
-            _accumulate(nxt, _merge_parts(c, i), shifted)
-            _accumulate(nxt, _insert_one(c, i), shifted)
-        _accumulate(nxt, _insert_one(c, m + 1), coeff.shift(sum(c)))
-    return {s: c for s, c in nxt.items() if c}
-
-
-def _rewrite(kind: str, start, step, n: int) -> FormalSum:
+def _rewrite(start, step, n: int) -> dict:
     terms = {start: _ONE}
     for _ in range(n):
         terms = step(terms)
-    return FormalSum(kind, terms)
+    return terms
 
 
-def rewrite_tan(n: int) -> FormalSum:
-    """n-fold q-derivative of the tangent symbol [0,1,0]."""
-    return _rewrite("tan", (0, 1, 0), _step_tan, n)
+def rewrite_tan(n: int) -> dict:
+    """n-fold q-derivative of the tangent symbol [0,1,0], as row n of A."""
+    return _rewrite((0, 1, 0), partial(_step_triple, secant=False), n)
 
 
-def rewrite_sec(n: int) -> FormalSum:
-    """n-fold q-derivative of the secant symbol <-1,0,0>."""
-    return _rewrite("sec", (-1, 0, 0), _step_sec, n)
+def rewrite_sec(n: int) -> dict:
+    """n-fold q-derivative of the secant symbol <-1,0,0>, as row n of B."""
+    return _rewrite((-1, 0, 0), partial(_step_triple, secant=True), n)
 
 
-def rewrite_comp_tan(n: int) -> FormalSum:
-    """n-fold q-derivative of the empty composition symbol."""
-    return _rewrite("comp", (0, 0), _step_comp_tan, n)
+def rewrite_comp_tan(n: int) -> dict:
+    """n-fold q-derivative of the empty composition symbol, as row n of Ac."""
+    return _rewrite((0, 0), partial(_step_comp, secant=False), n)
 
 
-def rewrite_comp_sec(n: int) -> FormalSum:
+def rewrite_comp_sec(n: int) -> dict:
     """n-fold q-derivative of the secant-weighted empty s-composition."""
-    return _rewrite("comp_sec", (0, 0), _step_comp_sec, n)
+    return _rewrite((0, 0), partial(_step_comp, secant=True), n)
 
 
 # -- route 3: brute-force statistics oracles ------------------------------
 
 
 @lru_cache(maxsize=None)
-def oracle_all(n: int, bound: Optional[int] = None) -> Tuple[PolyTable, PolyTable, PolyTable]:
+def oracle_all(n: int) -> Tuple[dict, dict, dict]:
     """Statistics sums over all t-permutations of order n, one sweep.
 
-    Returns single-row tables keyed like the recurrence tables: the
-    imaj-generating triple tables and the inv-generating composition
-    table.
+    Returns row n of A, B and Ac, keyed like the recurrence rows: the
+    imaj-generating triple rows and the inv-generating composition row.
+    Callers apply the brute-force bound (``tcomb._guard``).
     """
     if n == 0:
-        return (
-            PolyTable(KIND_A, 0, {(0, 0, 1, 0): _ONE}),
-            PolyTable(KIND_B, 0, {(0, -1, 0, 0): _ONE}),
-            PolyTable(KIND_AC, 0, {(0, (0, 0)): _ONE}),
-        )
-    tcomb._guard(n, bound)
+        return {(0, 1, 0): _ONE}, {(-1, 0, 0): _ONE}, {(0, 0): _ONE}
     comps = [c.parts for c in enumerate_t_compositions(n)]
     prefixes = []
     for parts in comps:
@@ -333,9 +288,9 @@ def oracle_all(n: int, bound: Optional[int] = None) -> Tuple[PolyTable, PolyTabl
         for p in parts:
             cum.append(cum[-1] + p)
         prefixes.append(cum)
-    a_entries: dict = {}
-    b_entries: dict = {}
-    c_entries: dict = {}
+    a_row: dict = {}
+    b_row: dict = {}
+    c_row: dict = {}
     for sigma in permstats.iter_permutations(n):
         desc = tcomb._descent_bits(sigma)
         st = permstats.statistics(sigma)
@@ -345,46 +300,17 @@ def oracle_all(n: int, bound: Optional[int] = None) -> Tuple[PolyTable, PolyTabl
         for parts, cum in zip(comps, prefixes):
             if not tcomb._cut_alternation_ok(desc, parts):
                 continue
-            ckey = (n, parts)
-            c_entries[ckey] = c_entries.get(ckey, _ZERO) + inv_mono
+            c_row[parts] = c_row.get(parts, _ZERO) + inv_mono
             blk = 0
             while cum[blk + 1] <= pos1:
                 blk += 1
             mu = len(parts) - 1
-            akey = (n, st.ides, blk, mu - blk)
-            a_entries[akey] = a_entries.get(akey, _ZERO) + imaj_mono
+            akey = (st.ides, blk, mu - blk)
+            a_row[akey] = a_row.get(akey, _ZERO) + imaj_mono
             if parts[-1] == 0:
-                bkey = (n, st.ides, blk, mu - blk - 1)
-                b_entries[bkey] = b_entries.get(bkey, _ZERO) + imaj_mono
-    return (
-        PolyTable(KIND_A, n, a_entries),
-        PolyTable(KIND_B, n, b_entries),
-        PolyTable(KIND_AC, n, c_entries),
-    )
-
-
-def _oracle_rows(kind: str, n: int, bound: Optional[int]) -> PolyTable:
-    tcomb._guard(n, bound)
-    entries: dict = {}
-    index = {KIND_A: 0, KIND_B: 1, KIND_AC: 2}[kind]
-    for row in range(n + 1):
-        entries.update(oracle_all(row, bound)[index].entries)
-    return PolyTable(kind, n, entries)
-
-
-def oracle_a(n: int, bound: Optional[int] = None) -> PolyTable:
-    """imaj-generating polynomials by (ides, min, mu-min), rows 0..n."""
-    return _oracle_rows(KIND_A, n, bound)
-
-
-def oracle_b(n: int, bound: Optional[int] = None) -> PolyTable:
-    """As ``oracle_a`` but restricted to trailing-empty t-permutations."""
-    return _oracle_rows(KIND_B, n, bound)
-
-
-def oracle_ac(n: int, bound: Optional[int] = None) -> PolyTable:
-    """inv-generating polynomials by component-length composition."""
-    return _oracle_rows(KIND_AC, n, bound)
+                bkey = (st.ides, blk, mu - blk - 1)
+                b_row[bkey] = b_row.get(bkey, _ZERO) + imaj_mono
+    return a_row, b_row, c_row
 
 
 # -- the product formula ---------------------------------------------------

@@ -64,16 +64,6 @@ class TComposition:
             raise ValueError("only s-compositions have a reduced form")
         return self.parts[:-1]
 
-    def mirror(self) -> Tuple[int, ...]:
-        return tuple(reversed(self.parts))
-
-    def to_json(self) -> dict:
-        return {"parts": list(self.parts)}
-
-    @staticmethod
-    def from_json(data: dict) -> "TComposition":
-        return TComposition(tuple(data["parts"]))
-
 
 def _is_t_composition(parts: Tuple[int, ...]) -> bool:
     if not parts or any(p < 0 for p in parts):
@@ -115,14 +105,6 @@ def enumerate_t_compositions(n: int) -> Tuple[TComposition, ...]:
                 found.append((c0,) + interior + (cm,))
     found.sort(key=lambda p: (len(p), p))
     return tuple(TComposition(p) for p in found)
-
-
-def filter_by_mu(n: int, m: int) -> Tuple[TComposition, ...]:
-    return tuple(c for c in enumerate_t_compositions(n) if c.mu == m)
-
-
-def s_compositions(n: int) -> Tuple[TComposition, ...]:
-    return tuple(c for c in enumerate_t_compositions(n) if c.is_s_composition())
 
 
 @dataclass(frozen=True)
@@ -205,16 +187,6 @@ class TPermutation:
         """
         return self.mu >= 1 and (1,) in self.components
 
-    def trailing_empty(self) -> bool:
-        return self.components[-1] == ()
-
-    def to_json(self) -> dict:
-        return {"components": [list(w) for w in self.components]}
-
-    @staticmethod
-    def from_json(data: dict) -> "TPermutation":
-        return TPermutation(tuple(tuple(w) for w in data["components"]))
-
 
 # -- enumeration by cutting permutations --------------------------------
 
@@ -246,49 +218,15 @@ def _cut(word: Word, parts: Tuple[int, ...]) -> Tuple[Word, ...]:
     return tuple(out)
 
 
-def iter_valid_cuts(n: int, bound: Optional[int] = None) -> Iterator[Tuple[Word, TComposition]]:
-    """Stream (permutation, composition) pairs whose cut is a t-permutation."""
+def enumerate_t_permutations(n: int, bound: Optional[int] = None) -> Iterator[TPermutation]:
+    """Stream all t-permutations of order n in a deterministic order."""
     _guard(n, bound)
     comps = enumerate_t_compositions(n)
     for sigma in permstats.iter_permutations(n):
         desc = _descent_bits(sigma)
         for comp in comps:
             if _cut_alternation_ok(desc, comp.parts):
-                yield sigma, comp
-
-
-def enumerate_t_permutations(n: int, bound: Optional[int] = None) -> Iterator[TPermutation]:
-    """Stream all t-permutations of order n in a deterministic order."""
-    for sigma, comp in iter_valid_cuts(n, bound):
-        yield TPermutation(_cut(sigma, comp.parts))
-
-
-def t_permutations_with_lambda(
-    n: int, comp: TComposition, bound: Optional[int] = None
-) -> Iterator[TPermutation]:
-    _guard(n, bound)
-    parts = comp.parts
-    for sigma in permstats.iter_permutations(n):
-        if _cut_alternation_ok(_descent_bits(sigma), parts):
-            yield TPermutation(_cut(sigma, parts))
-
-
-def t_permutations_with_triple(
-    n: int, k: int, a: int, b: int, bound: Optional[int] = None
-) -> Iterator[TPermutation]:
-    """Members with inverse descent count k, letter 1 in component a,
-    and a+b components beyond the first."""
-    for w in enumerate_t_permutations(n, bound):
-        st = w.stats()
-        if st.ides == k and st.min == a and w.mu == a + b:
-            yield w
-
-
-def s_permutations(n: int, bound: Optional[int] = None) -> Iterator[TPermutation]:
-    """t-permutations whose last component is empty."""
-    for w in enumerate_t_permutations(n, bound):
-        if w.trailing_empty():
-            yield w
+                yield TPermutation(_cut(sigma, comp.parts))
 
 
 def cut_by_lambda(sigma: Word, comp: TComposition) -> TPermutation:

@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Tuple
 
-from qderiv import permstats, special, tcomb
+from qderiv import permstats, special
 from qderiv.fixtures import DEFAULT_FIXTURES
 from qderiv.ring import QPoly, XQPoly, gauss_binomial
 from qderiv.series import (
@@ -43,6 +42,10 @@ from qderiv.series import (
     zero_series,
 )
 from qderiv.tables import (
+    KIND_A,
+    KIND_AC,
+    KIND_B,
+    PolyTable,
     a_table,
     ac_table,
     b_table,
@@ -138,39 +141,62 @@ class Bounds:
     rowsums_n: int = 10
 
 
-class _Collector:
-    __slots__ = ("first",)
+class InvalidBoundsError(ValueError):
+    """Bounds under which a check cannot run: a usage error, not a failure."""
 
-    def __init__(self):
+
+class _Stop(Exception):
+    """Raised at a check's first discrepancy; its collector catches it."""
+
+
+class _Collector:
+    """The scope of one check, ended by its first discrepancy.
+
+    ``with _Collector(id, params) as col:`` runs the check body; the first
+    failing ``eq`` or ``require`` records the discrepancy and leaves the
+    block, so the exception never reaches ``_run_guarded``.  The check then
+    returns ``col.report``.
+    """
+
+    __slots__ = ("id", "params", "first")
+
+    def __init__(self, check_id: str, params: dict):
+        self.id = check_id
+        self.params = params
         self.first: Optional[Discrepancy] = None
 
+    def __enter__(self) -> "_Collector":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        return exc_type is _Stop
+
+    def _stop(self, index, expected: str, actual: str) -> None:
+        self.first = Discrepancy(tuple(index), expected, actual)
+        raise _Stop
+
+    def eq(self, index, expected, actual) -> None:
+        if expected != actual:
+            self._stop(index, str(expected), str(actual))
+
+    def require(self, index, condition, note="condition") -> None:
+        if not condition:
+            self._stop(index, note, "violated")
+
     @property
-    def failed(self) -> bool:
-        return self.first is not None
-
-    def eq(self, index, expected, actual) -> bool:
-        if self.first is None and expected != actual:
-            self.first = Discrepancy(tuple(index), str(expected), str(actual))
-        return self.first is None
-
-    def require(self, index, condition, note="condition") -> bool:
-        if self.first is None and not condition:
-            self.first = Discrepancy(tuple(index), note, "violated")
-        return self.first is None
-
-
-def _done(check_id: str, params: dict, col: _Collector) -> VerificationReport:
-    return VerificationReport(
-        check_id, params, "fail" if col.failed else "pass", col.first
-    )
+    def report(self) -> VerificationReport:
+        status = "pass" if self.first is None else "fail"
+        return VerificationReport(self.id, self.params, status, self.first)
 
 
 def _fx(fixtures) -> Mapping:
     return DEFAULT_FIXTURES if fixtures is None else fixtures
 
 
-def _qp(coeffs) -> QPoly:
-    return QPoly(coeffs)
+def _table(kind: str, n_max: int) -> PolyTable:
+    # looked up per call, so a rebound module attribute (an instrumented
+    # a_table, say) is the one that runs
+    return {KIND_A: a_table, KIND_B: b_table, KIND_AC: ac_table}[kind](n_max)
 
 
 def _dq_n(series: DividedSeries, n: int) -> DividedSeries:
@@ -182,8 +208,12 @@ def _dq_n(series: DividedSeries, n: int) -> DividedSeries:
 def _series_eq(col: _Collector, tag, lhs: DividedSeries, rhs: DividedSeries) -> None:
     order = min(lhs.order, rhs.order)
     for i in range(order + 1):
-        if not col.eq(tuple(tag) + (i,), lhs.coeffs[i], rhs.coeffs[i]):
-            return
+        col.eq(tuple(tag) + (i,), lhs.coeffs[i], rhs.coeffs[i])
+
+
+def _compare_rows(col: _Collector, tag, expected: dict, actual: dict) -> None:
+    for key in sorted(set(expected) | set(actual)):
+        col.eq(tag + (key,), expected.get(key, _ZP), actual.get(key, _ZP))
 
 
 @lru_cache(maxsize=None)
@@ -196,117 +226,109 @@ def _scaled_Sec(k: int, order: int) -> DividedSeries:
     return Sec_q(order).scale_arg(k)
 
 
+def _check_series(check_id: str, order: int, lhs, rhs) -> VerificationReport:
+    with _Collector(check_id, {"order": order}) as col:
+        _series_eq(col, (check_id,), lhs, rhs)
+    return col.report
+
+
 # -- fixture checks -------------------------------------------------------
 
 
 def check_table1(fixtures=None, n_max: int = 6) -> VerificationReport:
     fx = _fx(fixtures)
-    col = _Collector()
     tri_a, tri_b = special.small_triangles(n_max)
-    for name, fixture, tri in (("a", fx["table1.a"], tri_a), ("b", fx["table1.b"], tri_b)):
-        keys = set(fixture) | {k for k in tri.rows if k[0] <= n_max}
-        for n, m in sorted(keys):
-            if not col.eq((name, n, m), fixture.get((n, m), 0), tri.get(n, m)):
-                return _done("table1", {"n_max": n_max}, col)
-    return _done("table1", {"n_max": n_max}, col)
+    with _Collector("table1", {"n_max": n_max}) as col:
+        for name, fixture, tri in (("a", fx["table1.a"], tri_a), ("b", fx["table1.b"], tri_b)):
+            keys = set(fixture) | {k for k in tri.rows if k[0] <= n_max}
+            for n, m in sorted(keys):
+                col.eq((name, n, m), fixture.get((n, m), 0), tri.get(n, m))
+    return col.report
 
 
 def check_table2(fixtures=None, n_max: int = 4) -> VerificationReport:
     fx = _fx(fixtures)
-    col = _Collector()
-    for name, fixture, table in (
-        ("A", fx["table2.a"], a_table(n_max)),
-        ("B", fx["table2.b"], b_table(n_max)),
-    ):
-        keys = set(fixture) | set(table.entries)
-        for key in sorted(keys):
-            expected = _qp(fixture.get(key, ()))
-            if not col.eq((name,) + key, expected, table.get(key)):
-                return _done("table2", {"n_max": n_max}, col)
-    return _done("table2", {"n_max": n_max}, col)
+    with _Collector("table2", {"n_max": n_max}) as col:
+        for name, fixture, table in (
+            ("A", fx["table2.a"], a_table(n_max)),
+            ("B", fx["table2.b"], b_table(n_max)),
+        ):
+            for key in sorted(set(fixture) | {key for key, _ in table.items()}):
+                col.eq((name,) + key, QPoly(fixture.get(key, ())), table.get(key))
+    return col.report
 
 
 def check_table3(fixtures=None, n_max: int = 4) -> VerificationReport:
-    fx = _fx(fixtures)
-    col = _Collector()
+    fixture = _fx(fixtures)["table3"]
     table = ac_table(n_max)
-    fixture = fx["table3"]
-    keys = set(fixture) | set(table.entries)
-    for key in sorted(keys, key=lambda k: (k[0], len(k[1]), k[1])):
-        expected = _qp(fixture.get(key, ()))
-        if not col.eq(("Ac", key[0], key[1]), expected, table.get(key)):
-            break
-    return _done("table3", {"n_max": n_max}, col)
+    keys = set(fixture) | {key for key, _ in table.items()}
+    with _Collector("table3", {"n_max": n_max}) as col:
+        for key in sorted(keys, key=lambda k: (k[0], len(k[1]), k[1])):
+            col.eq(("Ac", key[0], key[1]), QPoly(fixture.get(key, ())), table.get(key))
+    return col.report
 
 
 def check_table4(fixtures=None, n_max: int = 4) -> VerificationReport:
     fx = _fx(fixtures)
-    col = _Collector()
-    for name, fixture, table in (
-        ("A", fx["table4.a"], a_table(n_max)),
-        ("B", fx["table4.b"], b_table(n_max)),
-    ):
-        computed = {}
-        for n in range(n_max + 1):
-            for m, poly in table.aggregate_by_m(n).items():
-                computed[(n, m)] = poly
-        keys = set(fixture) | set(computed)
-        for n, m in sorted(keys):
-            expected = _qp(fixture.get((n, m), ()))
-            if not col.eq((name, n, m), expected, computed.get((n, m), _ZP)):
-                return _done("table4", {"n_max": n_max}, col)
-    return _done("table4", {"n_max": n_max}, col)
+    with _Collector("table4", {"n_max": n_max}) as col:
+        for name, fixture, table in (
+            ("A", fx["table4.a"], a_table(n_max)),
+            ("B", fx["table4.b"], b_table(n_max)),
+        ):
+            computed = {}
+            for n in range(n_max + 1):
+                for m, poly in table.aggregate_by_m(n).items():
+                    computed[(n, m)] = poly
+            for n, m in sorted(set(fixture) | set(computed)):
+                expected = QPoly(fixture.get((n, m), ()))
+                col.eq((name, n, m), expected, computed.get((n, m), _ZP))
+    return col.report
 
 
 def check_fig101(fixtures=None, n_max: int = 6) -> VerificationReport:
     fx = _fx(fixtures)
-    col = _Collector()
-    for name, fixture, fn in (
-        ("alpha", fx["fig10.1.alpha"], alpha),
-        ("beta", fx["fig10.1.beta"], beta),
-    ):
-        for n in range(n_max + 1):
-            for m in range(n_max + 2):
-                if not col.eq((name, n, m), fixture.get((n, m), 0), fn(n, m)):
-                    return _done("fig10.1", {"n_max": n_max}, col)
-    for n, expected in enumerate(fx["fig10.1.alpha.rowsums"]):
-        col.eq(("alpha.rowsum", n), expected, sum(alpha(n, m) for m in range(n + 2)))
-    for n, expected in enumerate(fx["fig10.1.beta.rowsums"]):
-        col.eq(("beta.rowsum", n), expected, sum(beta(n, m) for m in range(n + 2)))
-    return _done("fig10.1", {"n_max": n_max}, col)
+    counts = (("alpha", alpha), ("beta", beta))
+    with _Collector("fig10.1", {"n_max": n_max}) as col:
+        for name, fn in counts:
+            fixture = fx["fig10.1." + name]
+            for n in range(n_max + 1):
+                for m in range(n_max + 2):
+                    col.eq((name, n, m), fixture.get((n, m), 0), fn(n, m))
+        for name, fn in counts:
+            for n, expected in enumerate(fx["fig10.1.%s.rowsums" % name]):
+                col.eq((name + ".rowsum", n), expected, sum(fn(n, m) for m in range(n + 2)))
+    return col.report
 
 
 def check_sec7_values(fixtures=None) -> VerificationReport:
     fx = _fx(fixtures)
-    col = _Collector()
-    for n, coeffs in sorted(fx["qtan"].items()):
-        col.eq(("tan", n), _qp(coeffs), q_tangent_number(n))
-    for n, coeffs in sorted(fx["qsec"].items()):
-        col.eq(("sec", n), _qp(coeffs), q_secant_number(n))
-    for n, coeffs in sorted(fx["qsec2"].items()):
-        col.eq(("sec2", n), _qp(coeffs), q_secant2_number(n))
-    col.eq(("sec2", 0), _ONE, q_secant2_number(0))
-    return _done("sec7.values", {}, col)
+    with _Collector("sec7.values", {}) as col:
+        for tag, key, number in (
+            ("tan", "qtan", q_tangent_number),
+            ("sec", "qsec", q_secant_number),
+            ("sec2", "qsec2", q_secant2_number),
+        ):
+            for n, coeffs in sorted(fx[key].items()):
+                col.eq((tag, n), QPoly(coeffs), number(n))
+        col.eq(("sec2", 0), _ONE, q_secant2_number(0))
+    return col.report
+
+
+def _check_classical(check_id: str, tag: str, values: Mapping, series) -> VerificationReport:
+    top = max(values)
+    coeffs = series(top)
+    with _Collector(check_id, {"order": top}) as col:
+        for n in range(top + 1):
+            col.eq((tag, n), values.get(n, 0), coeffs.coefficient(n))
+    return col.report
 
 
 def check_classical_tan(fixtures=None) -> VerificationReport:
-    fx = _fx(fixtures)
-    col = _Collector()
-    top = max(fx["classical.t"])
-    series = classical_tan(top)
-    for n in range(top + 1):
-        col.eq(("T", n), fx["classical.t"].get(n, 0), series.coefficient(n))
-    return _done("1.1", {"order": top}, col)
+    return _check_classical("1.1", "T", _fx(fixtures)["classical.t"], classical_tan)
 
 
 def check_classical_sec(fixtures=None) -> VerificationReport:
-    fx = _fx(fixtures)
-    col = _Collector()
-    top = max(fx["classical.e"])
-    series = classical_sec(top)
-    for n in range(top + 1):
-        col.eq(("E", n), fx["classical.e"].get(n, 0), series.coefficient(n))
-    return _done("1.2", {"order": top}, col)
+    return _check_classical("1.2", "E", _fx(fixtures)["classical.e"], classical_sec)
 
 
 # -- counting interpretation ----------------------------------------------
@@ -314,25 +336,21 @@ def check_classical_sec(fixtures=None) -> VerificationReport:
 
 def check_1_3(n_max: int) -> VerificationReport:
     """Counts of t-permutations by part number match the integer triangle."""
-    col = _Collector()
     tri_a, _ = special.small_triangles(n_max)
-    for n in range(n_max + 1):
-        counts: Dict[int, int] = {}
-        table = oracle_all(n, n_max)[0]
-        for (rn, k, a, b), poly in table.entries.items():
-            m = a + b
-            counts[m] = counts.get(m, 0) + poly.eval_at_one()
-        for m in range(n + 2):
-            if not col.eq((n, m), tri_a.get(n, m), counts.get(m, 0)):
-                return _done("1.3", {"n_max": n_max}, col)
-    return _done("1.3", {"n_max": n_max}, col)
+    with _Collector("1.3", {"n_max": n_max}) as col:
+        for n in range(n_max + 1):
+            counts: Dict[int, int] = {}
+            for (k, a, b), poly in oracle_all(n)[0].items():
+                counts[a + b] = counts.get(a + b, 0) + poly.eval_at_one()
+            for m in range(n + 2):
+                col.eq((n, m), tri_a.get(n, m), counts.get(m, 0))
+    return col.report
 
 
 # -- generating functions ---------------------------------------------------
 
 
 def check_hoffman_tan(order: int) -> VerificationReport:
-    col = _Collector()
     a_polys, _ = special.hoffman_polys(order)
     lhs = DividedSeries(CLASSICAL_MODE, RING_Q, a_polys)
     x = QPoly.monomial(1)
@@ -340,229 +358,171 @@ def check_hoffman_tan(order: int) -> VerificationReport:
     const_x = DividedSeries(CLASSICAL_MODE, RING_Q, (x,) + (_ZP,) * order)
     denom = one_series(order, CLASSICAL_MODE, RING_Q).sub(tanc.scale(x))
     rhs = const_x.add(tanc).mul(denom.invert())
-    _series_eq(col, ("1.6",), lhs, rhs)
-    return _done("1.6", {"order": order}, col)
+    return _check_series("1.6", order, lhs, rhs)
 
 
 def check_hoffman_sec(order: int) -> VerificationReport:
-    col = _Collector()
     _, b_polys = special.hoffman_polys(order)
     lhs = DividedSeries(CLASSICAL_MODE, RING_Q, b_polys)
     x = QPoly.monomial(1)
     cosc = classical_cos(order).promote(RING_Q)
     sinc = classical_sin(order).promote(RING_Q)
     rhs = cosc.sub(sinc.scale(x)).invert()
-    _series_eq(col, ("1.7",), lhs, rhs)
-    return _done("1.7", {"order": order}, col)
+    return _check_series("1.7", order, lhs, rhs)
 
 
 # -- the six series/table identities ---------------------------------------
 
 
-def check_eq_1_9(n: int, order: int) -> VerificationReport:
+def _term_tan(n: int, key, order: int) -> DividedSeries:
+    k, a, b = key
+    return scaled_tan_power(k + 1, b, order).mul(scaled_tan_power(k, a, order))
+
+
+def _term_sec(n: int, key, order: int) -> DividedSeries:
+    k, a, b = key
+    return (
+        scaled_tan_power(k + 1, b, order)
+        .mul(_scaled_sec(k + 1, order))
+        .mul(scaled_tan_power(k, a, order))
+    )
+
+
+def _term_Sec(n: int, key, order: int) -> DividedSeries:
+    k0, a0, b0 = key
+    k = n - 1 - k0
+    return (
+        scaled_tan_power(k + 1, a0, order)
+        .mul(_scaled_Sec(k, order))
+        .mul(scaled_tan_power(k, b0, order))
+    )
+
+
+def _term_comp_tan(n: int, parts, order: int) -> DividedSeries:
+    return tan_product(parts, order)
+
+
+def _term_comp_sec(n: int, parts, order: int) -> DividedSeries:
+    return tan_product(parts[:-1], order).mul(_scaled_sec(n, order))
+
+
+def _term_comp_Sec(n: int, parts, order: int) -> DividedSeries:
+    return tan_product(tuple(reversed(parts[:-1])), order).mul(_scaled_Sec(0, order))
+
+
+class _Expansion(NamedTuple):
+    lhs: Callable  # series whose n-th q-derivative is expanded
+    kind: str  # the table whose row n supplies the coefficients
+    term: Callable  # (n, row key, order) -> the series that key's coefficient scales
+    s_only: bool = False  # only s-compositions (trailing zero part) contribute
+    reversal: bool = False  # coefficients enter as q^(n(n-1)/2) p(1/q)
+
+
+_EXPANSIONS: Dict[str, _Expansion] = {
+    "1.9": _Expansion(tan_q, KIND_A, _term_tan),
+    "1.11": _Expansion(sec_q, KIND_B, _term_sec),
+    "1.12": _Expansion(Sec_q, KIND_B, _term_Sec, reversal=True),
+    "1.14": _Expansion(tan_q, KIND_AC, _term_comp_tan),
+    "1.15": _Expansion(sec_q, KIND_AC, _term_comp_sec, s_only=True),
+    "1.16": _Expansion(Sec_q, KIND_AC, _term_comp_Sec, s_only=True, reversal=True),
+}
+
+
+def check_expansion(check_id: str, n: int, order: int) -> VerificationReport:
+    """Identities 1.9-1.16: the n-th q-derivative of a q-trigonometric
+    series equals the sum over row n of a table of coefficient times term."""
     if order < n:
-        raise ValueError("order must be at least n")
-    col = _Collector()
-    lhs = _dq_n(tan_q(order), n)
-    rhs = zero_series(order)
-    for (k, a, b), poly in a_table(n).row(n).items():
-        term = scaled_tan_power(k + 1, b, order).mul(scaled_tan_power(k, a, order))
-        rhs = rhs.add(term.scale(poly))
-    _series_eq(col, ("1.9", n), lhs, rhs.truncate(order - n))
-    return _done("1.9", {"n": n, "order": order}, col)
-
-
-def check_eq_1_11(n: int, order: int) -> VerificationReport:
-    if order < n:
-        raise ValueError("order must be at least n")
-    col = _Collector()
-    lhs = _dq_n(sec_q(order), n)
-    rhs = zero_series(order)
-    for (k, a, b), poly in b_table(n).row(n).items():
-        term = (
-            scaled_tan_power(k + 1, b, order)
-            .mul(_scaled_sec(k + 1, order))
-            .mul(scaled_tan_power(k, a, order))
-        )
-        rhs = rhs.add(term.scale(poly))
-    _series_eq(col, ("1.11", n), lhs, rhs.truncate(order - n))
-    return _done("1.11", {"n": n, "order": order}, col)
-
-
-def check_eq_1_12(n: int, order: int) -> VerificationReport:
-    if order < n:
-        raise ValueError("order must be at least n")
-    col = _Collector()
-    lhs = _dq_n(Sec_q(order), n)
-    rhs = zero_series(order)
+        raise InvalidBoundsError("order must be at least n")
+    spec = _EXPANSIONS[check_id]
+    lhs = _dq_n(spec.lhs(order), n)
     half = n * (n - 1) // 2
-    for (k0, a0, b0), poly in b_table(n).row(n).items():
-        k = n - 1 - k0
-        if poly.degree > half:
-            col.eq(("1.12", n, "reversal", (k0, a0, b0)), half, poly.degree)
-            return _done("1.12", {"n": n, "order": order}, col)
-        coeff = poly.reverse(half)
-        term = (
-            scaled_tan_power(k + 1, a0, order)
-            .mul(_scaled_Sec(k, order))
-            .mul(scaled_tan_power(k, b0, order))
-        )
-        rhs = rhs.add(term.scale(coeff))
-    _series_eq(col, ("1.12", n), lhs, rhs.truncate(order - n))
-    return _done("1.12", {"n": n, "order": order}, col)
+    with _Collector(check_id, {"n": n, "order": order}) as col:
+        rhs = zero_series(order)
+        for key, poly in _table(spec.kind, n).row(n).items():
+            if spec.s_only and key[-1] != 0:
+                continue
+            if spec.reversal:
+                if poly.degree > half:
+                    col.eq((check_id, n, "reversal", key), half, poly.degree)
+                poly = poly.reverse(half)
+            rhs = rhs.add(spec.term(n, key, order).scale(poly))
+        _series_eq(col, (check_id, n), lhs, rhs.truncate(order - n))
+    return col.report
 
 
-def check_eq_1_14(n: int, order: int) -> VerificationReport:
-    if order < n:
-        raise ValueError("order must be at least n")
-    col = _Collector()
-    lhs = _dq_n(tan_q(order), n)
-    table = ac_table(n)
-    rhs = zero_series(order)
-    for comp in enumerate_t_compositions(n):
-        poly = table.get((n, comp.parts))
-        rhs = rhs.add(tan_product(comp.parts, order).scale(poly))
-    _series_eq(col, ("1.14", n), lhs, rhs.truncate(order - n))
-    return _done("1.14", {"n": n, "order": order}, col)
-
-
-def check_eq_1_15(n: int, order: int) -> VerificationReport:
-    if order < n:
-        raise ValueError("order must be at least n")
-    col = _Collector()
-    lhs = _dq_n(sec_q(order), n)
-    table = ac_table(n)
-    rhs = zero_series(order)
-    for comp in enumerate_t_compositions(n):
-        if not comp.is_s_composition():
-            continue
-        poly = table.get((n, comp.parts))
-        term = tan_product(comp.reduced(), order).mul(_scaled_sec(n, order))
-        rhs = rhs.add(term.scale(poly))
-    _series_eq(col, ("1.15", n), lhs, rhs.truncate(order - n))
-    return _done("1.15", {"n": n, "order": order}, col)
-
-
-def check_eq_1_16(n: int, order: int) -> VerificationReport:
-    if order < n:
-        raise ValueError("order must be at least n")
-    col = _Collector()
-    lhs = _dq_n(Sec_q(order), n)
-    table = ac_table(n)
-    half = n * (n - 1) // 2
-    rhs = zero_series(order)
-    for comp in enumerate_t_compositions(n):
-        if not comp.is_s_composition():
-            continue
-        poly = table.get((n, comp.parts))
-        if poly.degree > half:
-            col.eq(("1.16", n, "reversal", comp.parts), half, poly.degree)
-            return _done("1.16", {"n": n, "order": order}, col)
-        coeff = poly.reverse(half)
-        mirrored = tuple(reversed(comp.reduced()))
-        term = tan_product(mirrored, order).mul(_scaled_Sec(0, order))
-        rhs = rhs.add(term.scale(coeff))
-    _series_eq(col, ("1.16", n), lhs, rhs.truncate(order - n))
-    return _done("1.16", {"n": n, "order": order}, col)
-
-
-def _xq_row(table, n: int) -> XQPoly:
+def _xq_row(table: PolyTable, n: int) -> XQPoly:
     agg = table.aggregate_by_m(n)
     top = max(agg, default=0)
     return XQPoly(agg.get(m, _ZP) for m in range(top + 1))
 
 
 def check_eq_1_17(n_max: int) -> VerificationReport:
-    col = _Collector()
-    for n in range(n_max + 1):
-        atab = a_table(n)
-        ctab = ac_table(n)
-        agg = atab.aggregate_by_m(n)
-        cagg = ctab.aggregate_by_m(n)
-        for m in sorted(set(agg) | set(cagg)):
-            if not col.eq((n, m), agg.get(m, _ZP), cagg.get(m, _ZP)):
-                return _done("1.17", {"n_max": n_max}, col)
-    # worked instance: the printed three-part total for n = 3, m = 2
-    total = a_table(3).aggregate_by_m(3).get(2, _ZP)
-    col.eq(("worked", 3, 2), _qp((1, 3, 3, 1)), total)
-    return _done("1.17", {"n_max": n_max}, col)
+    with _Collector("1.17", {"n_max": n_max}) as col:
+        for n in range(n_max + 1):
+            agg = a_table(n).aggregate_by_m(n)
+            cagg = ac_table(n).aggregate_by_m(n)
+            for m in sorted(set(agg) | set(cagg)):
+                col.eq((n, m), agg.get(m, _ZP), cagg.get(m, _ZP))
+        # worked instance: the printed three-part total for n = 3, m = 2
+        total = a_table(3).aggregate_by_m(3).get(2, _ZP)
+        col.eq(("worked", 3, 2), QPoly((1, 3, 3, 1)), total)
+    return col.report
 
 
 def check_eq_1_18(n_max: int) -> VerificationReport:
-    col = _Collector()
-    for n in range(n_max + 1):
-        btab = b_table(n)
-        ctab = ac_table(n)
-        agg = btab.aggregate_by_m(n)
-        cagg: Dict[int, QPoly] = {}
-        for comp in enumerate_t_compositions(n):
-            if comp.is_s_composition():
-                m = comp.mu - 1
-                cagg[m] = cagg.get(m, _ZP) + ctab.get((n, comp.parts))
-        for m in sorted(set(agg) | set(cagg)):
-            if not col.eq((n, m), agg.get(m, _ZP), cagg.get(m, _ZP)):
-                return _done("1.18", {"n_max": n_max}, col)
-    return _done("1.18", {"n_max": n_max}, col)
+    with _Collector("1.18", {"n_max": n_max}) as col:
+        for n in range(n_max + 1):
+            agg = b_table(n).aggregate_by_m(n)
+            ctab = ac_table(n)
+            cagg: Dict[int, QPoly] = {}
+            for comp in enumerate_t_compositions(n):
+                if comp.is_s_composition():
+                    m = comp.mu - 1
+                    cagg[m] = cagg.get(m, _ZP) + ctab.get((n, comp.parts))
+            for m in sorted(set(agg) | set(cagg)):
+                col.eq((n, m), agg.get(m, _ZP), cagg.get(m, _ZP))
+    return col.report
 
 
-def check_eq_1_19(order: int) -> VerificationReport:
-    col = _Collector()
-    atab = a_table(order)
-    lhs = DividedSeries(Q_MODE, RING_XQ, tuple(_xq_row(atab, n) for n in range(order + 1)))
-    x = XQPoly.monomial(1)
-    tan_x = tan_q(order).promote(RING_XQ)
-    sec_x = sec_q(order).promote(RING_XQ)
-    Sec_x = Sec_q(order).promote(RING_XQ)
-    denom = one_series(order, Q_MODE, RING_XQ).sub(tan_x.scale(x))
-    rhs = tan_x.add(sec_x.mul(denom.invert()).mul(Sec_x.scale(x)))
-    _series_eq(col, ("1.19",), lhs, rhs)
-    return _done("1.19", {"order": order}, col)
-
-
-def check_eq_1_20(order: int) -> VerificationReport:
-    col = _Collector()
-    btab = b_table(order)
-    lhs = DividedSeries(Q_MODE, RING_XQ, tuple(_xq_row(btab, n) for n in range(order + 1)))
+def check_bivariate(check_id: str, order: int) -> VerificationReport:
+    """1.19 (A) and 1.20 (B): the rows summed by m = a+b, as coefficients
+    of x^m, form the bivariate generating function."""
+    kind = {"1.19": KIND_A, "1.20": KIND_B}[check_id]
+    table = _table(kind, order)
+    lhs = DividedSeries(Q_MODE, RING_XQ, tuple(_xq_row(table, n) for n in range(order + 1)))
     x = XQPoly.monomial(1)
     tan_x = tan_q(order).promote(RING_XQ)
     sec_x = sec_q(order).promote(RING_XQ)
     denom = one_series(order, Q_MODE, RING_XQ).sub(tan_x.scale(x))
     rhs = sec_x.mul(denom.invert())
-    _series_eq(col, ("1.20",), lhs, rhs)
-    return _done("1.20", {"order": order}, col)
+    if kind == KIND_A:
+        rhs = tan_x.add(rhs.mul(Sec_q(order).promote(RING_XQ).scale(x)))
+    return _check_series(check_id, order, lhs, rhs)
 
 
 # -- q-trigonometric derivative identities ----------------------------------
 
 
 def check_eq_2_3(order: int) -> VerificationReport:
-    col = _Collector()
     lhs = tan_q(order).d_q()
     rhs = one_series(order).add(tan_q(order).mul(tan_q(order).scale_arg(1)))
-    _series_eq(col, ("2.3",), lhs, rhs.truncate(order - 1))
-    return _done("2.3", {"order": order}, col)
+    return _check_series("2.3", order, lhs, rhs.truncate(order - 1))
 
 
 def check_eq_2_4(order: int) -> VerificationReport:
-    col = _Collector()
     lhs = sec_q(order).d_q()
     rhs = sec_q(order).scale_arg(1).mul(tan_q(order))
-    _series_eq(col, ("2.4",), lhs, rhs.truncate(order - 1))
-    return _done("2.4", {"order": order}, col)
+    return _check_series("2.4", order, lhs, rhs.truncate(order - 1))
 
 
 def check_eq_2_5(order: int) -> VerificationReport:
-    col = _Collector()
     lhs = Sec_q(order).d_q()
     rhs = Sec_q(order).mul(tan_q(order).scale_arg(1))
-    _series_eq(col, ("2.5",), lhs, rhs.truncate(order - 1))
-    return _done("2.5", {"order": order}, col)
+    return _check_series("2.5", order, lhs, rhs.truncate(order - 1))
 
 
 def check_tan_unique(order: int) -> VerificationReport:
-    col = _Collector()
-    _series_eq(col, ("2.tan",), tan_q(order), Tan_q(order))
-    return _done("2.tan", {"order": order}, col)
+    return _check_series("2.tan", order, tan_q(order), Tan_q(order))
 
 
 # -- bijection sweeps --------------------------------------------------------
@@ -583,7 +543,7 @@ _STAR_DELTA_EXPECT = {
 }
 
 
-def _check_31_images(col: _Collector, tag, w: TPermutation) -> bool:
+def _check_31_images(col: _Collector, tag, w: TPermutation) -> None:
     st = w.stats()
     ilg = permstats.iligne(w.concat())
     shifted = frozenset(j + 1 for j in ilg)
@@ -606,143 +566,116 @@ def _check_31_images(col: _Collector, tag, w: TPermutation) -> bool:
         ):
             ist = image.stats()
             idx = tag + (tuple(w.components), i, name)
-            if not col.eq(idx + ("iligne",), exp_ilg, permstats.iligne(image.concat())):
-                return False
-            if not col.eq(idx + ("ides",), exp_ides, ist.ides):
-                return False
-            if not col.eq(idx + ("imaj",), exp_imaj, ist.imaj):
-                return False
-            if not col.eq(idx + ("inv",), exp_inv, ist.inv):
-                return False
-            if not col.eq(idx + ("min",), exp_min, ist.min):
-                return False
-    return True
+            col.eq(idx + ("iligne",), exp_ilg, permstats.iligne(image.concat()))
+            col.eq(idx + ("ides",), exp_ides, ist.ides)
+            col.eq(idx + ("imaj",), exp_imaj, ist.imaj)
+            col.eq(idx + ("inv",), exp_inv, ist.inv)
+            col.eq(idx + ("min",), exp_min, ist.min)
 
 
 def check_3_1(n_max: int) -> VerificationReport:
-    col = _Collector()
     w0 = TPermutation(_W_EXAMPLE)
-    st = w0.stats()
-    col.eq(("example", "stats"), (6, 38, 1, 27), (st.ides, st.imaj, st.min, st.inv))
-    for i, (comps, ides, imaj, mn, inv) in _DELTA_STAR_EXPECT.items():
-        image = delta_star(i, w0)
-        ist = image.stats()
-        col.eq(
-            ("example", "delta*", i),
-            (comps, ides, imaj, mn, inv),
-            (image.components, ist.ides, ist.imaj, ist.min, ist.inv),
-        )
-    for i, (comps, ides, imaj, mn, inv) in _STAR_DELTA_EXPECT.items():
-        image = star_delta(i, w0)
-        ist = image.stats()
-        col.eq(
-            ("example", "*delta", i),
-            (comps, ides, imaj, mn, inv),
-            (image.components, ist.ides, ist.imaj, ist.min, ist.inv),
-        )
-    for n in range(1, n_max + 1):
-        for w in enumerate_t_permutations(n, bound=n):
-            if not _check_31_images(col, ("sweep", n), w):
-                return _done("3.1", {"n_max": n_max}, col)
-    return _done("3.1", {"n_max": n_max}, col)
+    with _Collector("3.1", {"n_max": n_max}) as col:
+        st = w0.stats()
+        col.eq(("example", "stats"), (6, 38, 1, 27), (st.ides, st.imaj, st.min, st.inv))
+        for name, bijection, expect in (
+            ("delta*", delta_star, _DELTA_STAR_EXPECT),
+            ("*delta", star_delta, _STAR_DELTA_EXPECT),
+        ):
+            for i, expected in expect.items():
+                image = bijection(i, w0)
+                ist = image.stats()
+                col.eq(
+                    ("example", name, i),
+                    expected,
+                    (image.components, ist.ides, ist.imaj, ist.min, ist.inv),
+                )
+        for n in range(1, n_max + 1):
+            for w in enumerate_t_permutations(n, bound=n):
+                _check_31_images(col, ("sweep", n), w)
+    return col.report
 
 
 def check_3_bijections(n_max: int) -> VerificationReport:
-    col = _Collector()
-    for n in range(0, n_max + 1):
-        first_images = set()
-        second_images = set()
-        for w in enumerate_t_permutations(n, bound=n + 1):
-            for i in range(1, w.mu + 1):
-                d = delta_star(i, w)
-                col.require((n, "first-kind", tuple(d.components)), d.is_first_kind())
-                col.eq((n, "delta*-roundtrip", i), (i, w.components),
-                       (delta_star_inv(d)[0], delta_star_inv(d)[1].components))
-                first_images.add(d.components)
-                s = star_delta(i, w)
-                col.require((n, "second-kind", tuple(s.components)), not s.is_first_kind())
-                col.eq((n, "*delta-roundtrip", i), (i, w.components),
-                       (star_delta_inv(s)[0], star_delta_inv(s)[1].components))
-                second_images.add(s.components)
-                if col.failed:
-                    return _done("3.bij", {"n_max": n_max}, col)
-        target = {w.components for w in enumerate_t_permutations(n + 1, bound=n + 1)}
-        col.require((n + 1, "disjoint"), not (first_images & second_images))
-        col.eq((n + 1, "partition"), target, first_images | second_images)
-        if col.failed:
-            return _done("3.bij", {"n_max": n_max}, col)
-    return _done("3.bij", {"n_max": n_max}, col)
+    with _Collector("3.bij", {"n_max": n_max}) as col:
+        for n in range(0, n_max + 1):
+            first_images = set()
+            second_images = set()
+            for w in enumerate_t_permutations(n, bound=n + 1):
+                for i in range(1, w.mu + 1):
+                    d = delta_star(i, w)
+                    col.require((n, "first-kind", tuple(d.components)), d.is_first_kind())
+                    back_i, back = delta_star_inv(d)
+                    col.eq((n, "delta*-roundtrip", i), (i, w.components), (back_i, back.components))
+                    first_images.add(d.components)
+                    s = star_delta(i, w)
+                    col.require((n, "second-kind", tuple(s.components)), not s.is_first_kind())
+                    back_i, back = star_delta_inv(s)
+                    col.eq((n, "*delta-roundtrip", i), (i, w.components), (back_i, back.components))
+                    second_images.add(s.components)
+            target = {w.components for w in enumerate_t_permutations(n + 1, bound=n + 1)}
+            col.require((n + 1, "disjoint"), not (first_images & second_images))
+            col.eq((n + 1, "partition"), target, first_images | second_images)
+    return col.report
+
+
+def _check_word_bijection(check_id, n_max, example, bijection, pairs) -> VerificationReport:
+    """A bijection of S_n carrying each (tag, stat, image stat) of ``pairs``."""
+    source, expected = example
+    with _Collector(check_id, {"n_max": n_max}) as col:
+        col.eq(("example",), expected, bijection(source))
+        for n in range(n_max + 1):
+            images = set()
+            for sigma in permstats.iter_permutations(n):
+                image = bijection(sigma)
+                images.add(image)
+                st = permstats.statistics(sigma)
+                ist = permstats.statistics(image)
+                for tag, stat, image_stat in pairs:
+                    col.eq((n, sigma, tag), getattr(st, stat), getattr(ist, image_stat))
+            col.eq((n, "bijective"), math.factorial(n), len(images))
+    return col.report
 
 
 def check_phi(n_max: int) -> VerificationReport:
-    col = _Collector()
-    col.eq(
-        ("example",),
-        (4, 7, 2, 6, 1, 9, 5, 8, 3),
-        permstats.foata_phi((7, 4, 9, 2, 6, 1, 5, 8, 3)),
+    return _check_word_bijection(
+        "8.phi",
+        n_max,
+        ((7, 4, 9, 2, 6, 1, 5, 8, 3), (4, 7, 2, 6, 1, 9, 5, 8, 3)),
+        permstats.foata_phi,
+        (("maj=inv", "maj", "inv"), ("iligne", "iligne", "iligne")),
     )
-    for n in range(n_max + 1):
-        images = set()
-        for sigma in permstats.iter_permutations(n):
-            image = permstats.foata_phi(sigma)
-            images.add(image)
-            st = permstats.statistics(sigma)
-            ist = permstats.statistics(image)
-            if not col.eq((n, sigma, "maj=inv"), st.maj, ist.inv):
-                return _done("8.phi", {"n_max": n_max}, col)
-            if not col.eq((n, sigma, "iligne"), st.iligne, ist.iligne):
-                return _done("8.phi", {"n_max": n_max}, col)
-        col.eq((n, "bijective"), math.factorial(n), len(images))
-    return _done("8.phi", {"n_max": n_max}, col)
 
 
 def check_psi(n_max: int) -> VerificationReport:
-    col = _Collector()
-    col.eq(
-        ("example",),
-        (5, 3, 9, 1, 7, 4, 2, 8, 6),
-        permstats.psi((6, 4, 9, 2, 7, 5, 1, 8, 3)),
+    return _check_word_bijection(
+        "8.1",
+        n_max,
+        ((6, 4, 9, 2, 7, 5, 1, 8, 3), (5, 3, 9, 1, 7, 4, 2, 8, 6)),
+        permstats.psi,
+        (("ligne", "ligne", "ligne"), ("inv=imaj", "imaj", "inv")),
     )
-    for n in range(n_max + 1):
-        images = set()
-        for sigma in permstats.iter_permutations(n):
-            image = permstats.psi(sigma)
-            images.add(image)
-            st = permstats.statistics(sigma)
-            ist = permstats.statistics(image)
-            if not col.eq((n, sigma, "ligne"), st.ligne, ist.ligne):
-                return _done("8.1", {"n_max": n_max}, col)
-            if not col.eq((n, sigma, "inv=imaj"), st.imaj, ist.inv):
-                return _done("8.1", {"n_max": n_max}, col)
-        col.eq((n, "bijective"), math.factorial(n), len(images))
-    return _done("8.1", {"n_max": n_max}, col)
 
 
 def check_psi_on_t(n_max: int) -> VerificationReport:
-    col = _Collector()
     w = TPermutation(((), (6,), (4,), (9, 2, 7), (5, 1, 8, 3)))
-    col.eq(
-        ("example",),
-        ((), (5,), (3,), (9, 1, 7), (4, 2, 8, 6)),
-        psi_on_t(w).components,
-    )
-    for n in range(n_max + 1):
-        images = set()
-        count = 0
-        for w in enumerate_t_permutations(n, bound=n):
-            image = psi_on_t(w)
-            images.add(image.components)
-            count += 1
-            if not col.eq((n, w.components, "lambda"), w.lam(), image.lam()):
-                return _done("8.2", {"n_max": n_max}, col)
-            if not col.eq(
-                (n, w.components, "inv=imaj"),
-                w.stats().imaj,
-                image.stats().inv,
-            ):
-                return _done("8.2", {"n_max": n_max}, col)
-        col.eq((n, "bijective"), count, len(images))
-    return _done("8.2", {"n_max": n_max}, col)
+    with _Collector("8.2", {"n_max": n_max}) as col:
+        col.eq(
+            ("example",),
+            ((), (5,), (3,), (9, 1, 7), (4, 2, 8, 6)),
+            psi_on_t(w).components,
+        )
+        for n in range(n_max + 1):
+            images = set()
+            count = 0
+            for w in enumerate_t_permutations(n, bound=n):
+                image = psi_on_t(w)
+                images.add(image.components)
+                count += 1
+                col.eq((n, w.components, "lambda"), w.lam(), image.lam())
+                col.eq((n, w.components, "inv=imaj"), w.stats().imaj, image.stats().inv)
+            col.eq((n, "bijective"), count, len(images))
+    return col.report
 
 
 # -- q-tangent/secant layer ---------------------------------------------------
@@ -773,49 +706,39 @@ def _family_by_recurrence(n_max: int):
     return a, a2
 
 
-def check_7_4(n_max: int) -> VerificationReport:
-    col = _Collector()
-    a, _ = _family_by_recurrence(n_max)
-    for n in range(1, n_max + 1, 2):
-        if not col.eq((n,), q_tangent_number(n), a[n]):
-            break
-    return _done("7.4", {"n_max": n_max}, col)
+# id -> (first n, closed form, index into _family_by_recurrence); n steps by 2
+_CONVOLUTIONS = {
+    "7.4": (1, q_tangent_number, 0),
+    "7.5": (0, q_secant_number, 0),
+    "7.6": (0, q_secant2_number, 1),
+}
 
 
-def check_7_5(n_max: int) -> VerificationReport:
-    col = _Collector()
-    a, _ = _family_by_recurrence(n_max)
-    for n in range(0, n_max + 1, 2):
-        if not col.eq((n,), q_secant_number(n), a[n]):
-            break
-    return _done("7.5", {"n_max": n_max}, col)
-
-
-def check_7_6(n_max: int) -> VerificationReport:
-    col = _Collector()
-    _, a2 = _family_by_recurrence(n_max)
-    for n in range(0, n_max + 1, 2):
-        if not col.eq((n,), q_secant2_number(n), a2[n]):
-            break
-    return _done("7.6", {"n_max": n_max}, col)
+def check_convolution(check_id: str, n_max: int) -> VerificationReport:
+    """7.4-7.6: the convolution recurrences give the q-tangent/secant numbers."""
+    start, closed, which = _CONVOLUTIONS[check_id]
+    family = _family_by_recurrence(n_max)[which]
+    with _Collector(check_id, {"n_max": n_max}) as col:
+        for n in range(start, n_max + 1, 2):
+            col.eq((n,), closed(n), family[n])
+    return col.report
 
 
 def check_7_combined(n_max: int) -> VerificationReport:
     # The single convolution formula covering both parities; its sum is
     # empty at n = 1, so the sweep starts at 2.
-    col = _Collector()
-    for n in range(2, n_max + 1):
-        acc = _ZP
-        for k in range(0, n // 2):
-            term = (
-                gauss_binomial(n - 1, 2 * k + 1)
-                * q_tan_sec_number(2 * k + 1)
-                * q_tan_sec_number(n - 2 * k - 2)
-            )
-            acc = acc + term.shift(n - 2 * k - 2)
-        if not col.eq((n,), q_tan_sec_number(n), acc):
-            break
-    return _done("7.comb", {"n_max": n_max}, col)
+    with _Collector("7.comb", {"n_max": n_max}) as col:
+        for n in range(2, n_max + 1):
+            acc = _ZP
+            for k in range(0, n // 2):
+                term = (
+                    gauss_binomial(n - 1, 2 * k + 1)
+                    * q_tan_sec_number(2 * k + 1)
+                    * q_tan_sec_number(n - 2 * k - 2)
+                )
+                acc = acc + term.shift(n - 2 * k - 2)
+            col.eq((n,), q_tan_sec_number(n), acc)
+    return col.report
 
 
 @lru_cache(maxsize=None)
@@ -838,183 +761,119 @@ def _alt_polys(n: int, stat: str) -> Tuple[QPoly, QPoly]:
     return QPoly(rising), QPoly(falling)
 
 
-def check_7_1(n_max: int) -> VerificationReport:
-    col = _Collector()
-    for n in range(n_max + 1):
-        rising, falling = _alt_polys(n, "inv")
-        if n % 2:
-            col.eq((n, "RA"), q_tangent_number(n), rising)
-            col.eq((n, "FA"), q_tangent_number(n), falling)
-        else:
-            col.eq((n, "RA"), q_secant_number(n), rising)
-            col.eq((n, "FA"), q_secant2_number(n), falling)
-        if col.failed:
-            break
-    return _done("7.1", {"n_max": n_max}, col)
-
-
-def check_7_imaj(n_max: int) -> VerificationReport:
-    col = _Collector()
-    for n in range(n_max + 1):
-        rising, falling = _alt_polys(n, "imaj")
-        if n % 2:
-            col.eq((n, "RA"), q_tangent_number(n), rising)
-            col.eq((n, "FA"), q_tangent_number(n), falling)
-        else:
-            col.eq((n, "RA"), q_secant_number(n), rising)
-            col.eq((n, "FA"), q_secant2_number(n), falling)
-        if col.failed:
-            break
-    return _done("7.imaj", {"n_max": n_max}, col)
+def check_alternating(check_id: str, n_max: int) -> VerificationReport:
+    """7.1 (by inv) and 7.imaj (by imaj): alternating permutations are
+    counted by the q-tangent and q-secant numbers."""
+    stat = {"7.1": "inv", "7.imaj": "imaj"}[check_id]
+    with _Collector(check_id, {"n_max": n_max}) as col:
+        for n in range(n_max + 1):
+            rising, falling = _alt_polys(n, stat)
+            if n % 2:
+                col.eq((n, "RA"), q_tangent_number(n), rising)
+                col.eq((n, "FA"), q_tangent_number(n), falling)
+            else:
+                col.eq((n, "RA"), q_secant_number(n), rising)
+                col.eq((n, "FA"), q_secant2_number(n), falling)
+    return col.report
 
 
 def check_rho_gamma(n_max: int) -> VerificationReport:
-    col = _Collector()
-    for n in range(1, n_max + 1, 2):
-        images = set()
-        for sigma in permstats.iter_rising_alternating(n):
-            image = permstats.mirror_rho(permstats.complement_gamma(sigma))
-            col.require((n, sigma, "falling"), permstats.is_falling_alternating(image))
-            col.eq((n, sigma, "inv"), permstats.inv(sigma), permstats.inv(image))
-            images.add(image)
-            if col.failed:
-                return _done("7.rhogamma", {"n_max": n_max}, col)
-        col.eq((n, "onto"), len(list(permstats.iter_falling_alternating(n))), len(images))
-    return _done("7.rhogamma", {"n_max": n_max}, col)
+    with _Collector("7.rhogamma", {"n_max": n_max}) as col:
+        for n in range(1, n_max + 1, 2):
+            images = set()
+            for sigma in permstats.iter_rising_alternating(n):
+                image = permstats.mirror_rho(permstats.complement_gamma(sigma))
+                col.require((n, sigma, "falling"), permstats.is_falling_alternating(image))
+                col.eq((n, sigma, "inv"), permstats.inv(sigma), permstats.inv(image))
+                images.add(image)
+            col.eq((n, "onto"), len(list(permstats.iter_falling_alternating(n))), len(images))
+    return col.report
 
 
 def check_7_11(n_max: int) -> VerificationReport:
-    col = _Collector()
-    for n in range(1, n_max + 1, 2):
-        poly = q_tangent_number(n)
-        col.eq((n,), poly, poly.reverse(n * (n - 1) // 2))
-        if col.failed:
-            break
-    return _done("7.11", {"n_max": n_max}, col)
+    with _Collector("7.11", {"n_max": n_max}) as col:
+        for n in range(1, n_max + 1, 2):
+            poly = q_tangent_number(n)
+            col.eq((n,), poly, poly.reverse(n * (n - 1) // 2))
+    return col.report
 
 
 def check_7_12(n_max: int) -> VerificationReport:
-    col = _Collector()
-    for n in range(0, n_max + 1, 2):
-        sec = q_secant_number(n)
-        col.eq((n,), q_secant2_number(n), sec.reverse(n * (n - 1) // 2))
-        if col.failed:
-            break
-    return _done("7.12", {"n_max": n_max}, col)
+    with _Collector("7.12", {"n_max": n_max}) as col:
+        for n in range(0, n_max + 1, 2):
+            sec = q_secant_number(n)
+            col.eq((n,), q_secant2_number(n), sec.reverse(n * (n - 1) // 2))
+    return col.report
 
 
 # -- triple-method equivalence -----------------------------------------------
 
 
-def _compare_rows(col: _Collector, tag, expected: dict, actual: dict) -> bool:
-    for key in sorted(set(expected) | set(actual)):
-        exp = expected.get(key, _ZP)
-        act = actual.get(key, _ZP)
-        if not col.eq(tag + (key,), exp, act):
-            return False
-    return True
-
-
-def check_triple_a(rewrite_n: int, brute_n: int) -> VerificationReport:
-    col = _Collector()
-    table = a_table(rewrite_n)
-    for n in range(rewrite_n + 1):
-        if not _compare_rows(col, ("rewrite", n), table.row(n), dict(rewrite_tan(n).terms)):
-            return _done("triple.A", {"rewrite_n": rewrite_n, "brute_n": brute_n}, col)
-    for n in range(brute_n + 1):
-        if not _compare_rows(col, ("oracle", n), table.row(n), oracle_all(n, brute_n)[0].row(n)):
-            return _done("triple.A", {"rewrite_n": rewrite_n, "brute_n": brute_n}, col)
-    return _done("triple.A", {"rewrite_n": rewrite_n, "brute_n": brute_n}, col)
-
-
-def check_triple_b(rewrite_n: int, brute_n: int) -> VerificationReport:
-    col = _Collector()
-    table = b_table(rewrite_n)
-    for n in range(rewrite_n + 1):
-        if not _compare_rows(col, ("rewrite", n), table.row(n), dict(rewrite_sec(n).terms)):
-            return _done("triple.B", {"rewrite_n": rewrite_n, "brute_n": brute_n}, col)
-    for n in range(brute_n + 1):
-        if not _compare_rows(col, ("oracle", n), table.row(n), oracle_all(n, brute_n)[1].row(n)):
-            return _done("triple.B", {"rewrite_n": rewrite_n, "brute_n": brute_n}, col)
-    return _done("triple.B", {"rewrite_n": rewrite_n, "brute_n": brute_n}, col)
-
-
-def check_triple_ac(rewrite_n: int, brute_n: int) -> VerificationReport:
-    col = _Collector()
-    table = ac_table(rewrite_n)
-    for n in range(rewrite_n + 1):
-        row = table.row(n)
-        if not _compare_rows(col, ("rewrite", n), row, dict(rewrite_comp_tan(n).terms)):
-            return _done("triple.Ac", {"rewrite_n": rewrite_n, "brute_n": brute_n}, col)
-        srow = {c: p for c, p in row.items() if c[-1] == 0}
-        if not _compare_rows(col, ("rewrite-s", n), srow, dict(rewrite_comp_sec(n).terms)):
-            return _done("triple.Ac", {"rewrite_n": rewrite_n, "brute_n": brute_n}, col)
-    for n in range(brute_n + 1):
-        if not _compare_rows(col, ("oracle", n), table.row(n), oracle_all(n, brute_n)[2].row(n)):
-            return _done("triple.Ac", {"rewrite_n": rewrite_n, "brute_n": brute_n}, col)
-    return _done("triple.Ac", {"rewrite_n": rewrite_n, "brute_n": brute_n}, col)
+def check_triple(kind: str, rewrite_n: int, brute_n: int) -> VerificationReport:
+    """The recurrence rows equal the rewrite-engine rows and the oracle rows."""
+    # (report tag, rewrite engine, compare s-compositions only) per kind;
+    # looked up per call like _table
+    engines = {
+        KIND_A: (("rewrite", rewrite_tan, False),),
+        KIND_B: (("rewrite", rewrite_sec, False),),
+        KIND_AC: (("rewrite", rewrite_comp_tan, False), ("rewrite-s", rewrite_comp_sec, True)),
+    }[kind]
+    table = _table(kind, max(rewrite_n, brute_n))
+    oracle_index = (KIND_A, KIND_B, KIND_AC).index(kind)
+    with _Collector("triple." + kind, {"rewrite_n": rewrite_n, "brute_n": brute_n}) as col:
+        for n in range(rewrite_n + 1):
+            row = table.row(n)
+            for tag, engine, s_only in engines:
+                expected = {c: p for c, p in row.items() if c[-1] == 0} if s_only else row
+                _compare_rows(col, (tag, n), expected, engine(n))
+        for n in range(brute_n + 1):
+            _compare_rows(col, ("oracle", n), table.row(n), oracle_all(n)[oracle_index])
+    return col.report
 
 
 def check_symmetry(n_max: int) -> VerificationReport:
-    col = _Collector()
     table = a_table(n_max)
-    for n in range(1, n_max + 1):
-        half = n * (n - 1) // 2
-        for (k, a, b), poly in sorted(table.row(n).items()):
-            partner = table.get((n, n - 1 - k, b, a))
-            if not col.eq((n, k, a, b), poly, partner.reverse(half)):
-                return _done("4.sym", {"n_max": n_max}, col)
-    return _done("4.sym", {"n_max": n_max}, col)
+    with _Collector("4.sym", {"n_max": n_max}) as col:
+        for n in range(1, n_max + 1):
+            half = n * (n - 1) // 2
+            for (k, a, b), poly in sorted(table.row(n).items()):
+                partner = table.get((n, n - 1 - k, b, a))
+                col.eq((n, k, a, b), poly, partner.reverse(half))
+    return col.report
 
 
 def check_table_bounds(n_max: int) -> VerificationReport:
-    col = _Collector()
-    atab, btab, ctab = a_table(n_max), b_table(n_max), ac_table(n_max)
-    for (n, k, a, b), poly in atab.entries.items():
-        half = n * (n - 1) // 2
-        ok = (
-            a >= 0
-            and b >= 0
-            and a + b <= n + 1
-            and (a + b) % 2 == (n + 1) % 2
-            and poly.degree <= half
-            and (k == 0 if n == 0 else 0 <= k <= n - 1)
-        )
-        if not col.require(("A", n, k, a, b), ok):
-            return _done("tables.bounds", {"n_max": n_max}, col)
-    for (n, k, a, b), poly in btab.entries.items():
-        half = n * (n - 1) // 2
-        ok = (
-            a >= 0
-            and b >= 0
-            and a + b <= n
-            and (a + b) % 2 == n % 2
-            and poly.degree <= half
-            and (k == -1 if n == 0 else 0 <= k <= n - 1)
-        )
-        if not col.require(("B", n, k, a, b), ok):
-            return _done("tables.bounds", {"n_max": n_max}, col)
-    for n in range(n_max + 1):
-        expected = {c.parts for c in enumerate_t_compositions(n)}
-        actual = set(ctab.row(n))
-        if not col.eq(("Ac.keys", n), expected, actual):
-            return _done("tables.bounds", {"n_max": n_max}, col)
-        half = n * (n - 1) // 2
-        for parts, poly in ctab.row(n).items():
-            if not col.require(("Ac", n, parts), poly.degree <= half):
-                return _done("tables.bounds", {"n_max": n_max}, col)
-    return _done("tables.bounds", {"n_max": n_max}, col)
+    ctab = ac_table(n_max)
+    with _Collector("tables.bounds", {"n_max": n_max}) as col:
+        # A has a+b <= n+1 and seed k = 0; B has a+b <= n and seed k = -1
+        for name, table, extra, seed_k in (("A", a_table(n_max), 1, 0), ("B", b_table(n_max), 0, -1)):
+            for (n, k, a, b), poly in table.items():
+                ok = (
+                    a >= 0
+                    and b >= 0
+                    and a + b <= n + extra
+                    and (a + b) % 2 == (n + extra) % 2
+                    and poly.degree <= n * (n - 1) // 2
+                    and (k == seed_k if n == 0 else 0 <= k <= n - 1)
+                )
+                col.require((name, n, k, a, b), ok)
+        for n in range(n_max + 1):
+            expected = {c.parts for c in enumerate_t_compositions(n)}
+            col.eq(("Ac.keys", n), expected, set(ctab.row(n)))
+            half = n * (n - 1) // 2
+            for parts, poly in ctab.row(n).items():
+                col.require(("Ac", n, parts), poly.degree <= half)
+    return col.report
 
 
 def check_9_1(n_max: int) -> VerificationReport:
-    col = _Collector()
     table = ac_table(n_max)
-    for n in range(1, n_max + 1):
-        for comp in enumerate_t_compositions(n):
-            expected = table.get((n, comp.parts))
-            if not col.eq((n, comp.parts), expected, product_formula(n, comp)):
-                return _done("9.1", {"n_max": n_max}, col)
-    return _done("9.1", {"n_max": n_max}, col)
+    with _Collector("9.1", {"n_max": n_max}) as col:
+        for n in range(1, n_max + 1):
+            for comp in enumerate_t_compositions(n):
+                expected = table.get((n, comp.parts))
+                col.eq((n, comp.parts), expected, product_formula(n, comp))
+    return col.report
 
 
 # -- specializations -----------------------------------------------------------
@@ -1022,104 +881,86 @@ def check_9_1(n_max: int) -> VerificationReport:
 
 def check_q1_bridge(n_max: int) -> VerificationReport:
     """Aggregated polynomial rows at q = 1 equal the integer triangles."""
-    col = _Collector()
     tri_a, tri_b = special.small_triangles(n_max)
-    for name, table, tri in (("a", a_table(n_max), tri_a), ("b", b_table(n_max), tri_b)):
-        for n in range(n_max + 1):
-            agg = table.aggregate_by_m(n)
-            for m in range(n + 2):
-                value = agg.get(m, _ZP).eval_at_one()
-                if not col.eq((name, n, m), tri.get(n, m), value):
-                    return _done("q1.bridge", {"n_max": n_max}, col)
-    return _done("q1.bridge", {"n_max": n_max}, col)
+    with _Collector("q1.bridge", {"n_max": n_max}) as col:
+        for name, table, tri in (("a", a_table(n_max), tri_a), ("b", b_table(n_max), tri_b)):
+            for n in range(n_max + 1):
+                agg = table.aggregate_by_m(n)
+                for m in range(n + 2):
+                    col.eq((name, n, m), tri.get(n, m), agg.get(m, _ZP).eval_at_one())
+    return col.report
 
 
 def check_carlitz(fixtures=None, n_max: int = 5) -> VerificationReport:
     fx = _fx(fixtures)
-    col = _Collector()
     table = special.carlitz_table(n_max)
     fixture = fx["carlitz"]
-    for key in sorted(set(fixture) | set(table)):
-        if key[0] > n_max:
-            continue
-        if not col.eq(("carlitz",) + key, _qp(fixture.get(key, ())), table.get(key, _ZP)):
-            return _done("10.2", {"n_max": n_max}, col)
-    refined = special.carlitz_refined_table(max(k[0] for k in fx["carlitz.refined"]))
-    for key in sorted(fx["carlitz.refined"]):
-        if not col.eq(("refined",) + key, _qp(fx["carlitz.refined"][key]), refined.get(key, _ZP)):
-            return _done("10.2", {"n_max": n_max}, col)
-    return _done("10.2", {"n_max": n_max}, col)
+    with _Collector("10.2", {"n_max": n_max}) as col:
+        for key in sorted(set(fixture) | set(table)):
+            if key[0] <= n_max:
+                col.eq(("carlitz",) + key, QPoly(fixture.get(key, ())), table.get(key, _ZP))
+        refined_fixture = fx["carlitz.refined"]
+        refined = special.carlitz_refined_table(max(k[0] for k in refined_fixture))
+        for key in sorted(refined_fixture):
+            col.eq(("refined",) + key, QPoly(refined_fixture[key]), refined.get(key, _ZP))
+    return col.report
 
 
 def check_10_5(n_max: int) -> VerificationReport:
-    col = _Collector()
     carlitz = special.carlitz_table(n_max)
     refined_rec = special.carlitz_refined_table(n_max)
-    for n in range(n_max + 1):
-        refinement = special.carlitz_refinement(n)
-        rec_row = {k: v for k, v in refined_rec.items() if k[0] == n}
-        if not _compare_rows(col, ("readoff-vs-recurrence", n), rec_row, refinement):
-            return _done("10.5", {"n_max": n_max}, col)
-        sums: Dict[int, QPoly] = {}
-        for (rn, j, a), poly in refinement.items():
-            sums[j] = sums.get(j, _ZP) + poly
-        top = max([j for (rn, j) in carlitz if rn == n], default=0)
-        for j in range(top + 1):
-            if not col.eq((n, j), carlitz.get((n, j), _ZP), sums.get(j, _ZP)):
-                return _done("10.5", {"n_max": n_max}, col)
-    return _done("10.5", {"n_max": n_max}, col)
+    with _Collector("10.5", {"n_max": n_max}) as col:
+        for n in range(n_max + 1):
+            refinement = special.carlitz_refinement(n)
+            rec_row = {k: v for k, v in refined_rec.items() if k[0] == n}
+            _compare_rows(col, ("readoff-vs-recurrence", n), rec_row, refinement)
+            sums: Dict[int, QPoly] = {}
+            for (rn, j, a), poly in refinement.items():
+                sums[j] = sums.get(j, _ZP) + poly
+            top = max([j for (rn, j) in carlitz if rn == n], default=0)
+            for j in range(top + 1):
+                col.eq((n, j), carlitz.get((n, j), _ZP), sums.get(j, _ZP))
+    return col.report
 
 
 def check_10_7(n_max: int) -> VerificationReport:
-    col = _Collector()
-    for n in range(1, n_max + 1):
-        sums: Dict[Tuple[int, int], QPoly] = {}
-        for sigma in permstats.iter_permutations(n):
-            st = permstats.statistics(sigma)
-            a = sigma.index(1) + 1
-            key = (st.ides, a)
-            sums[key] = sums.get(key, _ZP) + QPoly.monomial(st.imaj)
-        refinement = {
-            (j, a): poly for (rn, j, a), poly in special.carlitz_refinement(n).items()
-        }
-        if not _compare_rows(col, (n,), sums, refinement):
-            return _done("10.7", {"n_max": n_max}, col)
-    return _done("10.7", {"n_max": n_max}, col)
+    with _Collector("10.7", {"n_max": n_max}) as col:
+        for n in range(1, n_max + 1):
+            sums: Dict[Tuple[int, int], QPoly] = {}
+            for sigma in permstats.iter_permutations(n):
+                st = permstats.statistics(sigma)
+                key = (st.ides, sigma.index(1) + 1)
+                sums[key] = sums.get(key, _ZP) + QPoly.monomial(st.imaj)
+            refinement = {
+                (j, a): poly for (rn, j, a), poly in special.carlitz_refinement(n).items()
+            }
+            _compare_rows(col, (n,), sums, refinement)
+    return col.report
 
 
 def check_10_8(n_max: int, perm_n: int) -> VerificationReport:
-    col = _Collector()
-    for n in range(1, n_max + 1):
-        closed = special.diagonal_closed_forms(n).super_a
-        col.eq((n, "A"), closed, a_table(n).aggregate_by_m(n).get(n + 1, _ZP))
-        col.eq((n, "B"), closed, b_table(n).aggregate_by_m(n).get(n, _ZP))
-        if col.failed:
-            return _done("10.8", {"n_max": n_max}, col)
-    for n in range(1, perm_n + 1):
-        counts = [0] * (n * (n - 1) // 2 + 1)
-        for sigma in permstats.iter_permutations(n):
-            counts[permstats.inv(sigma)] += 1
-        if not col.eq((n, "inv"), special.diagonal_closed_forms(n).super_a, QPoly(counts)):
-            return _done("10.8", {"n_max": n_max}, col)
-    return _done("10.8", {"n_max": n_max}, col)
+    with _Collector("10.8", {"n_max": n_max}) as col:
+        for n in range(1, n_max + 1):
+            closed = special.diagonal_closed_forms(n).super_a
+            col.eq((n, "A"), closed, a_table(n).aggregate_by_m(n).get(n + 1, _ZP))
+            col.eq((n, "B"), closed, b_table(n).aggregate_by_m(n).get(n, _ZP))
+        for n in range(1, perm_n + 1):
+            counts = [0] * (n * (n - 1) // 2 + 1)
+            for sigma in permstats.iter_permutations(n):
+                counts[permstats.inv(sigma)] += 1
+            col.eq((n, "inv"), special.diagonal_closed_forms(n).super_a, QPoly(counts))
+    return col.report
 
 
-def check_10_3(n_max: int) -> VerificationReport:
-    col = _Collector()
-    for n in range(3, n_max + 1):
-        closed = special.diagonal_closed_forms(n).sub_a
-        if not col.eq((n,), closed, a_table(n).aggregate_by_m(n).get(n - 1, _ZP)):
-            break
-    return _done("10.3", {"n_max": n_max}, col)
-
-
-def check_10_4(n_max: int) -> VerificationReport:
-    col = _Collector()
-    for n in range(3, n_max + 1):
-        closed = special.diagonal_closed_forms(n).sub_b
-        if not col.eq((n,), closed, b_table(n).aggregate_by_m(n).get(n - 2, _ZP)):
-            break
-    return _done("10.4", {"n_max": n_max}, col)
+def check_subdiagonal(check_id: str, n_max: int) -> VerificationReport:
+    """10.3 (A, m = n-1) and 10.4 (B, m = n-2): closed sub-diagonal products."""
+    kind, drop = {"10.3": (KIND_A, 1), "10.4": (KIND_B, 2)}[check_id]
+    with _Collector(check_id, {"n_max": n_max}) as col:
+        for n in range(3, n_max + 1):
+            forms = special.diagonal_closed_forms(n)
+            closed = forms.sub_a if kind == KIND_A else forms.sub_b
+            col.eq((n,), closed, _table(kind, n).aggregate_by_m(n).get(n - drop, _ZP))
+    return col.report
 
 
 def _tq_combinatorial(n: int) -> XQPoly:
@@ -1138,86 +979,72 @@ def _tq_combinatorial(n: int) -> XQPoly:
 
 
 def check_tq(n_max: int) -> VerificationReport:
-    col = _Collector()
-    for n in range(n_max + 1):
-        expected = _tq_combinatorial(n)
-        actual = special.tq_tangent(n) if n % 2 else special.tq_secant(n)
-        if not col.eq((n,), expected, actual):
-            break
-    return _done("10.tq", {"n_max": n_max}, col)
+    with _Collector("10.tq", {"n_max": n_max}) as col:
+        for n in range(n_max + 1):
+            actual = special.tq_tangent(n) if n % 2 else special.tq_secant(n)
+            col.eq((n,), _tq_combinatorial(n), actual)
+    return col.report
 
 
 def check_springer(fixtures=None, n_max: int = 8) -> VerificationReport:
     fx = _fx(fixtures)
-    col = _Collector()
-    for n in range(n_max + 1):
-        v1 = special.springer_poly_from_tables(n)
-        v2 = special.springer_poly_from_series(n)
-        if not col.eq((n, "table=series"), v1, v2):
-            return _done("springer", {"n_max": n_max}, col)
-    for n, value in enumerate(fx["springer"]):
-        col.eq((n, "at-1"), value, special.springer_poly_from_tables(n).eval_at_one())
-        col.eq(
-            (n, "sec-variant-at-1"),
-            value,
-            special.springer_sec_variant_from_series(n).eval_at_one(),
-        )
-        if col.failed:
-            break
-    return _done("springer", {"n_max": n_max}, col)
+    with _Collector("springer", {"n_max": n_max}) as col:
+        for n in range(n_max + 1):
+            v1 = special.springer_poly_from_tables(n)
+            v2 = special.springer_poly_from_series(n)
+            col.eq((n, "table=series"), v1, v2)
+        for n, value in enumerate(fx["springer"]):
+            col.eq((n, "at-1"), value, special.springer_poly_from_tables(n).eval_at_one())
+            col.eq(
+                (n, "sec-variant-at-1"),
+                value,
+                special.springer_sec_variant_from_series(n).eval_at_one(),
+            )
+    return col.report
 
 
 def check_alpha_counts(n_max: int) -> VerificationReport:
-    col = _Collector()
-    for n in range(n_max + 1):
-        comps = enumerate_t_compositions(n)
-        by_mu: Dict[int, int] = {}
-        s_by_mu: Dict[int, int] = {}
-        for c in comps:
-            by_mu[c.mu] = by_mu.get(c.mu, 0) + 1
-            if c.is_s_composition():
-                s_by_mu[c.mu] = s_by_mu.get(c.mu, 0) + 1
-        for m in range(n + 3):
-            if not col.eq((n, m, "alpha"), by_mu.get(m, 0), alpha(n, m)):
-                return _done("10.6.alpha", {"n_max": n_max}, col)
-            if not col.eq((n, m, "beta"), s_by_mu.get(m + 1, 0), beta(n, m)):
-                return _done("10.6.alpha", {"n_max": n_max}, col)
-        poly = fibonacci_poly(n)
-        col.eq((n, "poly"), QPoly([alpha(n, m) for m in range(n + 2)]), poly)
-        if col.failed:
-            return _done("10.6.alpha", {"n_max": n_max}, col)
-    return _done("10.6.alpha", {"n_max": n_max}, col)
+    with _Collector("10.6.alpha", {"n_max": n_max}) as col:
+        for n in range(n_max + 1):
+            by_mu: Dict[int, int] = {}
+            s_by_mu: Dict[int, int] = {}
+            for c in enumerate_t_compositions(n):
+                by_mu[c.mu] = by_mu.get(c.mu, 0) + 1
+                if c.is_s_composition():
+                    s_by_mu[c.mu] = s_by_mu.get(c.mu, 0) + 1
+            for m in range(n + 3):
+                col.eq((n, m, "alpha"), by_mu.get(m, 0), alpha(n, m))
+                col.eq((n, m, "beta"), s_by_mu.get(m + 1, 0), beta(n, m))
+            col.eq((n, "poly"), QPoly([alpha(n, m) for m in range(n + 2)]), fibonacci_poly(n))
+    return col.report
 
 
 def check_fib_gf(order: int) -> VerificationReport:
     # Cross-multiplied form of the rational generating function: the
     # series S(u) of part-count polynomials satisfies
     # S * (1 - u*(x + u)) = x + u exactly, coefficient by coefficient.
-    col = _Collector()
     x = QPoly.monomial(1)
     s = [fibonacci_poly(k) for k in range(order + 1)]
-    col.eq((0,), x, s[0])
-    if order >= 1:
-        col.eq((1,), _ONE, s[1] - x * s[0])
-    for k in range(2, order + 1):
-        if not col.eq((k,), _ZP, s[k] - x * s[k - 1] - s[k - 2]):
-            break
-    return _done("10.6.gf", {"order": order}, col)
+    with _Collector("10.6.gf", {"order": order}) as col:
+        col.eq((0,), x, s[0])
+        if order >= 1:
+            col.eq((1,), _ONE, s[1] - x * s[0])
+        for k in range(2, order + 1):
+            col.eq((k,), _ZP, s[k] - x * s[k - 1] - s[k - 2])
+    return col.report
 
 
 def check_rowsums(n_max: int) -> VerificationReport:
-    col = _Collector()
     tri_a, tri_b = special.small_triangles(n_max)
     tan = classical_tan(n_max)
     sec = classical_sec(n_max)
     springer = special.classical_springer_numbers(n_max)
-    for n in range(n_max + 1):
-        classical = tan.coefficient(n) if n % 2 else sec.coefficient(n)
-        col.eq((n, "a"), (2 ** n) * classical, tri_a.row_sum(n))
-        col.eq((n, "b"), springer[n], tri_b.row_sum(n))
-        if col.failed:
-            break
-    return _done("rowsums", {"n_max": n_max}, col)
+    with _Collector("rowsums", {"n_max": n_max}) as col:
+        for n in range(n_max + 1):
+            classical = tan.coefficient(n) if n % 2 else sec.coefficient(n)
+            col.eq((n, "a"), (2 ** n) * classical, tri_a.row_sum(n))
+            col.eq((n, "b"), springer[n], tri_b.row_sum(n))
+    return col.report
 
 
 # -- registry -----------------------------------------------------------------
@@ -1231,9 +1058,11 @@ class CheckSpec:
     order_field: Optional[str] = None
 
 
-def _series_sweep(check_fn) -> Callable:
+def _series_sweep(check_id: str) -> Callable:
     def run(bounds: Bounds, fixtures) -> List[VerificationReport]:
-        return [check_fn(n, bounds.series_order) for n in range(bounds.series_n + 1)]
+        return [
+            check_expansion(check_id, n, bounds.series_order) for n in range(bounds.series_n + 1)
+        ]
 
     return run
 
@@ -1257,16 +1086,16 @@ CHECKS: Tuple[CheckSpec, ...] = (
     CheckSpec("1.3", _single(lambda b, f: check_1_3(min(b.brute_n, 7))), "brute_n"),
     CheckSpec("1.6", _single(lambda b, f: check_hoffman_tan(b.gf_order)), order_field="gf_order"),
     CheckSpec("1.7", _single(lambda b, f: check_hoffman_sec(b.gf_order)), order_field="gf_order"),
-    CheckSpec("1.9", _series_sweep(check_eq_1_9), "series_n", "series_order"),
-    CheckSpec("1.11", _series_sweep(check_eq_1_11), "series_n", "series_order"),
-    CheckSpec("1.12", _series_sweep(check_eq_1_12), "series_n", "series_order"),
-    CheckSpec("1.14", _series_sweep(check_eq_1_14), "series_n", "series_order"),
-    CheckSpec("1.15", _series_sweep(check_eq_1_15), "series_n", "series_order"),
-    CheckSpec("1.16", _series_sweep(check_eq_1_16), "series_n", "series_order"),
+    CheckSpec("1.9", _series_sweep("1.9"), "series_n", "series_order"),
+    CheckSpec("1.11", _series_sweep("1.11"), "series_n", "series_order"),
+    CheckSpec("1.12", _series_sweep("1.12"), "series_n", "series_order"),
+    CheckSpec("1.14", _series_sweep("1.14"), "series_n", "series_order"),
+    CheckSpec("1.15", _series_sweep("1.15"), "series_n", "series_order"),
+    CheckSpec("1.16", _series_sweep("1.16"), "series_n", "series_order"),
     CheckSpec("1.17", _single(lambda b, f: check_eq_1_17(b.agg_n)), "agg_n"),
     CheckSpec("1.18", _single(lambda b, f: check_eq_1_18(b.agg_n)), "agg_n"),
-    CheckSpec("1.19", _single(lambda b, f: check_eq_1_19(b.gf_order)), order_field="gf_order"),
-    CheckSpec("1.20", _single(lambda b, f: check_eq_1_20(b.gf_order)), order_field="gf_order"),
+    CheckSpec("1.19", _single(lambda b, f: check_bivariate("1.19", b.gf_order)), order_field="gf_order"),
+    CheckSpec("1.20", _single(lambda b, f: check_bivariate("1.20", b.gf_order)), order_field="gf_order"),
     CheckSpec("2.3", _single(lambda b, f: check_eq_2_3(b.series_order + 1)), order_field="series_order"),
     CheckSpec("2.4", _single(lambda b, f: check_eq_2_4(b.series_order + 1)), order_field="series_order"),
     CheckSpec("2.5", _single(lambda b, f: check_eq_2_5(b.series_order + 1)), order_field="series_order"),
@@ -1274,11 +1103,11 @@ CHECKS: Tuple[CheckSpec, ...] = (
     CheckSpec("3.1", _single(lambda b, f: check_3_1(b.sweep_n)), "sweep_n"),
     CheckSpec("3.bij", _single(lambda b, f: check_3_bijections(b.sweep_n)), "sweep_n"),
     CheckSpec("4.sym", _single(lambda b, f: check_symmetry(b.sym_n)), "sym_n"),
-    CheckSpec("7.1", _single(lambda b, f: check_7_1(b.alt_inv_n)), "alt_inv_n"),
-    CheckSpec("7.imaj", _single(lambda b, f: check_7_imaj(b.alt_imaj_n)), "alt_imaj_n"),
-    CheckSpec("7.4", _single(lambda b, f: check_7_4(b.reciprocity_n)), "reciprocity_n"),
-    CheckSpec("7.5", _single(lambda b, f: check_7_5(b.reciprocity_n)), "reciprocity_n"),
-    CheckSpec("7.6", _single(lambda b, f: check_7_6(b.reciprocity_n)), "reciprocity_n"),
+    CheckSpec("7.1", _single(lambda b, f: check_alternating("7.1", b.alt_inv_n)), "alt_inv_n"),
+    CheckSpec("7.imaj", _single(lambda b, f: check_alternating("7.imaj", b.alt_imaj_n)), "alt_imaj_n"),
+    CheckSpec("7.4", _single(lambda b, f: check_convolution("7.4", b.reciprocity_n)), "reciprocity_n"),
+    CheckSpec("7.5", _single(lambda b, f: check_convolution("7.5", b.reciprocity_n)), "reciprocity_n"),
+    CheckSpec("7.6", _single(lambda b, f: check_convolution("7.6", b.reciprocity_n)), "reciprocity_n"),
     CheckSpec("7.comb", _single(lambda b, f: check_7_combined(b.reciprocity_n)), "reciprocity_n"),
     CheckSpec("7.rhogamma", _single(lambda b, f: check_rho_gamma(b.perm_sweep_n)), "perm_sweep_n"),
     CheckSpec("7.11", _single(lambda b, f: check_7_11(b.reciprocity_n)), "reciprocity_n"),
@@ -1287,17 +1116,17 @@ CHECKS: Tuple[CheckSpec, ...] = (
     CheckSpec("8.1", _single(lambda b, f: check_psi(b.perm_sweep_n)), "perm_sweep_n"),
     CheckSpec("8.2", _single(lambda b, f: check_psi_on_t(b.perm_sweep_n)), "perm_sweep_n"),
     CheckSpec("9.1", _single(lambda b, f: check_9_1(b.product_n)), "product_n"),
-    CheckSpec("triple.A", _single(lambda b, f: check_triple_a(b.rewrite_n, b.brute_n)), "rewrite_n"),
-    CheckSpec("triple.B", _single(lambda b, f: check_triple_b(b.rewrite_n, b.brute_n)), "rewrite_n"),
-    CheckSpec("triple.Ac", _single(lambda b, f: check_triple_ac(b.rewrite_n, b.brute_n)), "rewrite_n"),
+    CheckSpec("triple.A", _single(lambda b, f: check_triple(KIND_A, b.rewrite_n, b.brute_n)), "rewrite_n"),
+    CheckSpec("triple.B", _single(lambda b, f: check_triple(KIND_B, b.rewrite_n, b.brute_n)), "rewrite_n"),
+    CheckSpec("triple.Ac", _single(lambda b, f: check_triple(KIND_AC, b.rewrite_n, b.brute_n)), "rewrite_n"),
     CheckSpec("tables.bounds", _single(lambda b, f: check_table_bounds(b.table_n)), "table_n"),
     CheckSpec("q1.bridge", _single(lambda b, f: check_q1_bridge(b.agg_n)), "agg_n"),
     CheckSpec("10.2", _single(lambda b, f: check_carlitz(f, b.carlitz_n)), "carlitz_n"),
     CheckSpec("10.5", _single(lambda b, f: check_10_5(b.refine_n)), "refine_n"),
     CheckSpec("10.7", _single(lambda b, f: check_10_7(min(b.refine_n, 6))), "refine_n"),
     CheckSpec("10.8", _single(lambda b, f: check_10_8(b.diag_n, b.perm_sweep_n)), "diag_n"),
-    CheckSpec("10.3", _single(lambda b, f: check_10_3(b.diag_n)), "diag_n"),
-    CheckSpec("10.4", _single(lambda b, f: check_10_4(b.diag_n)), "diag_n"),
+    CheckSpec("10.3", _single(lambda b, f: check_subdiagonal("10.3", b.diag_n)), "diag_n"),
+    CheckSpec("10.4", _single(lambda b, f: check_subdiagonal("10.4", b.diag_n)), "diag_n"),
     CheckSpec("10.tq", _single(lambda b, f: check_tq(b.tq_n)), "tq_n"),
     CheckSpec("springer", _single(lambda b, f: check_springer(f, b.springer_n)), "springer_n"),
     CheckSpec("10.6.alpha", _single(lambda b, f: check_alpha_counts(b.alpha_n)), "alpha_n"),
@@ -1323,12 +1152,23 @@ def specs_for(ids) -> Tuple[CheckSpec, ...]:
 def adjusted_bounds(
     bounds: Bounds, spec: CheckSpec, n: Optional[int] = None, order: Optional[int] = None
 ) -> Bounds:
+    """Apply the n/order overrides to the fields ``spec`` reads.
+
+    Raises InvalidBoundsError when the result leaves the check unable to run.
+    """
     updates = {}
     if n is not None and spec.n_field is not None:
         updates[spec.n_field] = n
     if order is not None and spec.order_field is not None:
         updates[spec.order_field] = order
-    return replace(bounds, **updates) if updates else bounds
+    if updates:
+        bounds = replace(bounds, **updates)
+    if spec.id in _EXPANSIONS and bounds.series_order < bounds.series_n:
+        raise InvalidBoundsError(
+            "check %s needs order >= n, got n=%d, order=%d"
+            % (spec.id, bounds.series_n, bounds.series_order)
+        )
+    return bounds
 
 
 def _run_guarded(spec: CheckSpec, bounds: Bounds, fixtures) -> List[VerificationReport]:
@@ -1350,23 +1190,16 @@ def run_checks(
     specs,
     bounds: Optional[Bounds] = None,
     fixtures=None,
-    jobs: int = 1,
     n: Optional[int] = None,
     order: Optional[int] = None,
 ) -> List[VerificationReport]:
+    """Run ``specs`` in order.  Bounds are checked for every spec before any
+    check runs, so invalid overrides raise InvalidBoundsError up front."""
     bounds = bounds or Bounds()
     tasks = [(spec, adjusted_bounds(bounds, spec, n, order)) for spec in specs]
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(_run_guarded, spec, bnd, fixtures) for spec, bnd in tasks]
-            groups = [f.result() for f in futures]
-    else:
-        groups = [_run_guarded(spec, bnd, fixtures) for spec, bnd in tasks]
-    return [report for group in groups for report in group]
+    return [report for spec, bnd in tasks for report in _run_guarded(spec, bnd, fixtures)]
 
 
-def run_suite(
-    bounds: Optional[Bounds] = None, fixtures=None, jobs: int = 1
-) -> List[VerificationReport]:
+def run_suite(bounds: Optional[Bounds] = None, fixtures=None) -> List[VerificationReport]:
     """Run every registered check with the given bounds."""
-    return run_checks(CHECKS, bounds, fixtures, jobs)
+    return run_checks(CHECKS, bounds, fixtures)

@@ -31,9 +31,9 @@ def test_criterion_01_table_fixtures():
 
 def test_criterion_02_triple_method_equivalence():
     reports = [
-        verify.check_triple_a(10, 8),
-        verify.check_triple_b(10, 8),
-        verify.check_triple_ac(10, 8),
+        verify.check_triple("A", 10, 8),
+        verify.check_triple("B", 10, 8),
+        verify.check_triple("Ac", 10, 8),
     ]
     _finish("criterion-02 triple-method", reports)
 
@@ -41,12 +41,8 @@ def test_criterion_02_triple_method_equivalence():
 def test_criterion_03_series_identities():
     reports = []
     for n in range(7):
-        reports.append(verify.check_eq_1_9(n, 10))
-        reports.append(verify.check_eq_1_11(n, 10))
-        reports.append(verify.check_eq_1_12(n, 10))
-        reports.append(verify.check_eq_1_14(n, 10))
-        reports.append(verify.check_eq_1_15(n, 10))
-        reports.append(verify.check_eq_1_16(n, 10))
+        for check_id in ("1.9", "1.11", "1.12", "1.14", "1.15", "1.16"):
+            reports.append(verify.check_expansion(check_id, n, 10))
     reports.append(verify.check_eq_2_3(11))
     reports.append(verify.check_eq_2_4(11))
     reports.append(verify.check_eq_2_5(11))
@@ -55,8 +51,8 @@ def test_criterion_03_series_identities():
 
 def test_criterion_04_generating_functions():
     reports = [
-        verify.check_eq_1_19(8),
-        verify.check_eq_1_20(8),
+        verify.check_bivariate("1.19", 8),
+        verify.check_bivariate("1.20", 8),
         verify.check_hoffman_tan(8),
         verify.check_hoffman_sec(8),
         verify.check_classical_tan(),
@@ -68,14 +64,14 @@ def test_criterion_04_generating_functions():
 def test_criterion_05_q_tangent_secant_layer():
     reports = [
         verify.check_sec7_values(),
-        verify.check_7_4(11),
-        verify.check_7_5(11),
-        verify.check_7_6(11),
+        verify.check_convolution("7.4", 11),
+        verify.check_convolution("7.5", 11),
+        verify.check_convolution("7.6", 11),
         verify.check_7_combined(11),
         verify.check_7_11(11),
         verify.check_7_12(11),
-        verify.check_7_1(9),
-        verify.check_7_imaj(8),
+        verify.check_alternating("7.1", 9),
+        verify.check_alternating("7.imaj", 8),
     ]
     _finish("criterion-05 q-tangent-secant", reports)
 
@@ -107,8 +103,8 @@ def test_criterion_08_specializations():
         verify.check_10_5(6),
         verify.check_10_7(6),
         verify.check_10_8(8, 7),
-        verify.check_10_3(8),
-        verify.check_10_4(8),
+        verify.check_subdiagonal("10.3", 8),
+        verify.check_subdiagonal("10.4", 8),
         verify.check_tq(7),
         verify.check_springer(None, 8),
     ]

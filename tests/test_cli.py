@@ -22,7 +22,7 @@ class TestTableCommand:
         table = table_from_payload(payload)
         assert table.family == "A"
         rows = {(n, k, a, b): poly for n, k, a, b, poly in table.rows}
-        assert rows == dict(a_table(3).entries)
+        assert rows == dict(a_table(3).items())
 
     def test_text_and_latex_render(self, capsys):
         code, out, _ = run_cli(capsys, "table", "Ac", "--n", "2", "--format", "text")
@@ -44,6 +44,25 @@ class TestTableCommand:
         with pytest.raises(SystemExit) as exc:
             run_cli(capsys, "table", "nope", "--n", "3")
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("table", "A", "--n", "-1"),
+            ("export", "B", "--n", "-2", "--out", "unused.json"),
+            ("oracle", "Ac", "--n", "-1"),
+            ("oracle", "A", "--n", "3", "--bound-bruteforce", "-1"),
+            ("series", "tan_q", "--order", "-1"),
+            ("verify", "1.9", "--n", "-1"),
+            ("verify", "2.3", "--order", "-1"),
+            ("verify", "triple.A", "--bound-bruteforce", "-1"),
+        ],
+    )
+    def test_negative_bound_exits_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(capsys, *argv)
+        assert exc.value.code == 2
+        assert "must be nonnegative" in capsys.readouterr().err
 
 
 class TestOracleCommand:
@@ -100,13 +119,16 @@ class TestVerifyCommand:
         assert report["status"] == "fail"
         assert report["first_discrepancy"]["index"] == ["a", 4, 3]
 
-    def test_jobs_flag(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "verify", "table1", "table2", "--jobs", "2"
-        )
+    def test_order_below_n_exit_2(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "1.9", "--n", "12", "--order", "5")
+        assert code == 2 and out == ""
+        assert "order" in err
+
+    def test_triple_checks_at_small_n(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "triple.A", "triple.B", "triple.Ac", "--n", "4")
         assert code == 0
-        ids = [json.loads(line)["id"] for line in out.strip().splitlines()]
-        assert ids == ["table1", "table2"]
+        reports = [json.loads(line) for line in out.strip().splitlines()]
+        assert [r["params"] for r in reports] == [{"brute_n": 8, "rewrite_n": 4}] * 3
 
 
 class TestSeriesCommand:

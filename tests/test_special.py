@@ -2,11 +2,10 @@ import json
 
 import pytest
 
-from qderiv import special
+from qderiv.cli import build_family
+from qderiv.render import table_from_payload, table_to_payload
 from qderiv.ring import QPoly, XQPoly
 from qderiv.special import (
-    IntTriangle,
-    carlitz_poly,
     carlitz_refined_table,
     carlitz_refinement,
     carlitz_table,
@@ -42,8 +41,10 @@ class TestSmallTriangles:
 
     def test_json_roundtrip(self):
         tri_a, _ = small_triangles(4)
-        again = IntTriangle.from_json(json.loads(json.dumps(tri_a.to_json())))
-        assert again == tri_a
+        table = build_family("a_small", 4)
+        again = table_from_payload(json.loads(json.dumps(table_to_payload(table))))
+        assert again == table
+        assert {(n, m): v for n, m, v in again.rows} == tri_a.rows
 
 
 class TestHoffmanPolys:
@@ -79,9 +80,10 @@ class TestTqLayer:
 
 class TestCarlitz:
     def test_printed_polynomials(self):
-        assert carlitz_poly(2) == XQPoly((P(1), P(0, 1)))
-        assert carlitz_poly(3) == XQPoly((P(1), P(0, 2, 2), P(0, 0, 0, 1)))
         table = carlitz_table(5)
+        assert [table[(2, j)] for j in range(2)] == [P(1), P(0, 1)]
+        assert [table[(3, j)] for j in range(3)] == [P(1), P(0, 2, 2), P(0, 0, 0, 1)]
+        assert (2, 2) not in table and (3, 3) not in table
         assert table[(4, 1)] == P(0, 3, 5, 3)
         assert table[(5, 2)] == P(0, 0, 0, 6, 16, 22, 16, 6)
         assert table[(0, 0)] == P(1) and (0, 1) not in table

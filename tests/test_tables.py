@@ -2,17 +2,14 @@ import json
 
 import pytest
 
+from qderiv.cli import build_family, build_oracle
+from qderiv.render import table_from_payload, table_to_payload
 from qderiv.ring import QPoly
 from qderiv.tables import (
-    KIND_A,
-    PolyTable,
     a_table,
     ac_table,
     b_table,
-    oracle_a,
-    oracle_ac,
     oracle_all,
-    oracle_b,
     product_formula,
     rewrite_comp_sec,
     rewrite_comp_tan,
@@ -59,6 +56,15 @@ class TestRecurrenceTables:
         agg = a_table(3).aggregate_by_m(3)
         assert agg == {0: P(0, 1, 1), 2: P(1, 3, 3, 1), 4: P(1, 2, 2, 1)}
 
+    def test_views_share_rows(self):
+        small, large = b_table(3), b_table(6)
+        assert small.n_max == 3 and len(small.rows) == 4
+        assert all(small.row(n) is large.row(n) for n in range(4))
+        with pytest.raises(IndexError):
+            small.row(4)
+        assert small.get((5, 2, 2, 1)) == QPoly() and large.get((5, 2, 2, 1))
+        assert b_table(3) is small
+
 
 class TestRewriteEngines:
     def test_tan_iteration_row_3(self):
@@ -75,11 +81,11 @@ class TestRewriteEngines:
             (1, 3, 1): P(0, 1),
             (2, 3, 1): P(0, 0, 0, 1),
         }
-        assert dict(rewrite_tan(3).terms) == expected
+        assert rewrite_tan(3) == expected
 
     def test_tan_start_symbol(self):
-        assert dict(rewrite_tan(0).terms) == {(0, 1, 0): P(1)}
-        assert rewrite_tan(2).coefficient((1, 2, 1)) == P(0, 1)
+        assert rewrite_tan(0) == {(0, 1, 0): P(1)}
+        assert rewrite_tan(2)[(1, 2, 1)] == P(0, 1)
 
     def test_sec_iteration_row_3(self):
         expected = {
@@ -92,38 +98,38 @@ class TestRewriteEngines:
             (1, 3, 0): P(0, 1),
             (2, 3, 0): P(0, 0, 0, 1),
         }
-        assert dict(rewrite_sec(3).terms) == expected
+        assert rewrite_sec(3) == expected
 
     def test_comp_iterations(self):
-        assert dict(rewrite_comp_tan(1).terms) == {(1,): P(1), (0, 1, 0): P(1)}
-        row2 = dict(rewrite_comp_tan(2).terms)
+        assert rewrite_comp_tan(1) == {(1,): P(1), (0, 1, 0): P(1)}
+        row2 = rewrite_comp_tan(2)
         assert row2 == {(2, 0): P(1), (0, 2): P(0, 1), (0, 1, 1, 0): P(1, 1)}
-        row3 = dict(rewrite_comp_tan(3).terms)
+        row3 = rewrite_comp_tan(3)
         assert row3[(0, 1, 1, 1, 0)] == P(1, 1) * P(1, 1, 1)
         assert row3[(3,)] == P(0, 1, 1)
 
     def test_comp_sec_matches_s_restriction(self):
         for n in range(6):
             srow = {c: p for c, p in ac_table(n).row(n).items() if c[-1] == 0}
-            assert dict(rewrite_comp_sec(n).terms) == srow
+            assert rewrite_comp_sec(n) == srow
 
 
 class TestOracles:
     def test_oracle_values(self):
-        assert oracle_a(3).get((3, 1, 1, 1)) == P(0, 2, 2)
-        assert oracle_b(0).get((0, -1, 0, 0)) == P(1)
-        assert oracle_ac(2).get((2, (0, 2))) == P(0, 1)
+        assert oracle_all(3)[0][(1, 1, 1)] == P(0, 2, 2)
+        assert oracle_all(0)[1][(-1, 0, 0)] == P(1)
+        assert oracle_all(2)[2][(0, 2)] == P(0, 1)
 
     def test_oracle_matches_tables_small(self):
         for n in range(6):
             oa, ob, oc = oracle_all(n)
-            assert oa.row(n) == a_table(n).row(n)
-            assert ob.row(n) == b_table(n).row(n)
-            assert oc.row(n) == ac_table(n).row(n)
+            assert oa == a_table(n).row(n)
+            assert ob == b_table(n).row(n)
+            assert oc == ac_table(n).row(n)
 
     def test_bound_guard(self):
         with pytest.raises(BruteForceBoundError):
-            oracle_a(9)
+            build_oracle("A", 9, None)
 
 
 class TestProductFormula:
@@ -146,15 +152,18 @@ class TestProductFormula:
                 assert product_formula(n, comp) == table.get((n, comp.parts))
 
 
+def _payload_roundtrip(family, n_max):
+    data = json.loads(json.dumps(table_to_payload(build_family(family, n_max))))
+    return data, table_from_payload(data)
+
+
 class TestPolyTableJson:
     def test_triple_roundtrip(self):
-        t = a_table(3)
-        data = json.loads(json.dumps(t.to_json()))
-        again = PolyTable.from_json(data)
-        assert again.kind == KIND_A and again.entries == dict(t.entries)
-        assert data["entries"][0]["poly"]["coeffs"] == ["1"]
+        data, again = _payload_roundtrip("A", 3)
+        assert again.family == "A"
+        assert {row[:-1]: row[-1] for row in again.rows} == dict(a_table(3).items())
+        assert data["rows"][0][4]["coeffs"] == ["1"]
 
     def test_comp_roundtrip(self):
-        t = ac_table(3)
-        again = PolyTable.from_json(json.loads(json.dumps(t.to_json())))
-        assert again.entries == dict(t.entries)
+        _, again = _payload_roundtrip("Ac", 3)
+        assert {row[:-1]: row[-1] for row in again.rows} == dict(ac_table(3).items())
