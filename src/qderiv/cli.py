@@ -18,6 +18,7 @@ import hashlib
 import json
 import os
 import sys
+import threading
 from dataclasses import replace
 from typing import Optional
 
@@ -178,8 +179,16 @@ def cache_store(cache_dir: str, table: Table) -> None:
         "sha256": _payload_hash(payload),
     }
     path = _cache_path(cache_dir, table.family, table.n_max)
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(wrapper, handle, sort_keys=True)
+    # write a temp file beside the entry and rename it into place, so an
+    # interrupted or concurrent run never leaves a half-written entry
+    tmp = "%s.%d.%d.tmp" % (path, os.getpid(), threading.get_ident())
+    try:
+        with open(tmp, "w", encoding="utf-8") as handle:
+            json.dump(wrapper, handle, sort_keys=True)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
 
 
 def _cached_family(family: str, n_max: int, cache_dir: Optional[str]) -> Table:

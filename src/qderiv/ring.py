@@ -17,8 +17,9 @@ ring division-free.
 from __future__ import annotations
 
 import math
+import threading
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable, List, Sequence, Tuple
 
 
 def _trimmed(coeffs) -> tuple:
@@ -280,20 +281,45 @@ def q_pochhammer(n: int) -> QPoly:
     """(q;q)_n = (1-q)(1-q^2)...(1-q^n), a signed integer polynomial."""
     if n < 0:
         raise ValueError("q_pochhammer needs n >= 0")
-    if n == 0:
-        return _Q_ONE
-    factor = QPoly((1,) + (0,) * (n - 1) + (-1,))
-    return q_pochhammer(n - 1) * factor
+    out = _Q_ONE
+    for k in range(1, n + 1):
+        out = out - out.shift(k)
+    return out
+
+
+# Rows 0.._PASCAL_KEPT of the Gaussian Pascal triangle are built once and
+# kept whole, as the series weights need every entry of them.  Past that
+# the triangle is too large to keep (row 3000 has degree up to 2.25 M), so
+# a larger n streams only the columns [n, m] depends on, two rows at a time.
+_PASCAL_KEPT = 128
+_PASCAL: List[Tuple[QPoly, ...]] = [(_Q_ONE,)]
+_PASCAL_LOCK = threading.Lock()
+
+
+def _pascal_row(prev: Tuple[QPoly, ...], prev_lo: int, r: int, lo: int, hi: int) -> tuple:
+    """Entries lo..hi of row r; ``prev`` holds row r-1 from column prev_lo."""
+    return tuple(
+        _Q_ONE if j == 0 or j == r else prev[j - 1 - prev_lo] + prev[j - prev_lo].shift(j)
+        for j in range(lo, hi + 1)
+    )
 
 
 @lru_cache(maxsize=None)
 def gauss_binomial(n: int, m: int) -> QPoly:
-    """Gaussian binomial via [n,m] = [n-1,m-1] + q^m [n-1,m]."""
+    """Gaussian binomial via [n,m] = [n-1,m-1] + q^m [n-1,m], bottom-up."""
     if not 0 <= m <= n:
         raise ValueError("gauss_binomial needs 0 <= m <= n")
-    if m == 0 or m == n:
-        return _Q_ONE
-    return gauss_binomial(n - 1, m - 1) + gauss_binomial(n - 1, m).shift(m)
+    if n <= _PASCAL_KEPT:
+        with _PASCAL_LOCK:
+            while len(_PASCAL) <= n:
+                r = len(_PASCAL)
+                _PASCAL.append(_pascal_row(_PASCAL[-1], 0, r, 0, r))
+        return _PASCAL[n][m]
+    row, lo = _PASCAL[0], 0
+    for r in range(1, n + 1):
+        r_lo = max(0, m - (n - r))
+        row, lo = _pascal_row(row, lo, r, r_lo, min(r, m)), r_lo
+    return row[m - lo]
 
 
 def q_multinomial(n: int, parts: Sequence[int]) -> QPoly:

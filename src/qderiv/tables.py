@@ -16,6 +16,7 @@ checked by the verification suite, not assumed.
 from __future__ import annotations
 
 import threading
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import Dict, Iterator, List, Tuple, Union
@@ -278,39 +279,43 @@ def oracle_all(n: int) -> Tuple[dict, dict, dict]:
     Returns row n of A, B and Ac, keyed like the recurrence rows: the
     imaj-generating triple rows and the inv-generating composition row.
     Callers apply the brute-force bound (``tcomb._guard``).
+
+    Every permutation of S_n is enumerated and its statistics come from
+    ``permstats.statistics``, so this route shares nothing with the
+    recurrences or the rewrite engines.  Which cuts are t-permutations
+    depends only on the descent word, so permutations are tallied by
+    (descent word, position of 1, ides, imaj) and by (descent word, inv),
+    and each class is expanded over its valid cuts once.
     """
     if n == 0:
         return {(0, 1, 0): _ONE}, {(-1, 0, 0): _ONE}, {(0, 0): _ONE}
-    comps = [c.parts for c in enumerate_t_compositions(n)]
-    prefixes = []
-    for parts in comps:
-        cum = [0]
-        for p in parts:
-            cum.append(cum[-1] + p)
-        prefixes.append(cum)
-    a_row: dict = {}
-    b_row: dict = {}
-    c_row: dict = {}
+    by_pos, by_inv = Counter(), Counter()
     for sigma in permstats.iter_permutations(n):
         desc = tcomb._descent_bits(sigma)
         st = permstats.statistics(sigma)
-        imaj_mono = QPoly.monomial(st.imaj)
-        inv_mono = QPoly.monomial(st.inv)
-        pos1 = sigma.index(1)
-        for parts, cum in zip(comps, prefixes):
-            if not tcomb._cut_alternation_ok(desc, parts):
-                continue
-            c_row[parts] = c_row.get(parts, _ZERO) + inv_mono
-            blk = 0
-            while cum[blk + 1] <= pos1:
-                blk += 1
+        by_pos[(desc, sigma.index(1), st.ides, st.imaj)] += 1
+        by_inv[(desc, st.inv)] += 1
+    # block_of[parts][i]: the component holding position i of the cut
+    block_of = {
+        c.parts: tuple(b for b, p in enumerate(c.parts) for _ in range(p))
+        for c in enumerate_t_compositions(n)
+    }
+    # coefficient lists; imaj and inv are at most n(n-1)/2
+    width = n * (n - 1) // 2 + 1
+    a_acc, b_acc, c_acc = (defaultdict(lambda: [0] * width) for _ in range(3))
+    for (desc, inv), count in by_inv.items():
+        for parts in tcomb._valid_cuts(n, desc):
+            c_acc[parts][inv] += count
+    for (desc, pos1, ides, imaj), count in by_pos.items():
+        for parts in tcomb._valid_cuts(n, desc):
+            blk = block_of[parts][pos1]
             mu = len(parts) - 1
-            akey = (st.ides, blk, mu - blk)
-            a_row[akey] = a_row.get(akey, _ZERO) + imaj_mono
+            a_acc[(ides, blk, mu - blk)][imaj] += count
             if parts[-1] == 0:
-                bkey = (st.ides, blk, mu - blk - 1)
-                b_row[bkey] = b_row.get(bkey, _ZERO) + imaj_mono
-    return a_row, b_row, c_row
+                b_acc[(ides, blk, mu - blk - 1)][imaj] += count
+    return tuple(
+        {key: QPoly(coeffs) for key, coeffs in acc.items()} for acc in (a_acc, b_acc, c_acc)
+    )
 
 
 # -- the product formula ---------------------------------------------------

@@ -107,6 +107,12 @@ def enumerate_t_compositions(n: int) -> Tuple[TComposition, ...]:
     return tuple(TComposition(p) for p in found)
 
 
+@lru_cache(maxsize=None)
+def _composition(parts: Tuple[int, ...]) -> TComposition:
+    """One validated ``TComposition`` per parts tuple."""
+    return TComposition(parts)
+
+
 @dataclass(frozen=True)
 class TPermStats:
     lam: TComposition
@@ -157,8 +163,15 @@ class TPermutation:
     def concat(self) -> Word:
         return tuple(itertools.chain.from_iterable(self.components))
 
+    @classmethod
+    def _trusted(cls, components: Tuple[Word, ...]) -> "TPermutation":
+        """Wrap components that are valid by construction, skipping the checks."""
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "components", components)
+        return obj
+
     def lam(self) -> TComposition:
-        return TComposition(tuple(len(w) for w in self.components))
+        return _composition(tuple(map(len, self.components)))
 
     def min_component(self) -> Optional[int]:
         """Index of the component containing the letter 1; None when n = 0."""
@@ -209,6 +222,21 @@ def _cut_alternation_ok(desc: Tuple[bool, ...], parts: Tuple[int, ...]) -> bool:
     return True
 
 
+@lru_cache(maxsize=None)
+def _valid_cuts(n: int, desc: Tuple[bool, ...]) -> Tuple[Tuple[int, ...], ...]:
+    """Parts of the t-compositions of n whose cut is alternating on ``desc``.
+
+    Validity of a cut depends on the descent word alone, so permutations
+    sharing one (at most 2^(n-1) classes) share this list.  The order is
+    that of ``enumerate_t_compositions``.
+    """
+    return tuple(
+        comp.parts
+        for comp in enumerate_t_compositions(n)
+        if _cut_alternation_ok(desc, comp.parts)
+    )
+
+
 def _cut(word: Word, parts: Tuple[int, ...]) -> Tuple[Word, ...]:
     out = []
     p = 0
@@ -221,12 +249,9 @@ def _cut(word: Word, parts: Tuple[int, ...]) -> Tuple[Word, ...]:
 def enumerate_t_permutations(n: int, bound: Optional[int] = None) -> Iterator[TPermutation]:
     """Stream all t-permutations of order n in a deterministic order."""
     _guard(n, bound)
-    comps = enumerate_t_compositions(n)
     for sigma in permstats.iter_permutations(n):
-        desc = _descent_bits(sigma)
-        for comp in comps:
-            if _cut_alternation_ok(desc, comp.parts):
-                yield TPermutation(_cut(sigma, comp.parts))
+        for parts in _valid_cuts(n, _descent_bits(sigma)):
+            yield TPermutation._trusted(_cut(sigma, parts))
 
 
 def cut_by_lambda(sigma: Word, comp: TComposition) -> TPermutation:
@@ -299,11 +324,17 @@ def alpha(n: int, m: int) -> int:
     """Number of t-compositions of n with m+1 parts."""
     if n < 0 or m < 0:
         return 0
-    if n == 0:
-        return 1 if m == 1 else 0
-    if n == 1:
-        return 1 if m in (0, 2) else 0
-    return alpha(n - 1, m - 1) + alpha(n - 2, m)
+    # alpha(i, j) = alpha(i-1, j-1) + alpha(i-2, j), filled one column j at
+    # a time; ``prev`` is column j-1 (all zero for j = 0)
+    col = [0] * (n + 1)
+    for j in range(m + 1):
+        prev, col = col, [0] * (n + 1)
+        col[0] = 1 if j == 1 else 0
+        if n >= 1:
+            col[1] = 1 if j in (0, 2) else 0
+        for i in range(2, n + 1):
+            col[i] = prev[i - 1] + col[i - 2]
+    return col[n]
 
 
 def beta(n: int, m: int) -> int:
@@ -318,8 +349,8 @@ def fibonacci_poly(n: int) -> QPoly:
     """Generating polynomial of alpha(n, .) in the outer variable."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if n == 0:
-        return QPoly((0, 1))
-    if n == 1:
-        return QPoly((1, 0, 1))
-    return fibonacci_poly(n - 1).shift(1) + fibonacci_poly(n - 2)
+    # F(0) = x, F(1) = 1 + x^2, F(i) = x F(i-1) + F(i-2)
+    poly, following = QPoly((0, 1)), QPoly((1, 0, 1))
+    for _ in range(n):
+        poly, following = following, following.shift(1) + poly
+    return poly

@@ -1150,7 +1150,11 @@ def specs_for(ids) -> Tuple[CheckSpec, ...]:
 
 
 def adjusted_bounds(
-    bounds: Bounds, spec: CheckSpec, n: Optional[int] = None, order: Optional[int] = None
+    bounds: Bounds,
+    spec: CheckSpec,
+    n: Optional[int] = None,
+    order: Optional[int] = None,
+    fixtures=None,
 ) -> Bounds:
     """Apply the n/order overrides to the fields ``spec`` reads.
 
@@ -1168,6 +1172,13 @@ def adjusted_bounds(
             "check %s needs order >= n, got n=%d, order=%d"
             % (spec.id, bounds.series_n, bounds.series_order)
         )
+    if spec.id == "10.2":
+        fixture_n = max(key[0] for key in _fx(fixtures)["carlitz"])
+        if bounds.carlitz_n > fixture_n:
+            raise InvalidBoundsError(
+                "check 10.2 needs n <= %d (the largest n of the Carlitz fixture), got n=%d"
+                % (fixture_n, bounds.carlitz_n)
+            )
     return bounds
 
 
@@ -1196,7 +1207,7 @@ def run_checks(
     """Run ``specs`` in order.  Bounds are checked for every spec before any
     check runs, so invalid overrides raise InvalidBoundsError up front."""
     bounds = bounds or Bounds()
-    tasks = [(spec, adjusted_bounds(bounds, spec, n, order)) for spec in specs]
+    tasks = [(spec, adjusted_bounds(bounds, spec, n, order, fixtures)) for spec in specs]
     return [report for spec, bnd in tasks for report in _run_guarded(spec, bnd, fixtures)]
 
 

@@ -124,6 +124,12 @@ class TestVerifyCommand:
         assert code == 2 and out == ""
         assert "order" in err
 
+    @pytest.mark.parametrize("ids", [("all",), ("10.2",)])
+    def test_n_beyond_carlitz_fixture_exit_2(self, capsys, ids):
+        code, out, err = run_cli(capsys, "verify", *ids, "--n", "6")
+        assert code == 2 and out == ""
+        assert "10.2" in err and "Carlitz fixture" in err
+
     def test_triple_checks_at_small_n(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "triple.A", "triple.B", "triple.Ac", "--n", "4")
         assert code == 0
@@ -179,6 +185,32 @@ class TestExportAndCache:
         )
         assert code == 0 and third == first
         assert "failed validation" in err
+
+    def test_cache_write_is_atomic(self, tmp_path, monkeypatch):
+        cache = tmp_path / "cache"
+        real_dump = json.dump
+
+        def failing_dump(obj, handle, **kwargs):
+            handle.write('{"schema": ')
+            raise OSError("disk full")
+
+        # no entry yet: a failed write leaves neither an entry nor a temp file
+        monkeypatch.setattr(json, "dump", failing_dump)
+        with pytest.raises(OSError):
+            cli.cache_store(str(cache), cli.build_family("A", 2))
+        assert list(cache.iterdir()) == []
+        # an existing entry survives a failed rewrite byte for byte
+        monkeypatch.setattr(json, "dump", real_dump)
+        cli.cache_store(str(cache), cli.build_family("A", 2))
+        entry = cache / "A_n2.json"
+        before = entry.read_bytes()
+        monkeypatch.setattr(json, "dump", failing_dump)
+        with pytest.raises(OSError):
+            cli.cache_store(str(cache), cli.build_family("A", 2))
+        assert entry.read_bytes() == before
+        assert [p.name for p in cache.iterdir()] == ["A_n2.json"]
+        monkeypatch.setattr(json, "dump", real_dump)
+        assert cli.cache_load(str(cache), "A", 2) == cli.build_family("A", 2)
 
     def test_cache_env_var(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv(cli.CACHE_ENV, str(tmp_path / "envcache"))

@@ -1,5 +1,6 @@
 """Golden CLI output: sha256 digests of stdout, recorded before the
-row-list table refactor.
+row-list table refactor (the ``oracle --n 7`` digests before the oracle
+grouped permutations by descent word).
 
 Any change to the tables, the rewrite engines, the oracles, the renderers
 or the check registry must leave these bytes unchanged.  The mutated
@@ -18,6 +19,7 @@ FORMATS = ("json", "csv", "latex", "text")
 COMMANDS = (
     [("table", family, "--n", "6", "--format", fmt) for family in FAMILIES for fmt in FORMATS]
     + [("oracle", family, "--n", "5") for family in ("A", "B", "Ac")]
+    + [("oracle", family, "--n", "7", "--format", "json") for family in ("A", "B", "Ac")]
     + [
         ("verify", "all", "--format", fmt, "--n", "4", "--order", "6", "--bound-bruteforce", "4")
         for fmt in ("json", "text")
@@ -71,6 +73,9 @@ GOLDEN = {
     "oracle A --n 5": (0, "21ee6b1001b378fabb1e246cefcfbd7ceba6819b1d6598ed74e94d0a3d051bf9"),
     "oracle B --n 5": (0, "2d22931784798993c36622a2cfa6c874368d11420d00c5f44619ae320daaf613"),
     "oracle Ac --n 5": (0, "f19c21157effa2256e13845db9601db6c938f42d426805b6222a626e58250b40"),
+    "oracle A --n 7 --format json": (0, "b64a5a2b9f6a6b4529ae266f31285606a8c7dc6367940bdd1e2aac5151204db0"),
+    "oracle B --n 7 --format json": (0, "0fcfd8dbc2b839a2bb7351a76e1f66f893de32a3b9807db143f7b2af4428ac0a"),
+    "oracle Ac --n 7 --format json": (0, "be94fdec69954b92c09c417668f969e9349de5f0fef1b07769da7b80b8cadbf0"),
     "verify all --format json --n 4 --order 6 --bound-bruteforce 4": (0, "894a3e7591bbb25ee881ebde1530a47c99473aeb05074a3b6458089095f340b0"),
     "verify all --format text --n 4 --order 6 --bound-bruteforce 4": (0, "72fea9d18a2057ad93524158bc82eaa799193b50fb79b9457f4b5899602c9997"),
 }

@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -147,6 +148,26 @@ class TestQConstants:
                 lhs = q_pochhammer(n)
                 rhs = q_pochhammer(m) * q_pochhammer(n - m) * gauss_binomial(n, m)
                 assert lhs == rhs
+
+    def test_gauss_binomial_deep(self):
+        # coefficient of q^k: partitions of k into at most 2 parts <= 2998
+        g = gauss_binomial(3000, 2)
+        assert g.coeffs == tuple(k // 2 - max(0, k - 2998) + 1 for k in range(2 * 2998 + 1))
+
+    def test_pochhammer_deep(self):
+        # (q;q)_3000 has degree 4.5 million, too large to build here; n = 300
+        # under a recursion limit of 200 shows the product is built bottom-up
+        q_pochhammer.cache_clear()
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(200)
+        try:
+            p = q_pochhammer(300)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert p.degree == 300 * 301 // 2 and p.eval_at_one() == 0
+        # up to q^300 the coefficients follow Euler's pentagonal number theorem
+        pentagonal = {j * (3 * j - 1) // 2: (-1) ** j for j in range(-20, 21)}
+        assert p.coeffs[:301] == tuple(pentagonal.get(k, 0) for k in range(301))
 
     def test_multinomial(self):
         expected = P(1, 1, 1) * P(1, 1, 1, 1)

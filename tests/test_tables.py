@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from qderiv import permstats, tcomb
 from qderiv.cli import build_family, build_oracle
 from qderiv.render import table_from_payload, table_to_payload
 from qderiv.ring import QPoly
@@ -114,7 +115,41 @@ class TestRewriteEngines:
             assert rewrite_comp_sec(n) == srow
 
 
+def oracle_per_permutation(n):
+    """Rows n of A, B and Ac, one QPoly monomial per (permutation, cut)."""
+    if n == 0:
+        return {(0, 1, 0): P(1)}, {(-1, 0, 0): P(1)}, {(0, 0): P(1)}
+    zero = QPoly.zero()
+    a_row, b_row, c_row = {}, {}, {}
+    for sigma in permstats.iter_permutations(n):
+        desc = tcomb._descent_bits(sigma)
+        st = permstats.statistics(sigma)
+        imaj_mono = QPoly.monomial(st.imaj)
+        inv_mono = QPoly.monomial(st.inv)
+        pos1 = sigma.index(1)
+        for comp in enumerate_t_compositions(n):
+            parts = comp.parts
+            if not tcomb._cut_alternation_ok(desc, parts):
+                continue
+            c_row[parts] = c_row.get(parts, zero) + inv_mono
+            blk, end = 0, parts[0]
+            while end <= pos1:
+                blk += 1
+                end += parts[blk]
+            mu = len(parts) - 1
+            akey = (st.ides, blk, mu - blk)
+            a_row[akey] = a_row.get(akey, zero) + imaj_mono
+            if parts[-1] == 0:
+                bkey = (st.ides, blk, mu - blk - 1)
+                b_row[bkey] = b_row.get(bkey, zero) + imaj_mono
+    return a_row, b_row, c_row
+
+
 class TestOracles:
+    @pytest.mark.parametrize("n", range(8))
+    def test_matches_per_permutation_sums(self, n):
+        assert oracle_all(n) == oracle_per_permutation(n)
+
     def test_oracle_values(self):
         assert oracle_all(3)[0][(1, 1, 1)] == P(0, 2, 2)
         assert oracle_all(0)[1][(-1, 0, 0)] == P(1)

@@ -1,4 +1,7 @@
 
+import itertools
+import math
+
 import pytest
 
 from qderiv.ring import QPoly
@@ -22,6 +25,28 @@ from qderiv.tcomb import (
 
 def parts(n):
     return {c.parts for c in enumerate_t_compositions(n)}
+
+
+def naive_t_permutations(n):
+    """Every t-composition cut of every permutation, each fully validated."""
+    for sigma in itertools.permutations(range(1, n + 1)):
+        for comp in enumerate_t_compositions(n):
+            cuts = [0]
+            for p in comp.parts:
+                cuts.append(cuts[-1] + p)
+            components = tuple(sigma[a:b] for a, b in zip(cuts, cuts[1:]))
+            try:
+                yield TPermutation(components)
+            except ValueError:
+                continue
+
+
+def alpha_closed(n, m):
+    """alpha by counting: c_0, c_m even, the m-1 interior parts odd."""
+    if m == 0:
+        return n % 2
+    free = n - m + 1
+    return 0 if free < 0 or free % 2 else math.comb(free // 2 + m, m)
 
 
 class TestTCompositions:
@@ -130,6 +155,14 @@ class TestTPermutations:
             ((1, 2), ()), ((), (2,), (1,), ()), ((), (1,), (2,), ()),
         }
 
+    @pytest.mark.parametrize("n", range(7))
+    def test_matches_naive_filter(self, n):
+        fast = list(enumerate_t_permutations(n))
+        assert [w.components for w in fast] == [w.components for w in naive_t_permutations(n)]
+        for w in fast:
+            assert TPermutation(w.components) == w
+            assert w.lam() == TComposition(tuple(len(c) for c in w.components))
+
     def test_bound_guard(self):
         with pytest.raises(BruteForceBoundError):
             list(enumerate_t_permutations(9))
@@ -237,3 +270,19 @@ class TestCountingLayer:
             assert fibonacci_poly(n) == fibonacci_poly(n - 1).shift(1) + fibonacci_poly(n - 2)
         sums = [fibonacci_poly(n).eval_at_one() for n in range(7)]
         assert sums == [1, 2, 3, 5, 8, 13, 21]
+
+    def test_alpha_closed_form(self):
+        for n in range(12):
+            for m in range(n + 3):
+                assert alpha(n, m) == alpha_closed(n, m)
+
+    def test_alpha_deep(self):
+        assert alpha(3000, 5) == math.comb(1503, 5)
+
+    def test_fibonacci_poly_deep(self):
+        poly = fibonacci_poly(3000)
+        assert poly.coeffs == tuple(alpha_closed(3000, m) for m in range(3002))
+        low, high = 1, 2
+        for _ in range(3000):
+            low, high = high, low + high
+        assert poly.eval_at_one() == low
