@@ -18,7 +18,7 @@ import hashlib
 import json
 import os
 import sys
-import threading
+import tempfile
 from dataclasses import replace
 from typing import Optional
 
@@ -181,9 +181,11 @@ def cache_store(cache_dir: str, table: Table) -> None:
     path = _cache_path(cache_dir, table.family, table.n_max)
     # write a temp file beside the entry and rename it into place, so an
     # interrupted or concurrent run never leaves a half-written entry
-    tmp = "%s.%d.%d.tmp" % (path, os.getpid(), threading.get_ident())
+    # (mkstemp, not NamedTemporaryFile: its wrapper adds a Python call to
+    # each of json.dump's many small writes)
+    fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
     try:
-        with open(tmp, "w", encoding="utf-8") as handle:
+        with open(fd, "w", encoding="utf-8") as handle:
             json.dump(wrapper, handle, sort_keys=True)
         os.replace(tmp, path)
     finally:

@@ -17,9 +17,8 @@ ring division-free.
 from __future__ import annotations
 
 import math
-import threading
 from functools import lru_cache
-from typing import Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, Sequence, Tuple
 
 
 def _trimmed(coeffs) -> tuple:
@@ -287,39 +286,39 @@ def q_pochhammer(n: int) -> QPoly:
     return out
 
 
-# Rows 0.._PASCAL_KEPT of the Gaussian Pascal triangle are built once and
-# kept whole, as the series weights need every entry of them.  Past that
-# the triangle is too large to keep (row 3000 has degree up to 2.25 M), so
-# a larger n streams only the columns [n, m] depends on, two rows at a time.
-_PASCAL_KEPT = 128
-_PASCAL: List[Tuple[QPoly, ...]] = [(_Q_ONE,)]
-_PASCAL_LOCK = threading.Lock()
+# Entries [r, j] of the Gaussian Pascal triangle computed so far.  An entry
+# is stored only after the two it is built from, so no call recurses.
+# Entries are never removed and two threads filling the same entry store
+# equal values, so the fill needs no lock.
+_GAUSS: Dict[Tuple[int, int], QPoly] = {}
 
 
-def _pascal_row(prev: Tuple[QPoly, ...], prev_lo: int, r: int, lo: int, hi: int) -> tuple:
-    """Entries lo..hi of row r; ``prev`` holds row r-1 from column prev_lo."""
-    return tuple(
-        _Q_ONE if j == 0 or j == r else prev[j - 1 - prev_lo] + prev[j - prev_lo].shift(j)
-        for j in range(lo, hi + 1)
-    )
-
-
-@lru_cache(maxsize=None)
 def gauss_binomial(n: int, m: int) -> QPoly:
-    """Gaussian binomial via [n,m] = [n-1,m-1] + q^m [n-1,m], bottom-up."""
+    """Gaussian binomial via [n,m] = [n-1,m-1] + q^m [n-1,m], bottom-up.
+
+    Only the band of columns [n, m] depends on is filled, starting at the
+    highest row below n whose band is already known."""
     if not 0 <= m <= n:
         raise ValueError("gauss_binomial needs 0 <= m <= n")
-    if n <= _PASCAL_KEPT:
-        with _PASCAL_LOCK:
-            while len(_PASCAL) <= n:
-                r = len(_PASCAL)
-                _PASCAL.append(_pascal_row(_PASCAL[-1], 0, r, 0, r))
-        return _PASCAL[n][m]
-    row, lo = _PASCAL[0], 0
-    for r in range(1, n + 1):
-        r_lo = max(0, m - (n - r))
-        row, lo = _pascal_row(row, lo, r, r_lo, min(r, m)), r_lo
-    return row[m - lo]
+    known = _GAUSS.get((n, m))
+    if known is not None:
+        return known
+
+    def band(r: int) -> range:
+        return range(max(0, m - (n - r)), min(r, m) + 1)
+
+    low = n
+    while low > 0 and any((low - 1, j) not in _GAUSS for j in band(low - 1)):
+        low -= 1
+    for r in range(low, n + 1):
+        for j in band(r):
+            if (r, j) not in _GAUSS:
+                _GAUSS[r, j] = (
+                    _Q_ONE
+                    if j == 0 or j == r
+                    else _GAUSS[r - 1, j - 1] + _GAUSS[r - 1, j].shift(j)
+                )
+    return _GAUSS[n, m]
 
 
 def q_multinomial(n: int, parts: Sequence[int]) -> QPoly:

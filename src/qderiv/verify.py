@@ -1173,8 +1173,9 @@ def adjusted_bounds(
             % (spec.id, bounds.series_n, bounds.series_order)
         )
     if spec.id == "10.2":
-        fixture_n = max(key[0] for key in _fx(fixtures)["carlitz"])
-        if bounds.carlitz_n > fixture_n:
+        # a missing or empty fixture is left for check_carlitz to report
+        fixture_n = max((key[0] for key in _fx(fixtures).get("carlitz", ())), default=None)
+        if fixture_n is not None and bounds.carlitz_n > fixture_n:
             raise InvalidBoundsError(
                 "check 10.2 needs n <= %d (the largest n of the Carlitz fixture), got n=%d"
                 % (fixture_n, bounds.carlitz_n)

@@ -5,6 +5,7 @@ import sys
 import pytest
 from hypothesis import given, strategies as st
 
+from qderiv import ring
 from qderiv.ring import (
     QPoly,
     XQPoly,
@@ -153,6 +154,14 @@ class TestQConstants:
         # coefficient of q^k: partitions of k into at most 2 parts <= 2998
         g = gauss_binomial(3000, 2)
         assert g.coeffs == tuple(k // 2 - max(0, k - 2998) + 1 for k in range(2 * 2998 + 1))
+
+    def test_gauss_binomial_fills_only_its_band(self):
+        # [n, 1] = [n]_q reads columns 0 and 1 of the rows below it, so a
+        # request at large n stores O(n) entries, not the whole triangle
+        before = len(ring._GAUSS)
+        assert gauss_binomial(700, 1) == QPoly((1,) * 700)
+        assert len(ring._GAUSS) - before <= 2 * 701
+        assert gauss_binomial(701, 1) == QPoly((1,) * 701)
 
     def test_pochhammer_deep(self):
         # (q;q)_3000 has degree 4.5 million, too large to build here; n = 300

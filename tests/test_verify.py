@@ -90,6 +90,17 @@ class TestRegistry:
         reports = verify.run_checks(verify.specs_for(["1.9"]), SMALL, n=1)
         assert [r.params["n"] for r in reports] == [0, 1]
 
+    @pytest.mark.parametrize("carlitz", [None, {}])
+    def test_carlitz_fixture_missing_or_empty(self, carlitz):
+        fixtures = dict(DEFAULT_FIXTURES)
+        if carlitz is None:
+            del fixtures["carlitz"]
+        else:
+            fixtures["carlitz"] = carlitz
+        reports = verify.run_checks(verify.specs_for(["9.1", "10.2"]), SMALL, fixtures=fixtures)
+        assert [r.id for r in reports] == ["9.1", "10.2"]
+        assert reports[0].passed and not reports[1].passed
+
     def test_mutated_fixture_fails_exactly_one_check(self):
         fixtures = mutate_poly_fixture("table3", (3, (0, 1, 2)))
         reports = verify.run_suite(SMALL, fixtures=fixtures)
