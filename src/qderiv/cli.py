@@ -6,9 +6,10 @@ checks), ``series`` (render series coefficients) and ``export`` (write a
 rendered family to a file).  Data goes to stdout, logs to stderr; exit
 codes: 0 success/all-pass, 1 verification failure, 2 usage error.
 
-Computed tables may be cached on disk, one JSON file per (family, n);
-entries carry a schema version and a content hash and are recomputed
-when either fails to validate.
+Computed tables may be cached on disk, one file per (family, n): a stamp
+line, then the table's canonical JSON payload.  The stamp is a sha256 over
+a fingerprint of the package's source and the payload bytes, so an entry
+that is corrupt, in an older format or written by other code is recomputed.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import os
 import sys
 import tempfile
 from dataclasses import replace
+from functools import lru_cache
 from typing import Optional
 
 from qderiv import series as series_mod
@@ -28,7 +30,6 @@ from qderiv.render import FORMATS, Table, render, table_from_payload, table_to_p
 from qderiv.tables import KIND_AC, PolyTable, a_table, ac_table, b_table, oracle_all
 from qderiv.tcomb import BruteForceBoundError, alpha, beta
 
-CACHE_SCHEMA = 1
 CACHE_ENV = "QDERIV_CACHE_DIR"
 
 TABLE_FAMILIES = (
@@ -77,18 +78,22 @@ def _poly_family(table: PolyTable) -> Table:
     return Table(table.kind, table.n_max, columns, rows)
 
 
+def _row_family(family: str, n_max: int, rows, columns) -> Table:
+    """Render rows[n][key] -> value as (n, key, value), key by key."""
+    flat = tuple((n, key, value) for n, row in enumerate(rows) for key, value in sorted(row.items()))
+    return Table(family, n_max, columns, flat)
+
+
 def build_family(family: str, n_max: int) -> Table:
     if family == "a_small" or family == "b_small":
         tri = special.small_triangles(n_max)[0 if family == "a_small" else 1]
-        rows = tuple((n, m, v) for (n, m), v in sorted(tri.rows.items()))
-        return Table(family, n_max, (("n", "int"), ("m", "int"), ("value", "int")), rows)
+        return _row_family(family, n_max, tri, (("n", "int"), ("m", "int"), ("value", "int")))
     recurrence = {"A": a_table, "B": b_table, "Ac": ac_table}.get(family)
     if recurrence is not None:
         return _poly_family(recurrence(n_max))
     if family == "carlitz":
         table = special.carlitz_table(n_max)
-        rows = tuple((n, j, poly) for (n, j), poly in sorted(table.items()))
-        return Table(family, n_max, (("n", "int"), ("j", "int"), ("poly", "qpoly")), rows)
+        return _row_family(family, n_max, table, (("n", "int"), ("j", "int"), ("poly", "qpoly")))
     if family == "fib":
         rows = []
         for n in range(n_max + 1):
@@ -143,9 +148,22 @@ def build_oracle(family: str, n_max: int, brute_bound: Optional[int]) -> Table:
 # -- cache ----------------------------------------------------------------
 
 
-def _payload_hash(payload: dict) -> str:
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+@lru_cache(maxsize=None)
+def _source_fingerprint() -> bytes:
+    """sha256 of the package's own modules, computed on first cache use."""
+    package = os.path.dirname(os.path.abspath(__file__))
+    digest = hashlib.sha256()
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name), "rb") as handle:
+                source = handle.read()
+            digest.update(b"%s %d\n" % (name.encode("utf-8"), len(source)))
+            digest.update(source)
+    return digest.hexdigest().encode("ascii")
+
+
+def _stamp(body: bytes) -> bytes:
+    return hashlib.sha256(_source_fingerprint() + body).hexdigest().encode("ascii")
 
 
 def _cache_path(cache_dir: str, family: str, n_max: int) -> str:
@@ -155,38 +173,27 @@ def _cache_path(cache_dir: str, family: str, n_max: int) -> str:
 def cache_load(cache_dir: str, family: str, n_max: int) -> Optional[Table]:
     path = _cache_path(cache_dir, family, n_max)
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            wrapper = json.load(handle)
-        if wrapper.get("schema") != CACHE_SCHEMA:
-            return None
-        payload = wrapper["payload"]
-        if wrapper.get("sha256") != _payload_hash(payload):
-            _log("cache entry %s failed validation; recomputing" % path)
-            return None
-        return table_from_payload(payload)
-    except (OSError, ValueError, KeyError, TypeError):
+        with open(path, "rb") as handle:
+            stamp, _, body = handle.read().partition(b"\n")
+    except OSError:
         return None
+    if stamp != _stamp(body):
+        _log("cache entry %s failed validation; recomputing" % path)
+        return None
+    return table_from_payload(json.loads(body))
 
 
 def cache_store(cache_dir: str, table: Table) -> None:
     os.makedirs(cache_dir, exist_ok=True)
-    payload = table_to_payload(table)
-    wrapper = {
-        "schema": CACHE_SCHEMA,
-        "family": table.family,
-        "n_max": table.n_max,
-        "payload": payload,
-        "sha256": _payload_hash(payload),
-    }
+    body = json.dumps(table_to_payload(table), sort_keys=True, separators=(",", ":")).encode("ascii")
     path = _cache_path(cache_dir, table.family, table.n_max)
     # write a temp file beside the entry and rename it into place, so an
     # interrupted or concurrent run never leaves a half-written entry
-    # (mkstemp, not NamedTemporaryFile: its wrapper adds a Python call to
-    # each of json.dump's many small writes)
     fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
     try:
-        with open(fd, "w", encoding="utf-8") as handle:
-            json.dump(wrapper, handle, sort_keys=True)
+        with open(fd, "wb") as handle:
+            handle.write(_stamp(body) + b"\n")
+            handle.write(body)
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):

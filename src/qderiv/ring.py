@@ -234,13 +234,6 @@ class XQPoly:
 
     __rmul__ = __mul__
 
-    def eval_outer_at_one(self) -> QPoly:
-        """Collapse the outer variable at 1, leaving a ``QPoly``."""
-        total = _Q_ZERO
-        for c in self.coeffs:
-            total = total + c
-        return total
-
     def to_json(self) -> dict:
         return {"coeffs": [c.to_json() for c in self.coeffs]}
 

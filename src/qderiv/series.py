@@ -184,17 +184,6 @@ class DividedSeries:
             coeffs = [c.to_json() for c in self.coeffs]
         return {"mode": self.mode, "order": self.order, "ring": self.ring, "coeffs": coeffs}
 
-    @staticmethod
-    def from_json(data: dict) -> "DividedSeries":
-        ring = data["ring"]
-        if ring == RING_INT:
-            coeffs = [int(c) for c in data["coeffs"]]
-        elif ring == RING_Q:
-            coeffs = [QPoly.from_json(c) for c in data["coeffs"]]
-        else:
-            coeffs = [XQPoly.from_json(c) for c in data["coeffs"]]
-        return DividedSeries(data["mode"], ring, coeffs)
-
     def __repr__(self) -> str:
         return "DividedSeries(%s, %s, order=%d)" % (self.mode, self.ring, self.order)
 
@@ -304,9 +293,10 @@ def classical_sec(order: int) -> DividedSeries:
 
 
 @lru_cache(maxsize=None)
-def scaled_tan(k: int, order: int) -> DividedSeries:
-    """tan_q(q^k u), cached for reuse across identity checks."""
-    return tan_q(order).scale_arg(k)
+def scaled(series, k: int, order: int) -> DividedSeries:
+    """``series(order)`` at q^k u, e.g. tan_q(q^k u); cached for reuse
+    across identity checks."""
+    return series(order).scale_arg(k)
 
 
 @lru_cache(maxsize=None)
@@ -314,7 +304,7 @@ def scaled_tan_power(k: int, e: int, order: int) -> DividedSeries:
     """(tan_q(q^k u))^e."""
     if e == 0:
         return one_series(order)
-    return scaled_tan_power(k, e - 1, order).mul(scaled_tan(k, order))
+    return scaled_tan_power(k, e - 1, order).mul(scaled(tan_q, k, order))
 
 
 def tan_product(parts, order: int) -> DividedSeries:
@@ -331,7 +321,7 @@ def tan_product(parts, order: int) -> DividedSeries:
     s = 0
     for p in parts[:-1]:
         s += p
-        out = out.mul(scaled_tan(s, order))
+        out = out.mul(scaled(tan_q, s, order))
     return out
 
 

@@ -7,73 +7,46 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from qderiv.ring import QPoly, XQPoly, q_bracket
-from qderiv.series import (
-    Sec_q,
-    classical_cos,
-    classical_sin,
-    one_series,
-    sec_q,
-    tan_q,
-)
+from qderiv.series import DividedSeries, classical_cos, classical_sin, one_series, tan_q
 from qderiv.tables import PolyTable, a_table, b_table
 
 _ZERO = QPoly.zero()
 _ONE = QPoly.one()
 
 
-@dataclass(frozen=True)
-class IntTriangle:
-    rows: Mapping
+def _triangle(d: int, n_max: int) -> Tuple[Dict[int, int], ...]:
+    """Rows 0..n_max of t(n+1,m) = (m-d) t(n,m-1) + (m+1) t(n,m+1), t(0,m) = [m=d]."""
+    rows = [{d: 1}]
+    for n in range(n_max):
+        prev = rows[-1]
+        row: Dict[int, int] = {}
+        for m in range(n + 3):
+            value = (m - d) * prev.get(m - 1, 0) + (m + 1) * prev.get(m + 1, 0)
+            if value:
+                row[m] = value
+        rows.append(row)
+    return tuple(rows)
 
-    def get(self, n: int, m: int) -> int:
-        return self.rows.get((n, m), 0)
 
-    def row(self, n: int) -> Dict[int, int]:
-        return {m: v for (rn, m), v in self.rows.items() if rn == n}
-
-    def row_sum(self, n: int) -> int:
-        return sum(self.row(n).values())
-
-
-def small_triangles(n_max: int) -> Tuple[IntTriangle, IntTriangle]:
-    """Integer derivative-polynomial triangles.
+def small_triangles(n_max: int) -> Tuple[Tuple[Dict[int, int], ...], Tuple[Dict[int, int], ...]]:
+    """Integer derivative-polynomial triangles, as rows ``rows[n][m]``
+    holding the nonzero entries in increasing m.
 
     a(n+1,m) = (m-1) a(n,m-1) + (m+1) a(n,m+1), seeded at a(0,m) = [m=1];
     b(n+1,m) = m b(n,m-1) + (m+1) b(n,m+1), seeded at b(0,m) = [m=0].
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    a_rows = {(0, 1): 1}
-    b_rows = {(0, 0): 1}
-    a_prev = {1: 1}
-    b_prev = {0: 1}
-    for n in range(n_max):
-        a_cur: Dict[int, int] = {}
-        b_cur: Dict[int, int] = {}
-        for m in range(0, n + 3):
-            av = (m - 1) * a_prev.get(m - 1, 0) + (m + 1) * a_prev.get(m + 1, 0)
-            if av:
-                a_cur[m] = av
-                a_rows[(n + 1, m)] = av
-            bv = m * b_prev.get(m - 1, 0) + (m + 1) * b_prev.get(m + 1, 0)
-            if bv:
-                b_cur[m] = bv
-                b_rows[(n + 1, m)] = bv
-        a_prev, b_prev = a_cur, b_cur
-    return IntTriangle(a_rows), IntTriangle(b_rows)
+    return _triangle(1, n_max), _triangle(0, n_max)
 
 
 def hoffman_polys(n_max: int) -> Tuple[Tuple[QPoly, ...], Tuple[QPoly, ...]]:
     """Derivative polynomials in one variable, assembled from the triangles."""
-    def polys(tri: IntTriangle) -> Tuple[QPoly, ...]:
-        out = []
-        for n in range(n_max + 1):
-            row = tri.row(n)
-            out.append(QPoly(row.get(m, 0) for m in range(max(row) + 1)) if row else _ZERO)
-        return tuple(out)
+    def polys(rows) -> Tuple[QPoly, ...]:
+        return tuple(QPoly(row.get(m, 0) for m in range(max(row) + 1)) for row in rows)
 
     tri_a, tri_b = small_triangles(n_max)
     return polys(tri_a), polys(tri_b)
@@ -112,45 +85,38 @@ def tq_secant(n: int) -> XQPoly:
 
 
 @lru_cache(maxsize=None)
-def carlitz_table(n_max: int) -> Dict[Tuple[int, int], QPoly]:
-    """q-Eulerian coefficients by descent count, from their own recurrence."""
+def carlitz_table(n_max: int) -> Tuple[Dict[int, QPoly], ...]:
+    """q-Eulerian coefficients by descent count, from their own recurrence,
+    as rows ``rows[n][j]`` holding the nonzero entries."""
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    out: Dict[Tuple[int, int], QPoly] = {(0, 0): _ONE}
-    if n_max >= 1:
-        out[(1, 0)] = _ONE
-    prev = {0: _ONE}
-    for n in range(2, n_max + 1):
-        cur: Dict[int, QPoly] = {}
+    rows = [{0: _ONE}]
+    for n in range(1, n_max + 1):
+        prev = rows[-1]
+        row: Dict[int, QPoly] = {}
         for j in range(0, n):
             stay = q_bracket(j + 1) * prev.get(j, _ZERO)
-            move = (
-                q_bracket(n - j).shift(j) * prev.get(j - 1, _ZERO)
-                if j >= 1
-                else _ZERO
-            )
+            move = q_bracket(n - j).shift(j) * prev.get(j - 1, _ZERO) if j >= 1 else _ZERO
             val = stay + move
             if val:
-                cur[j] = val
-                out[(n, j)] = val
-        prev = cur
-    return out
+                row[j] = val
+        rows.append(row)
+    return tuple(rows)
 
 
-def carlitz_refinement(n: int) -> Dict[Tuple[int, int, int], QPoly]:
-    """Refined coefficients read off the super-diagonal a+b = n+1."""
-    return {
-        (n, k, a): poly for (k, a, b), poly in a_table(n).row(n).items() if a + b == n + 1
-    }
+def carlitz_refinement(n: int) -> Dict[Tuple[int, int], QPoly]:
+    """Refined coefficients, keyed (k, a), read off the super-diagonal a+b = n+1."""
+    return {(k, a): poly for (k, a, b), poly in a_table(n).row(n).items() if a + b == n + 1}
 
 
 @lru_cache(maxsize=None)
-def carlitz_refined_table(n_max: int) -> Dict[Tuple[int, int, int], QPoly]:
-    """The same refinement from its standalone two-index recurrence."""
-    out: Dict[Tuple[int, int, int], QPoly] = {(0, 0, 1): _ONE}
-    prev = {(0, 1): _ONE}
+def carlitz_refined_table(n_max: int) -> Tuple[Dict[Tuple[int, int], QPoly], ...]:
+    """The same refinement from its standalone two-index recurrence, as rows
+    ``rows[n][(k, a)]``."""
+    rows = [{(0, 1): _ONE}]
     for n in range(n_max):
-        cur: Dict[Tuple[int, int], QPoly] = {}
+        prev = rows[-1]
+        row: Dict[Tuple[int, int], QPoly] = {}
         for kp in range(0, n + 2):
             for ap in range(0, n + 3):
                 acc = _ZERO
@@ -161,11 +127,9 @@ def carlitz_refined_table(n_max: int) -> Dict[Tuple[int, int, int], QPoly]:
                     for a in range(ap, n + 2):
                         acc = acc + prev.get((kp, a), _ZERO)
                 if acc:
-                    cur[(kp, ap)] = acc.shift(kp)
-        prev = cur
-        for (k, a), poly in cur.items():
-            out[(n + 1, k, a)] = poly
-    return out
+                    row[(kp, ap)] = acc.shift(kp)
+        rows.append(row)
+    return tuple(rows)
 
 
 # -- diagonal closed forms ---------------------------------------------------
@@ -213,16 +177,13 @@ def springer_poly_from_tables(n: int) -> QPoly:
     return out
 
 
-def springer_poly_from_series(n: int) -> QPoly:
-    """Divided coefficient n of sec_q(u) / (1 - tan_q(u))."""
+def springer_poly_from_series(secant: DividedSeries) -> QPoly:
+    """Divided coefficient n of secant(u) / (1 - tan_q(u)), n the order of
+    ``secant``: the q-Springer polynomial for sec_q, its second-secant
+    variant for Sec_q."""
+    n = secant.order
     denom = one_series(n).sub(tan_q(n))
-    return sec_q(n).mul(denom.invert()).coefficient(n)
-
-
-def springer_sec_variant_from_series(n: int) -> QPoly:
-    """Divided coefficient n of the second-secant variant Sec_q(u)/(1 - tan_q(u))."""
-    denom = one_series(n).sub(tan_q(n))
-    return Sec_q(n).mul(denom.invert()).coefficient(n)
+    return secant.mul(denom.invert()).coefficient(n)
 
 
 def classical_springer_numbers(n_max: int) -> Tuple[int, ...]:

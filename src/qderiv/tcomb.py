@@ -58,12 +58,6 @@ class TComposition:
     def is_s_composition(self) -> bool:
         return self.parts[-1] == 0
 
-    def reduced(self) -> Tuple[int, ...]:
-        """Drop the trailing zero part (plain tuple; not a t-composition)."""
-        if not self.is_s_composition():
-            raise ValueError("only s-compositions have a reduced form")
-        return self.parts[:-1]
-
 
 def _is_t_composition(parts: Tuple[int, ...]) -> bool:
     if not parts or any(p < 0 for p in parts):

