@@ -263,14 +263,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_cache_dir(flag_value: Optional[str]) -> Optional[str]:
-    if flag_value:
-        return flag_value
-    return os.environ.get(CACHE_ENV) or None
+    """``--cache-dir``, else the environment variable; the directory is made
+    here, so a path that cannot be one raises ``OSError`` before any work."""
+    cache_dir = flag_value or os.environ.get(CACHE_ENV) or None
+    if cache_dir:
+        os.makedirs(cache_dir, exist_ok=True)
+    return cache_dir
 
 
 def _cmd_table(args) -> int:
-    cache_dir = _resolve_cache_dir(args.cache_dir)
-    table = _cached_family(args.family, args.n_max, cache_dir)
+    table = _cached_family(args.family, args.n_max, args.cache_dir)
     sys.stdout.write(render(table, args.format))
     return 0
 
@@ -330,8 +332,7 @@ def _cmd_series(args) -> int:
 
 
 def _cmd_export(args) -> int:
-    cache_dir = _resolve_cache_dir(args.cache_dir)
-    table = _cached_family(args.family, args.n_max, cache_dir)
+    table = _cached_family(args.family, args.n_max, args.cache_dir)
     with open(args.out, "w", encoding="utf-8") as handle:
         handle.write(render(table, args.format))
     _log("wrote %s" % args.out)
@@ -341,6 +342,12 @@ def _cmd_export(args) -> int:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if args.command in ("table", "export"):
+        try:
+            args.cache_dir = _resolve_cache_dir(args.cache_dir)
+        except OSError as exc:
+            _log("error: unusable cache directory: %s" % exc)
+            return 2
     if args.command == "table":
         return _cmd_table(args)
     if args.command == "oracle":

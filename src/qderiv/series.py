@@ -246,7 +246,7 @@ def Cos_q(order: int) -> DividedSeries:
 
 @lru_cache(maxsize=None)
 def tan_q(order: int) -> DividedSeries:
-    return sin_q(order).mul(cos_q(order).invert())
+    return sin_q(order).mul(sec_q(order))
 
 
 @lru_cache(maxsize=None)
@@ -261,7 +261,7 @@ def Sec_q(order: int) -> DividedSeries:
 
 def Tan_q(order: int) -> DividedSeries:
     """Quotient of the second q-sine/cosine; equals ``tan_q``."""
-    return Sin_q(order).mul(Cos_q(order).invert())
+    return Sin_q(order).mul(Sec_q(order))
 
 
 @lru_cache(maxsize=None)

@@ -268,6 +268,26 @@ class TestExportAndCache:
         assert code == 0
         assert (tmp_path / "envcache" / "Ac_n2.json").exists()
 
+    @pytest.mark.parametrize("route", ("flag", "env"))
+    @pytest.mark.parametrize("command", ("table", "export"))
+    def test_cache_dir_not_a_directory_exits_2(self, capsys, tmp_path, monkeypatch, command, route):
+        not_a_dir = tmp_path / "file"
+        not_a_dir.write_text("")
+        out_path = tmp_path / "a.json"
+        monkeypatch.setattr(cli, "build_family", lambda *args: pytest.fail("table computed"))
+        for cache in (not_a_dir, not_a_dir / "sub"):
+            argv = [command, "A", "--n", "2"]
+            if command == "export":
+                argv += ["--out", str(out_path)]
+            if route == "flag":
+                argv += ["--cache-dir", str(cache)]
+            else:
+                monkeypatch.setenv(cli.CACHE_ENV, str(cache))
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 2 and out == ""
+            assert err.startswith("error:") and str(not_a_dir) in err
+            assert not out_path.exists()
+
     def test_deterministic_output(self, capsys):
         _, one, _ = run_cli(capsys, "table", "tq", "--n", "5", "--format", "json")
         _, two, _ = run_cli(capsys, "table", "tq", "--n", "5", "--format", "json")

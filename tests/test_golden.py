@@ -1,6 +1,7 @@
 """Golden CLI output: sha256 digests of stdout, recorded before the
 row-list table refactor (the ``oracle --n 7`` digests before the oracle
-grouped permutations by descent word).
+grouped permutations by descent word, the ``series --order 24`` digests
+before large ``QPoly`` products moved to Kronecker substitution).
 
 Any change to the tables, the rewrite engines, the oracles, the renderers,
 the disk cache or the check registry must leave these bytes unchanged.
@@ -26,6 +27,7 @@ COMMANDS = (
         ("verify", "all", "--format", fmt, "--n", "4", "--order", "6", "--bound-bruteforce", "4")
         for fmt in ("json", "text")
     ]
+    + [("series", name, "--order", "24", "--format", "json") for name in ("tan_q", "sec_q", "Sec_q")]
 )
 
 # (fixture key, cell, check id): bump the cell's first coefficient by one
@@ -80,6 +82,9 @@ GOLDEN = {
     "oracle Ac --n 7 --format json": (0, "be94fdec69954b92c09c417668f969e9349de5f0fef1b07769da7b80b8cadbf0"),
     "verify all --format json --n 4 --order 6 --bound-bruteforce 4": (0, "894a3e7591bbb25ee881ebde1530a47c99473aeb05074a3b6458089095f340b0"),
     "verify all --format text --n 4 --order 6 --bound-bruteforce 4": (0, "72fea9d18a2057ad93524158bc82eaa799193b50fb79b9457f4b5899602c9997"),
+    "series tan_q --order 24 --format json": (0, "9f4fa3519903544c8250fa3b84a7d1278e14795da34b458462ea699ba3437beb"),
+    "series sec_q --order 24 --format json": (0, "2eb3a971e0dc1db995ebc0ad4037904ebfe1b7c168987df3262f3d2700533ba3"),
+    "series Sec_q --order 24 --format json": (0, "9ec8e4bc19b40f6faaf7b5547a705da89bcb16ff13e6f4727ad03a1f5c278fb5"),
 }
 
 MUTATED_GOLDEN = {

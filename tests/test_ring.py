@@ -3,7 +3,7 @@ import math
 import sys
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from qderiv import ring
 from qderiv.ring import (
@@ -52,6 +52,22 @@ def div_oracle(num, den):
 polys = st.lists(st.integers(-9, 9), max_size=6).map(QPoly)
 
 
+def _sparse(terms):
+    return [terms.get(e, 0) for e in range(max(terms, default=-1) + 1)]
+
+
+# up to 80 coefficients of up to 300 bits: products on both sides of the
+# schoolbook/Kronecker cutoff, with zeros, sparse, all-nonpositive and
+# length-one operands
+wide = st.integers(-(2**300), 2**300)
+wide_polys = st.one_of(
+    st.lists(st.one_of(st.just(0), st.integers(-9, 9), wide), max_size=80),
+    st.lists(st.integers(-(2**300), 0), max_size=80),
+    st.dictionaries(st.integers(0, 79), wide, max_size=4).map(_sparse),
+    st.lists(wide, min_size=1, max_size=1),
+).map(QPoly)
+
+
 class TestQPolyArithmetic:
     def test_identity_multiplication(self):
         assert P(0, 1, 1) * P(1) == P(0, 1, 1)
@@ -68,6 +84,43 @@ class TestQPolyArithmetic:
     @given(polys, polys)
     def test_mul_matches_oracle(self, a, b):
         assert a * b == mul_oracle(a, b)
+
+    @settings(max_examples=300, deadline=None)
+    @given(wide_polys, wide_polys)
+    def test_wide_mul_matches_oracle(self, a, b):
+        assert a * b == mul_oracle(a, b)
+
+    def test_mul_on_both_sides_of_cutoff(self):
+        for la in range(1, 21):
+            for lb in tuple(range(1, 21)) + (79, 80):
+                a = QPoly((-2) ** i for i in range(la))
+                b = QPoly((-1) ** j * (j + 1) << 200 for j in range(lb))
+                assert a * b == mul_oracle(a, b)
+
+    @pytest.mark.parametrize("bits", (55, 143))
+    @pytest.mark.parametrize("sign", (1, -1))
+    @pytest.mark.parametrize("flip", (1, -1))
+    def test_coefficient_at_slot_edge(self, bits, sign, flip):
+        # 2^bits - 1 = 23 k; a coefficient 23 k in a 23 x 23 product is the
+        # largest its slot holds: 2^(8w - 1) - 1 with w = bits // 8 + 1
+        assert (2**bits - 1) % 23 == 0 and 8 * (bits // 8 + 1) - 1 == bits
+        k = (2**bits - 1) // 23
+        a = QPoly(sign * flip**i * k for i in range(23))
+        b = QPoly(flip**i for i in range(23))
+        product = a * b
+        assert product == mul_oracle(a, b)
+        assert product.coeffs[22] == sign * (2**bits - 1)
+        # with flip = -1, neighbours of opposite sign make the decoding borrow
+        assert product.coeffs[21] == sign * flip * 22 * k
+
+    def test_coefficient_just_past_a_narrower_slot(self):
+        # a coefficient of 2^63 needs a 9-byte slot: in 8 bytes it would
+        # read back as -2^63
+        a = QPoly((2**59,) * 16)
+        b = QPoly((1,) * 16)
+        assert (a * b).coeffs[15] == 2**63
+        assert a * b == mul_oracle(a, b)
+        assert (-a) * b == mul_oracle(-a, b)
 
     @given(polys, polys, polys)
     def test_ring_axioms(self, a, b, c):
@@ -221,6 +274,16 @@ class TestXQPoly:
         x = XQPoly.monomial(1)
         assert x * x == XQPoly.monomial(2)
         assert (x + 1) * (x + 1) == XQPoly((P(1), P(2), P(1)))
+
+    def test_product_of_wide_coefficients(self):
+        # inner products of 30 x 40 coefficients take the Kronecker path
+        a = XQPoly((QPoly(range(1, 31)), QPoly(), QPoly(-c << 90 for c in range(40))))
+        b = XQPoly((QPoly((3,) * 40), QPoly(range(-15, 15))))
+        expected = [QPoly()] * 4
+        for i, ai in enumerate(a.coeffs):
+            for j, bj in enumerate(b.coeffs):
+                expected[i + j] = expected[i + j] + mul_oracle(ai, bj)
+        assert a * b == XQPoly(expected)
 
     def test_eval_outer_at_one(self):
         # the outer variable at 1 is the sum of the coefficients
