@@ -3,11 +3,14 @@
 ``QPoly`` is the ring Z[q]; the variable name is presentational, so the
 same type doubles as Z[x] for integer polynomials in a single variable.
 ``XQPoly`` nests one level: dense polynomials in an outer variable whose
-coefficients are ``QPoly``.  Values are immutable after construction and
-every operation returns a canonical result (no trailing zeros), so
-equality and hashing are structural and instances are safe to share
-between threads.  Short products run the schoolbook loop; long ones pack
-each operand into one integer and multiply once (Kronecker substitution).
+coefficients are ``QPoly``.  Both share one dense-polynomial base that
+holds construction, equality, hashing, addition, negation and the JSON
+codec; each type adds only its coefficient ring, its product and its
+printing.  Values are immutable after construction and every operation
+returns a canonical result (no trailing zeros), so equality and hashing
+are structural and instances are safe to share between threads.  Short
+``QPoly`` products run the schoolbook loop; long ones pack each operand
+into one integer and multiply once (Kronecker substitution).
 
 The q-combinatorial constants live here as well: ``q_bracket``,
 ``q_pochhammer``, Gaussian binomials and q-multinomials.  Gaussian
@@ -22,34 +25,41 @@ from functools import lru_cache
 from typing import Dict, Iterable, Sequence, Tuple
 
 
-def _trimmed(coeffs) -> tuple:
-    cs = list(coeffs)
-    while cs and not cs[-1]:
-        cs.pop()
-    return tuple(cs)
+class _DensePoly:
+    """Dense polynomial over a coefficient ring; ``coeffs[i]`` is the
+    coefficient of the i-th power of the variable.
 
-
-class QPoly:
-    """Dense integer polynomial; ``coeffs[i]`` is the coefficient of q^i."""
+    A subclass names its coefficient ring: ``_COEFF_ZERO``/``_COEFF_ONE``,
+    the ``_SCALARS`` it accepts as constant polynomials, and the JSON codec
+    of one coefficient (``_coeff_to_json``/``_coeff_from_json``).  It also
+    brings its own ``__mul__`` and ``__str__``.  Equality is same-type only.
+    """
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: Iterable[int] = ()):
-        self.coeffs = _trimmed(coeffs)
+    def __init_subclass__(cls):
+        cls._ZERO, cls._ONE = cls(), cls((cls._COEFF_ONE,))
 
-    @staticmethod
-    def zero() -> "QPoly":
-        return _Q_ZERO
+    def __init__(self, coeffs: Iterable = ()):
+        cs = list(coeffs)
+        while cs and not cs[-1]:
+            cs.pop()
+        self.coeffs = tuple(cs)
 
-    @staticmethod
-    def one() -> "QPoly":
-        return _Q_ONE
+    @classmethod
+    def zero(cls):
+        return cls._ZERO
 
-    @staticmethod
-    def monomial(exp: int, coeff: int = 1) -> "QPoly":
+    @classmethod
+    def one(cls):
+        return cls._ONE
+
+    @classmethod
+    def monomial(cls, exp: int, coeff=None):
+        """``coeff`` (default: the coefficient one) times the exp-th power."""
         if exp < 0:
             raise ValueError("exponent must be nonnegative")
-        return QPoly((0,) * exp + (coeff,))
+        return cls((cls._COEFF_ZERO,) * exp + (cls._COEFF_ONE if coeff is None else coeff,))
 
     @property
     def degree(self) -> int:
@@ -60,34 +70,53 @@ class QPoly:
         return bool(self.coeffs)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, QPoly) and self.coeffs == other.coeffs
+        return isinstance(other, type(self)) and self.coeffs == other.coeffs
 
     def __hash__(self) -> int:
         return hash(self.coeffs)
 
-    def __neg__(self) -> "QPoly":
-        return QPoly(tuple(-c for c in self.coeffs))
+    def __neg__(self):
+        return type(self)([-c for c in self.coeffs])
 
-    def __add__(self, other) -> "QPoly":
-        if isinstance(other, int):
-            other = QPoly((other,))
-        if not isinstance(other, QPoly):
-            return NotImplemented
+    def __add__(self, other):
+        cls = type(self)
+        if not isinstance(other, cls):
+            if not isinstance(other, cls._SCALARS):
+                return NotImplemented
+            other = cls((cls._COEFF_ZERO + other,))
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
         for i, c in enumerate(b):
             out[i] += c
-        return QPoly(out)
+        return cls(out)
 
     __radd__ = __add__
 
-    def __sub__(self, other) -> "QPoly":
+    def __sub__(self, other):
         return self + (-other)
 
-    def __rsub__(self, other) -> "QPoly":
+    def __rsub__(self, other):
         return (-self) + other
+
+    def to_json(self) -> dict:
+        return {"coeffs": list(map(self._coeff_to_json, self.coeffs))}
+
+    @classmethod
+    def from_json(cls, data: dict):
+        return cls(map(cls._coeff_from_json, data["coeffs"]))
+
+    def __repr__(self) -> str:
+        return "%s(%r)" % (type(self).__name__, self.coeffs)
+
+
+class QPoly(_DensePoly):
+    """Dense integer polynomial; ``coeffs[i]`` is the coefficient of q^i."""
+
+    __slots__ = ()
+    _COEFF_ZERO, _COEFF_ONE, _SCALARS = 0, 1, int
+    _coeff_to_json, _coeff_from_json = str, int
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -130,22 +159,11 @@ class QPoly:
     def eval_at_one(self) -> int:
         return sum(self.coeffs)
 
-    def to_json(self) -> dict:
-        return {"coeffs": [str(c) for c in self.coeffs]}
-
-    @staticmethod
-    def from_json(data: dict) -> "QPoly":
-        return QPoly(int(c) for c in data["coeffs"])
-
     def __str__(self) -> str:
         return poly_str(self)
 
-    def __repr__(self) -> str:
-        return "QPoly(%r)" % (self.coeffs,)
 
-
-_Q_ZERO = QPoly()
-_Q_ONE = QPoly((1,))
+_Q_ZERO, _Q_ONE = QPoly.zero(), QPoly.one()
 
 # Schoolbook costs one step per term pair, Kronecker a few per coefficient
 # in or out, so the choice rests on len(a)*len(b) / (len(a)+len(b)).
@@ -184,80 +202,23 @@ def _kronecker_mul(a: tuple, b: tuple) -> list:
     return [from_bytes(digits[i : i + w], "little") - half for i in range(0, n * w, w)]
 
 
-class XQPoly:
+class XQPoly(_DensePoly):
     """Polynomial in an outer variable with ``QPoly`` coefficients."""
 
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Iterable[QPoly] = ()):
-        self.coeffs = _trimmed(coeffs)
-
-    @staticmethod
-    def zero() -> "XQPoly":
-        return _XQ_ZERO
-
-    @staticmethod
-    def one() -> "XQPoly":
-        return _XQ_ONE
-
-    @staticmethod
-    def monomial(exp: int, coeff: QPoly = _Q_ONE) -> "XQPoly":
-        if exp < 0:
-            raise ValueError("exponent must be nonnegative")
-        return XQPoly((_Q_ZERO,) * exp + (coeff,))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
+    __slots__ = ()
+    _COEFF_ZERO, _COEFF_ONE, _SCALARS = _Q_ZERO, _Q_ONE, (int, QPoly)
+    _coeff_to_json, _coeff_from_json = staticmethod(QPoly.to_json), QPoly.from_json
 
     def coefficient(self, exp: int) -> QPoly:
         if 0 <= exp < len(self.coeffs):
             return self.coeffs[exp]
         return _Q_ZERO
 
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, XQPoly) and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
-
-    def __neg__(self) -> "XQPoly":
-        return XQPoly(tuple(-c for c in self.coeffs))
-
-    def __add__(self, other) -> "XQPoly":
-        if isinstance(other, (int, QPoly)):
-            other = XQPoly((_as_qpoly(other),))
-        if not isinstance(other, XQPoly):
-            return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return XQPoly(out)
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "XQPoly":
-        if isinstance(other, (int, QPoly)):
-            other = XQPoly((_as_qpoly(other),))
-        if not isinstance(other, XQPoly):
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other) -> "XQPoly":
-        return (-self) + other
-
     def __mul__(self, other):
-        if isinstance(other, (int, QPoly)):
-            s = _as_qpoly(other)
-            if not s:
+        if isinstance(other, self._SCALARS):
+            if not other:
                 return _XQ_ZERO
-            return XQPoly(tuple(c * s for c in self.coeffs))
+            return XQPoly(tuple(c * other for c in self.coeffs))
         if not isinstance(other, XQPoly):
             return NotImplemented
         a, b = self.coeffs, other.coeffs
@@ -273,28 +234,11 @@ class XQPoly:
 
     __rmul__ = __mul__
 
-    def to_json(self) -> dict:
-        return {"coeffs": [c.to_json() for c in self.coeffs]}
-
-    @staticmethod
-    def from_json(data: dict) -> "XQPoly":
-        return XQPoly(QPoly.from_json(c) for c in data["coeffs"])
-
     def __str__(self) -> str:
         return xpoly_str(self)
 
-    def __repr__(self) -> str:
-        return "XQPoly(%r)" % (self.coeffs,)
 
-
-_XQ_ZERO = XQPoly()
-_XQ_ONE = XQPoly((_Q_ONE,))
-
-
-def _as_qpoly(value) -> QPoly:
-    if isinstance(value, QPoly):
-        return value
-    return QPoly((value,))
+_XQ_ZERO = XQPoly.zero()
 
 
 # -- q-combinatorial constants ----------------------------------------

@@ -2,8 +2,9 @@
 
 A series is stored as its coefficients f_0..f_N with the weights kept
 implicit: f(u) = sum f_n u^n/(q;q)_n in q-mode, or sum f_n u^n/n! in
-classical mode.  Multiplication is then a weighted convolution (Gaussian
-binomial weights in q-mode, integer binomials in classical mode), the
+classical mode.  Multiplication and inversion then share one weighted
+convolution (Gaussian binomial weights in q-mode, integer binomials in
+classical mode), addition and subtraction are coefficient-wise, the
 q-derivative D_q f(u) = (f(u) - f(qu))/u becomes a pure index shift, and
 every coefficient stays a polynomial: no rational arithmetic anywhere.
 
@@ -15,6 +16,7 @@ ring.  Promotion between rings is explicit via ``promote``.
 from __future__ import annotations
 
 import math
+import operator
 from functools import lru_cache
 from typing import Iterable, Sequence
 
@@ -77,42 +79,31 @@ class DividedSeries:
                 % (self.mode, self.ring, other.mode, other.ring)
             )
 
-    def _weight(self, n: int, k: int):
-        if self.mode == Q_MODE:
-            return gauss_binomial(n, k)
-        return math.comb(n, k)
+    def _pointwise(self, other: "DividedSeries", op) -> "DividedSeries":
+        self._check_compatible(other)
+        return DividedSeries(self.mode, self.ring, tuple(map(op, self.coeffs, other.coeffs)))
 
     def add(self, other: "DividedSeries") -> "DividedSeries":
-        self._check_compatible(other)
-        order = min(self.order, other.order)
-        return DividedSeries(
-            self.mode,
-            self.ring,
-            tuple(self.coeffs[n] + other.coeffs[n] for n in range(order + 1)),
-        )
+        return self._pointwise(other, operator.add)
 
     def sub(self, other: "DividedSeries") -> "DividedSeries":
-        self._check_compatible(other)
-        order = min(self.order, other.order)
-        return DividedSeries(
-            self.mode,
-            self.ring,
-            tuple(self.coeffs[n] + (-other.coeffs[n]) for n in range(order + 1)),
-        )
+        return self._pointwise(other, operator.sub)
+
+    def _convolve(self, n: int, start: int, g: Sequence):
+        """sum_{k=start..n} weight(n, k) * f_k * g_(n-k), with f this series."""
+        weight = gauss_binomial if self.mode == Q_MODE else math.comb
+        f = self.coeffs
+        acc = _ZERO[self.ring]
+        for k in range(start, n + 1):
+            fk, gk = f[k], g[n - k]
+            if fk and gk:
+                acc = acc + weight(n, k) * (fk * gk)
+        return acc
 
     def mul(self, other: "DividedSeries") -> "DividedSeries":
         self._check_compatible(other)
         order = min(self.order, other.order)
-        zero = _ZERO[self.ring]
-        out = []
-        for n in range(order + 1):
-            acc = zero
-            for k in range(n + 1):
-                fk = self.coeffs[k]
-                gk = other.coeffs[n - k]
-                if fk and gk:
-                    acc = acc + self._weight(n, k) * (fk * gk)
-            out.append(acc)
+        out = [self._convolve(n, 0, other.coeffs) for n in range(order + 1)]
         return DividedSeries(self.mode, self.ring, out)
 
     def invert(self) -> "DividedSeries":
@@ -120,16 +111,9 @@ class DividedSeries:
         one = _ONE[self.ring]
         if self.coeffs[0] != one:
             raise ValueError("only series with constant coefficient 1 are inverted")
-        zero = _ZERO[self.ring]
         inv = [one]
         for n in range(1, self.order + 1):
-            acc = zero
-            for k in range(1, n + 1):
-                fk = self.coeffs[k]
-                gk = inv[n - k]
-                if fk and gk:
-                    acc = acc + self._weight(n, k) * (fk * gk)
-            inv.append(-acc)
+            inv.append(-self._convolve(n, 1, inv))
         return DividedSeries(self.mode, self.ring, inv)
 
     def scale(self, scalar) -> "DividedSeries":
@@ -224,22 +208,18 @@ def _alternating(order: int, odd: bool, exponent) -> DividedSeries:
     return DividedSeries(Q_MODE, RING_Q, coeffs)
 
 
-@lru_cache(maxsize=None)
 def sin_q(order: int) -> DividedSeries:
     return _alternating(order, odd=True, exponent=lambda n: 0)
 
 
-@lru_cache(maxsize=None)
 def cos_q(order: int) -> DividedSeries:
     return _alternating(order, odd=False, exponent=lambda n: 0)
 
 
-@lru_cache(maxsize=None)
 def Sin_q(order: int) -> DividedSeries:
     return _alternating(order, odd=True, exponent=lambda n: n * (n - 1) // 2)
 
 
-@lru_cache(maxsize=None)
 def Cos_q(order: int) -> DividedSeries:
     return _alternating(order, odd=False, exponent=lambda n: n * (n - 1) // 2)
 
@@ -264,7 +244,6 @@ def Tan_q(order: int) -> DividedSeries:
     return Sin_q(order).mul(Sec_q(order))
 
 
-@lru_cache(maxsize=None)
 def classical_tan(order: int) -> DividedSeries:
     return classical_sin(order).mul(classical_sec(order))
 

@@ -6,7 +6,6 @@ diagonal closed forms and the q-Springer polynomials.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Dict, Optional, Tuple
 
 from qderiv.ring import QPoly, XQPoly, q_bracket
@@ -84,7 +83,6 @@ def tq_secant(n: int) -> XQPoly:
 # -- q-Eulerian polynomials and their refinement ---------------------------
 
 
-@lru_cache(maxsize=None)
 def carlitz_table(n_max: int) -> Tuple[Dict[int, QPoly], ...]:
     """q-Eulerian coefficients by descent count, from their own recurrence,
     as rows ``rows[n][j]`` holding the nonzero entries."""
@@ -109,7 +107,6 @@ def carlitz_refinement(n: int) -> Dict[Tuple[int, int], QPoly]:
     return {(k, a): poly for (k, a, b), poly in a_table(n).row(n).items() if a + b == n + 1}
 
 
-@lru_cache(maxsize=None)
 def carlitz_refined_table(n_max: int) -> Tuple[Dict[Tuple[int, int], QPoly], ...]:
     """The same refinement from its standalone two-index recurrence, as rows
     ``rows[n][(k, a)]``."""

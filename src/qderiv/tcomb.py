@@ -108,16 +108,6 @@ def _composition(parts: Tuple[int, ...]) -> TComposition:
 
 
 @dataclass(frozen=True)
-class TPermStats:
-    lam: TComposition
-    mu: int
-    min: Optional[int]
-    ides: int
-    imaj: int
-    inv: int
-
-
-@dataclass(frozen=True)
 class TPermutation:
     components: Tuple[Word, ...]
 
@@ -174,16 +164,10 @@ class TPermutation:
                 return a
         return None
 
-    def stats(self) -> TPermStats:
-        st = permstats.statistics(self.concat())
-        return TPermStats(
-            lam=self.lam(),
-            mu=self.mu,
-            min=self.min_component(),
-            ides=st.ides,
-            imaj=st.imaj,
-            inv=st.inv,
-        )
+    def stats(self) -> permstats.WordStats:
+        """Statistics of the concatenated word; ``lam()``, ``mu`` and
+        ``min_component()`` are read from the t-permutation itself."""
+        return permstats.statistics(self.concat())
 
     def is_first_kind(self) -> bool:
         """True when 1 occurs as a one-letter component that can be deleted.

@@ -532,13 +532,13 @@ _STAR_DELTA_EXPECT = {
 
 def _check_31_images(col: _Collector, tag, w: TPermutation) -> None:
     st = w.stats()
-    ilg = permstats.iligne(w.concat())
-    shifted = frozenset(j + 1 for j in ilg)
+    min_comp = w.min_component()
+    shifted = frozenset(j + 1 for j in st.iligne)
     prefix = 0
     lengths = [len(c) for c in w.components]
     for i in range(1, w.mu + 1):
         prefix += lengths[i - 1]
-        if st.min is not None and i <= st.min:
+        if min_comp is not None and i <= min_comp:
             exp_ilg = shifted
             exp_ides = st.ides
             exp_imaj = st.ides + st.imaj
@@ -553,18 +553,18 @@ def _check_31_images(col: _Collector, tag, w: TPermutation) -> None:
         ):
             ist = image.stats()
             idx = tag + (tuple(w.components), i, name)
-            col.eq(idx + ("iligne",), exp_ilg, permstats.iligne(image.concat()))
+            col.eq(idx + ("iligne",), exp_ilg, ist.iligne)
             col.eq(idx + ("ides",), exp_ides, ist.ides)
             col.eq(idx + ("imaj",), exp_imaj, ist.imaj)
             col.eq(idx + ("inv",), exp_inv, ist.inv)
-            col.eq(idx + ("min",), exp_min, ist.min)
+            col.eq(idx + ("min",), exp_min, image.min_component())
 
 
 def check_3_1(n_max: int) -> VerificationReport:
     w0 = TPermutation(_W_EXAMPLE)
     with _Collector("3.1", {"n_max": n_max}) as col:
         st = w0.stats()
-        col.eq(("example", "stats"), (6, 38, 1, 27), (st.ides, st.imaj, st.min, st.inv))
+        col.eq(("example", "stats"), (6, 38, 1, 27), (st.ides, st.imaj, w0.min_component(), st.inv))
         for name, bijection, expect in (
             ("delta*", delta_star, _DELTA_STAR_EXPECT),
             ("*delta", star_delta, _STAR_DELTA_EXPECT),
@@ -575,7 +575,7 @@ def check_3_1(n_max: int) -> VerificationReport:
                 col.eq(
                     ("example", name, i),
                     expected,
-                    (image.components, ist.ides, ist.imaj, ist.min, ist.inv),
+                    (image.components, ist.ides, ist.imaj, image.min_component(), ist.inv),
                 )
         for n in range(1, n_max + 1):
             for w in enumerate_t_permutations(n, bound=n):
@@ -728,7 +728,6 @@ def check_7_combined(n_max: int) -> VerificationReport:
     return col.report
 
 
-@lru_cache(maxsize=None)
 def _alt_polys(n: int, stat: str) -> Tuple[QPoly, QPoly]:
     """(rising, falling) alternating generating polynomials by inv or imaj."""
     top = n * (n - 1) // 2
@@ -1181,7 +1180,7 @@ def _run_guarded(spec: CheckSpec, bounds: Bounds, fixtures) -> List[Verification
         return [
             VerificationReport(
                 spec.id,
-                {},
+                {f: getattr(bounds, f) for f in (spec.n_field, spec.order_field) if f},
                 "fail",
                 Discrepancy(("exception",), "no exception", repr(exc)),
             )

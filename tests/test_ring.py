@@ -291,6 +291,51 @@ class TestXQPoly:
         assert sum(xp.coeffs, QPoly()) == P(4, 1)
 
 
+xqpolys = st.lists(polys, max_size=4).map(XQPoly)
+scalars = st.one_of(st.integers(-9, 9), polys)
+
+
+def _constant(s):
+    return XQPoly((s if isinstance(s, QPoly) else QPoly((s,)),))
+
+
+class TestXQPolyProperties:
+    @given(xqpolys, xqpolys, xqpolys)
+    def test_ring_axioms(self, a, b, c):
+        zero, one = XQPoly.zero(), XQPoly.one()
+        assert a + b == b + a
+        assert a * b == b * a
+        assert (a + b) + c == a + (b + c)
+        assert (a * b) * c == a * (b * c)
+        assert a * (b + c) == a * b + a * c
+        assert a + zero == a and a * one == a and a * zero == zero
+        assert a - a == zero and -(-a) == a
+        assert (a - b) + b == a
+
+    @given(xqpolys, scalars)
+    def test_scalars_on_both_sides(self, a, s):
+        const = _constant(s)
+        for value in (a + s, s + a, a - s, s - a, a * s, s * a):
+            assert type(value) is XQPoly
+        assert a + s == s + a == a + const
+        assert a - s == a - const
+        assert s - a == const - a
+        assert a * s == s * a == a * const
+
+    def test_distinct_from_qpoly(self):
+        assert QPoly() != XQPoly() and XQPoly() != QPoly()
+        assert P(1) != XQPoly((P(1),))
+        assert XQPoly() != 0 and QPoly() != 0
+
+    @given(xqpolys, xqpolys)
+    def test_equal_values_hash_equal(self, a, b):
+        padded = XQPoly(a.coeffs + (QPoly(), QPoly((0, 0))))
+        rebuilt = (a + b) - b
+        decoded = XQPoly.from_json(json.loads(json.dumps(a.to_json())))
+        for same in (padded, rebuilt, decoded):
+            assert same == a and hash(same) == hash(a)
+
+
 class TestPrinting:
     def test_poly_str(self):
         assert poly_str(QPoly()) == "0"

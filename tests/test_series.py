@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qderiv.ring import QPoly, XQPoly
 from qderiv.series import (
@@ -104,6 +105,33 @@ class TestArithmetic:
 
     def test_truncation_to_min_order(self):
         assert tan_q(8).mul(one_series(5)).order == 5
+
+
+small_polys = st.lists(st.integers(-3, 3), max_size=4).map(QPoly)
+_UNIT_RINGS = {
+    (CLASSICAL_MODE, RING_INT): st.integers(-5, 5),
+    (Q_MODE, RING_Q): small_polys,
+    (Q_MODE, RING_XQ): st.lists(small_polys, max_size=3).map(XQPoly),
+}
+
+
+@st.composite
+def unit_series(draw):
+    mode, ring = draw(st.sampled_from(sorted(_UNIT_RINGS)))
+    tail = draw(st.lists(_UNIT_RINGS[mode, ring], max_size=6))
+    one = one_series(0, mode, ring).coefficient(0)
+    return DividedSeries(mode, ring, (one,) + tuple(tail))
+
+
+class TestInverseProperty:
+    @settings(max_examples=60, deadline=None)
+    @given(unit_series())
+    def test_mul_by_inverse_is_unit(self, s):
+        unit = one_series(s.order, s.mode, s.ring)
+        inv = s.invert()
+        assert s.mul(inv) == unit
+        assert inv.mul(s) == unit
+        assert inv.invert() == s
 
 
 class TestOperators:

@@ -115,14 +115,15 @@ class TestTPermutations:
     def test_stats_worked_example(self):
         w = TPermutation(((4, 5), (11, 1, 3), (10, 7, 9), (6,), (8, 2)))
         st = w.stats()
-        assert (st.ides, st.imaj, st.inv, st.min) == (6, 38, 27, 1)
-        assert st.lam.parts == (2, 3, 3, 1, 2)
+        assert (st.ides, st.imaj, st.inv, w.min_component()) == (6, 38, 27, 1)
+        assert w.lam().parts == (2, 3, 3, 1, 2)
 
     def test_stats_small(self):
-        st = TPermutation(((), (1,), ())).stats()
-        assert (st.mu, st.min, st.ides, st.imaj, st.inv) == (2, 1, 0, 0, 0)
-        st = TPermutation(((1, 3, 2),)).stats()
-        assert st.lam.parts == (3,) and st.mu == 0 and st.imaj == 2
+        w = TPermutation(((), (1,), ()))
+        st = w.stats()
+        assert (w.mu, w.min_component(), st.ides, st.imaj, st.inv) == (2, 1, 0, 0, 0)
+        w = TPermutation(((1, 3, 2),))
+        assert w.lam().parts == (3,) and w.mu == 0 and w.stats().imaj == 2
 
     def test_min_component_empty_order(self):
         assert TPermutation(((), ())).min_component() is None
@@ -139,12 +140,12 @@ class TestTPermutations:
         found = {
             w.components
             for w in enumerate_t_permutations(3)
-            if (w.stats().ides, w.stats().min, w.mu) == (1, 1, 2)
+            if (w.stats().ides, w.min_component(), w.mu) == (1, 1, 2)
         }
         assert len(found) == 4
         for w in found:
-            st = TPermutation(w).stats()
-            assert (st.ides, st.min, st.mu) == (1, 1, 2)
+            t = TPermutation(w)
+            assert (t.stats().ides, t.min_component(), t.mu) == (1, 1, 2)
 
     def test_s_permutations(self):
         trailing_empty = {

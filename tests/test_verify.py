@@ -101,6 +101,16 @@ class TestRegistry:
         assert [r.id for r in reports] == ["9.1", "10.2"]
         assert reports[0].passed and not reports[1].passed
 
+    def test_raising_check_reports_its_bounds(self, monkeypatch):
+        def broken(n):
+            raise RuntimeError("oracle unavailable")
+
+        monkeypatch.setattr(verify, "oracle_all", broken)
+        (report,) = verify.run_checks(verify.specs_for(["triple.A"]))
+        assert report.status == "fail"
+        assert list(report.first_discrepancy.index) == ["exception"]
+        assert report.params == {"rewrite_n": 10}
+
     def test_mutated_fixture_fails_exactly_one_check(self):
         fixtures = mutate_poly_fixture("table3", (3, (0, 1, 2)))
         reports = verify.run_suite(SMALL, fixtures=fixtures)
