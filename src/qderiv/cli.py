@@ -332,9 +332,15 @@ def _cmd_series(args) -> int:
 
 
 def _cmd_export(args) -> int:
-    table = _cached_family(args.family, args.n_max, args.cache_dir)
-    with open(args.out, "w", encoding="utf-8") as handle:
-        handle.write(render(table, args.format))
+    # opened before the table is computed, so a path that cannot be
+    # written is a usage error that costs no table work
+    try:
+        handle = open(args.out, "w", encoding="utf-8")
+    except OSError as exc:
+        _log("error: cannot write %s: %s" % (args.out, exc.strerror or exc))
+        return 2
+    with handle:
+        handle.write(render(_cached_family(args.family, args.n_max, args.cache_dir), args.format))
     _log("wrote %s" % args.out)
     return 0
 

@@ -9,17 +9,24 @@ pair (0, 0).
 A t-permutation of order n is a sequence of words whose concatenation is
 a permutation of 1..n, the first word rising alternating, the others
 falling alternating, with lengths forming a t-composition.
+
+Every t-permutation is a cut of the permutation it concatenates to, and
+which cuts are valid depends only on that permutation's descent word.
+``t_permutation_cuts`` walks S_n once and yields each permutation with its
+t-permutations, so a sweep can do per-permutation work once for all of its
+cuts; ``enumerate_t_permutations`` is the same walk, flattened.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Optional, Sequence, Tuple
 
 from qderiv import permstats
-from qderiv.permstats import Word, is_falling_alternating, is_rising_alternating
+from qderiv.permstats import Word
 from qderiv.ring import QPoly
 
 BRUTE_FORCE_BOUND = 8
@@ -112,28 +119,14 @@ class TPermutation:
     components: Tuple[Word, ...]
 
     def __post_init__(self):
-        comps = tuple(tuple(w) for w in self.components)
+        comps = tuple(map(tuple, self.components))
         object.__setattr__(self, "components", comps)
         if not comps:
             raise ValueError("a t-permutation has at least one component")
-        letters = sorted(self.concat())
-        if letters != list(range(1, len(letters) + 1)):
+        word = self.concat()
+        if sorted(word) != list(range(1, len(word) + 1)):
             raise ValueError("concatenation is not a permutation: %r" % (comps,))
-        m = len(comps) - 1
-        if m == 0:
-            ok = is_rising_alternating(comps[0]) and len(comps[0]) % 2 == 1
-        else:
-            ok = (
-                is_rising_alternating(comps[0])
-                and len(comps[0]) % 2 == 0
-                and is_falling_alternating(comps[-1])
-                and len(comps[-1]) % 2 == 0
-                and all(
-                    is_falling_alternating(w) and len(w) % 2 == 1
-                    for w in comps[1:-1]
-                )
-            )
-        if not ok:
+        if not _is_valid_cut(tuple(map(len, comps)), _descent_bits(word)):
             raise ValueError("component shapes violate the alternation rules: %r" % (comps,))
 
     @property
@@ -183,7 +176,7 @@ class TPermutation:
 
 
 def _descent_bits(word: Word) -> Tuple[bool, ...]:
-    return tuple(word[i] > word[i + 1] for i in range(len(word) - 1))
+    return tuple(map(operator.gt, word, word[1:]))
 
 
 def _cut_alternation_ok(desc: Tuple[bool, ...], parts: Tuple[int, ...]) -> bool:
@@ -198,6 +191,19 @@ def _cut_alternation_ok(desc: Tuple[bool, ...], parts: Tuple[int, ...]) -> bool:
                 return False
         p += length
     return True
+
+
+@lru_cache(maxsize=1 << 14)
+def _is_valid_cut(parts: Tuple[int, ...], desc: Tuple[bool, ...]) -> bool:
+    """True when cutting a word with descent word ``desc`` into blocks of
+    lengths ``parts`` gives a t-permutation: exactly when ``parts`` is in
+    ``_valid_cuts(sum(parts), desc)``.
+
+    A check in O(n) per new pair, so a t-permutation of any order is
+    validated without listing the t-compositions of its order.  The cache
+    is bounded, for callers that build many large t-permutations.
+    """
+    return _is_t_composition(parts) and _cut_alternation_ok(desc, parts)
 
 
 @lru_cache(maxsize=None)
@@ -224,12 +230,28 @@ def _cut(word: Word, parts: Tuple[int, ...]) -> Tuple[Word, ...]:
     return tuple(out)
 
 
-def enumerate_t_permutations(n: int, bound: Optional[int] = None) -> Iterator[TPermutation]:
-    """Stream all t-permutations of order n in a deterministic order."""
+def t_permutation_cuts(
+    n: int, bound: Optional[int] = None
+) -> Iterator[Tuple[Word, Tuple[TPermutation, ...]]]:
+    """Each permutation sigma of 1..n that has a valid cut, with the
+    t-permutations cut from it.
+
+    Permutations come in lexicographic order and the cuts of one in the
+    order of ``enumerate_t_compositions``, so work that depends on sigma
+    alone (its statistics, its image under a word bijection) can be done
+    once for all of its cuts.
+    """
     _guard(n, bound)
     for sigma in permstats.iter_permutations(n):
-        for parts in _valid_cuts(n, _descent_bits(sigma)):
-            yield TPermutation._trusted(_cut(sigma, parts))
+        cuts = _valid_cuts(n, _descent_bits(sigma))
+        if cuts:
+            yield sigma, tuple(TPermutation._trusted(_cut(sigma, parts)) for parts in cuts)
+
+
+def enumerate_t_permutations(n: int, bound: Optional[int] = None) -> Iterator[TPermutation]:
+    """Stream all t-permutations of order n in a deterministic order."""
+    for _, cuts in t_permutation_cuts(n, bound):
+        yield from cuts
 
 
 def cut_by_lambda(sigma: Word, comp: TComposition) -> TPermutation:

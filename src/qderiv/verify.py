@@ -61,6 +61,7 @@ from qderiv.tcomb import (
     TPermutation,
     alpha,
     beta,
+    cut_by_lambda,
     delta_star,
     delta_star_inv,
     enumerate_t_compositions,
@@ -69,6 +70,7 @@ from qderiv.tcomb import (
     psi_on_t,
     star_delta,
     star_delta_inv,
+    t_permutation_cuts,
 )
 
 _ZP = QPoly.zero()
@@ -530,8 +532,11 @@ _STAR_DELTA_EXPECT = {
 }
 
 
-def _check_31_images(col: _Collector, tag, w: TPermutation) -> None:
-    st = w.stats()
+def _check_31_images(col: _Collector, tag, w: TPermutation, st, image_stats: dict) -> None:
+    """The statistics of every delta* and *delta image of ``w``, whose own
+    statistics are ``st``.  ``image_stats`` maps words to their statistics:
+    the two images of one (w, i) share a word, and so do the images of cuts
+    of one permutation at the same prefix."""
     min_comp = w.min_component()
     shifted = frozenset(j + 1 for j in st.iligne)
     prefix = 0
@@ -551,7 +556,10 @@ def _check_31_images(col: _Collector, tag, w: TPermutation) -> None:
             ("delta*", delta_star(i, w), i),
             ("*delta", star_delta(i, w), i - 1),
         ):
-            ist = image.stats()
+            word = image.concat()
+            ist = image_stats.get(word)
+            if ist is None:
+                ist = image_stats[word] = permstats.statistics(word)
             idx = tag + (tuple(w.components), i, name)
             col.eq(idx + ("iligne",), exp_ilg, ist.iligne)
             col.eq(idx + ("ides",), exp_ides, ist.ides)
@@ -578,8 +586,11 @@ def check_3_1(n_max: int) -> VerificationReport:
                     (image.components, ist.ides, ist.imaj, image.min_component(), ist.inv),
                 )
         for n in range(1, n_max + 1):
-            for w in enumerate_t_permutations(n, bound=n):
-                _check_31_images(col, ("sweep", n), w)
+            for sigma, cuts in t_permutation_cuts(n, bound=n):
+                st = permstats.statistics(sigma)
+                image_stats: dict = {}
+                for w in cuts:
+                    _check_31_images(col, ("sweep", n), w, st, image_stats)
     return col.report
 
 
@@ -655,12 +666,19 @@ def check_psi_on_t(n_max: int) -> VerificationReport:
         for n in range(n_max + 1):
             images = set()
             count = 0
-            for w in enumerate_t_permutations(n, bound=n):
-                image = psi_on_t(w)
-                images.add(image.components)
-                count += 1
-                col.eq((n, w.components, "lambda"), w.lam(), image.lam())
-                col.eq((n, w.components, "inv=imaj"), w.stats().imaj, image.stats().inv)
+            for sigma, cuts in t_permutation_cuts(n, bound=n):
+                image_word = permstats.psi(sigma)
+                imaj = sum(permstats.iligne(sigma))
+                image_inv = permstats.inv(image_word)
+                for w in cuts:
+                    lam = w.lam()
+                    # the validating constructor: a psi that breaks the
+                    # descent word fails here
+                    image = cut_by_lambda(image_word, lam)
+                    images.add(image.components)
+                    count += 1
+                    col.eq((n, w.components, "lambda"), lam, image.lam())
+                    col.eq((n, w.components, "inv=imaj"), imaj, image_inv)
             col.eq((n, "bijective"), count, len(images))
     return col.report
 

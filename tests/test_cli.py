@@ -168,6 +168,16 @@ class TestExportAndCache:
         payload = json.loads(out_path.read_text())
         assert payload["family"] == "A"
 
+    @pytest.mark.parametrize("target", ("missing-dir", "directory"))
+    def test_export_unwritable_out_exits_2(self, capsys, tmp_path, monkeypatch, target):
+        out_path = tmp_path / "missing" / "a.json" if target == "missing-dir" else tmp_path
+        monkeypatch.setattr(cli, "build_family", lambda *args: pytest.fail("table computed"))
+        code, out, err = run_cli(capsys, "export", "A", "--n", "2", "--out", str(out_path))
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and str(out_path) in err
+        assert err.count("\n") == 1
+        assert not (tmp_path / "missing").exists()
+
     def test_cache_roundtrip_and_corruption(self, capsys, tmp_path):
         cache = tmp_path / "cache"
         code, first, _ = run_cli(

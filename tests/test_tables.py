@@ -1,9 +1,10 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qderiv import permstats, tcomb
-from qderiv.cli import build_family, build_oracle
+from qderiv.cli import TABLE_FAMILIES, build_family, build_oracle
 from qderiv.render import table_from_payload, table_to_payload
 from qderiv.ring import QPoly
 from qderiv.tables import (
@@ -114,6 +115,19 @@ class TestRewriteEngines:
             srow = {c: p for c, p in ac_table(n).row(n).items() if c[-1] == 0}
             assert rewrite_comp_sec(n) == srow
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(("A", "B", "Ac")), st.integers(0, 8))
+    def test_recurrence_row_equals_rewrite_row(self, kind, n):
+        recurrence, rewrite = {
+            "A": (a_table, rewrite_tan),
+            "B": (b_table, rewrite_sec),
+            "Ac": (ac_table, rewrite_comp_tan),
+        }[kind]
+        row = recurrence(n).row(n)
+        assert rewrite(n) == row
+        if kind == "Ac":
+            assert rewrite_comp_sec(n) == {c: p for c, p in row.items() if c[-1] == 0}
+
 
 def oracle_per_permutation(n):
     """Rows n of A, B and Ac, one QPoly monomial per (permutation, cut)."""
@@ -202,3 +216,11 @@ class TestPolyTableJson:
     def test_comp_roundtrip(self):
         _, again = _payload_roundtrip("Ac", 3)
         assert {row[:-1]: row[-1] for row in again.rows} == dict(ac_table(3).items())
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(TABLE_FAMILIES), st.integers(0, 6))
+    def test_payload_roundtrip_every_family(self, family, n_max):
+        table = build_family(family, n_max)
+        assert table_from_payload(table_to_payload(table)) == table
+        _, again = _payload_roundtrip(family, n_max)
+        assert again == table

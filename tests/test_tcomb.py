@@ -4,6 +4,8 @@ import math
 
 import pytest
 
+from qderiv import permstats
+from qderiv.permstats import is_falling_alternating, is_rising_alternating
 from qderiv.ring import QPoly
 from qderiv.tcomb import (
     BruteForceBoundError,
@@ -20,6 +22,7 @@ from qderiv.tcomb import (
     psi_on_t,
     star_delta,
     star_delta_inv,
+    t_permutation_cuts,
 )
 
 
@@ -39,6 +42,28 @@ def naive_t_permutations(n):
                 yield TPermutation(components)
             except ValueError:
                 continue
+
+
+def old_rule_accepts(comps):
+    """The component rule the constructor used to apply: the first word
+    rising alternating, the others falling alternating; a single word of
+    odd length, else even end words and odd interior words."""
+    if len(comps) == 1:
+        return is_rising_alternating(comps[0]) and len(comps[0]) % 2 == 1
+    return (
+        is_rising_alternating(comps[0])
+        and len(comps[0]) % 2 == 0
+        and is_falling_alternating(comps[-1])
+        and len(comps[-1]) % 2 == 0
+        and all(is_falling_alternating(w) and len(w) % 2 == 1 for w in comps[1:-1])
+    )
+
+
+def weak_compositions(n, parts):
+    """Every tuple of ``parts`` nonnegative integers summing to n."""
+    for bars in itertools.combinations(range(n + parts - 1), parts - 1):
+        edges = (-1,) + bars + (n + parts - 1,)
+        yield tuple(b - a - 1 for a, b in zip(edges, edges[1:]))
 
 
 def alpha_closed(n, m):
@@ -168,6 +193,56 @@ class TestTPermutations:
             list(enumerate_t_permutations(9))
         with pytest.raises(BruteForceBoundError):
             list(enumerate_t_permutations(4, bound=3))
+        with pytest.raises(BruteForceBoundError):
+            list(t_permutation_cuts(4, bound=3))
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_cuts_grouped_by_permutation(self, n):
+        walk = list(t_permutation_cuts(n))
+        sigmas = [sigma for sigma, _ in walk]
+        assert sigmas == sorted(set(sigmas))
+        with_a_cut = {w.concat() for w in naive_t_permutations(n)}
+        assert set(sigmas) == with_a_cut
+        for sigma, cuts in walk:
+            assert cuts and all(w.concat() == sigma for w in cuts)
+        flat = [w.components for _, cuts in walk for w in cuts]
+        assert flat == [w.components for w in enumerate_t_permutations(n)]
+
+
+class TestValidationAgainstOldRule:
+    @pytest.mark.parametrize("n", range(6))
+    def test_every_cut_of_every_permutation(self, n):
+        cut_edges = [
+            list(itertools.accumulate((0,) + lengths))
+            for parts in range(1, n + 3)
+            for lengths in weak_compositions(n, parts)
+        ]
+        for sigma in itertools.permutations(range(1, n + 1)):
+            for edges in cut_edges:
+                comps = tuple(sigma[a:b] for a, b in zip(edges, edges[1:]))
+                try:
+                    w = TPermutation(comps)
+                except ValueError as exc:
+                    assert not old_rule_accepts(comps), exc
+                    assert "alternation rules" in str(exc)
+                else:
+                    assert old_rule_accepts(comps), comps
+                    assert w.components == comps
+
+    @pytest.mark.parametrize("comps", [((),), ((), ()), ((), (), ())])
+    def test_empty_components(self, comps):
+        if old_rule_accepts(comps):
+            assert TPermutation(comps).n == 0
+        else:
+            with pytest.raises(ValueError):
+                TPermutation(comps)
+        assert old_rule_accepts(comps) == (comps == ((), ()))
+
+    def test_letters_checked_before_shape(self):
+        with pytest.raises(ValueError, match="not a permutation"):
+            TPermutation(((2, 1), (4,)))
+        with pytest.raises(ValueError, match="at least one component"):
+            TPermutation(())
 
 
 W_EXAMPLE = TPermutation(((4, 5), (11, 1, 3), (10, 7, 9), (6,), (8, 2)))
@@ -237,6 +312,15 @@ class TestPsiLift:
             image = psi_on_t(w)
             assert image.lam() == w.lam()
             assert image.stats().inv == w.stats().imaj
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_is_the_cut_of_psi_of_the_permutation(self, n):
+        for sigma, cuts in t_permutation_cuts(n):
+            image = permstats.psi(sigma)
+            for w in cuts:
+                edges = list(itertools.accumulate((0,) + w.lam().parts))
+                expected = tuple(image[a:b] for a, b in zip(edges, edges[1:]))
+                assert psi_on_t(w).components == expected
 
     def test_cut_by_lambda(self):
         w = cut_by_lambda((2, 1, 3), TComposition((0, 3, 0)))

@@ -2,8 +2,9 @@ import json
 
 import pytest
 
-from qderiv import verify
+from qderiv import permstats, tcomb, verify
 from qderiv.fixtures import DEFAULT_FIXTURES
+from qderiv.tcomb import TPermutation
 from qderiv.verify import Bounds
 
 SMALL = Bounds(
@@ -138,3 +139,81 @@ class TestIndividualChecks:
 
     def test_q1_bridge(self):
         assert verify.check_q1_bridge(6).passed
+
+
+# -- fault injection into the bijection sweeps --------------------------------
+#
+# Each of 8.2, 3.1 and 3.bij fails under at least one of these faults.
+# Each fault fires only on words of one order that start with the letter 3,
+# so the worked examples (orders 9 and 11) still pass and the first failure
+# lies inside a sweep.  The expected report lines pin the sweep order, the
+# report indices and the exception texts.
+
+_real_psi = permstats.psi
+_real_star_delta_inv = tcomb.star_delta_inv
+
+
+def _fires(word, n):
+    return len(word) == n and tuple(word[:1]) == (3,)
+
+
+def _psi_identity(sigma):
+    # keeps every descent word; breaks inv = imaj
+    return tuple(sigma) if _fires(sigma, 5) else _real_psi(sigma)
+
+
+def _psi_reversed(sigma):
+    # breaks the descent word
+    image = _real_psi(sigma)
+    return image[::-1] if _fires(sigma, 5) else image
+
+
+def _delta_star_late(i, w):
+    # inserts the letter 1 before component i + 1 instead of i
+    shifted = [tuple(y + 1 for y in c) for c in w.components]
+    j = i + 1 if _fires(w.concat(), 4) else i
+    return TPermutation(tuple(shifted[:j] + [(1,)] + shifted[j:]))
+
+
+def _star_delta_inv_off(w):
+    i, back = _real_star_delta_inv(w)
+    return (i + 1 if _fires(w.concat(), 5) else i), back
+
+
+SWEEP_FAULTS = {
+    "psi-identity": (permstats, "psi", _psi_identity, {
+        "8.2": '{"first_discrepancy": {"actual": "3", "expected": "6", "index": '
+        '[5, [[], [3, 1, 2], [5, 4]], "inv=imaj"]}, "id": "8.2", "params": {"n_max": 5}, '
+        '"status": "fail"}',
+    }),
+    "psi-reversed": (permstats, "psi", _psi_reversed, {
+        "8.2": '{"first_discrepancy": {"actual": "ValueError(\'component shapes violate the '
+        'alternation rules: ((), (5, 4, 2), (1,), (3,), ())\')", "expected": "no exception", '
+        '"index": ["exception"]}, "id": "8.2", "params": {"perm_sweep_n": 5}, "status": "fail"}',
+    }),
+    "delta-star-late": (verify, "delta_star", _delta_star_late, {
+        "3.1": '{"first_discrepancy": {"actual": "frozenset({1, 3})", "expected": '
+        '"frozenset({3})", "index": ["sweep", 4, [[], [3, 1, 2], [4], []], 1, "delta*", '
+        '"iligne"]}, "id": "3.1", "params": {"n_max": 4}, "status": "fail"}',
+        "3.bij": '{"first_discrepancy": {"actual": "(2, ((), (3, 1, 2), (4,), ()))", '
+        '"expected": "(1, ((), (3, 1, 2), (4,), ()))", "index": [4, "delta*-roundtrip", 1]}, '
+        '"id": "3.bij", "params": {"n_max": 4}, "status": "fail"}',
+    }),
+    "star-delta-inv-off": (verify, "star_delta_inv", _star_delta_inv_off, {
+        "3.bij": '{"first_discrepancy": {"actual": "(3, ((), (2, 1, 3), (4,), ()))", '
+        '"expected": "(2, ((), (2, 1, 3), (4,), ()))", "index": [4, "*delta-roundtrip", 2]}, '
+        '"id": "3.bij", "params": {"n_max": 4}, "status": "fail"}',
+    }),
+}
+
+
+class TestSweepFaults:
+    @pytest.mark.parametrize("fault", sorted(SWEEP_FAULTS))
+    def test_fault_fails_with_recorded_report(self, monkeypatch, fault):
+        module, name, fake, expected = SWEEP_FAULTS[fault]
+        monkeypatch.setattr(module, name, fake)
+        reports = verify.run_checks(
+            verify.specs_for(["8.2", "3.1", "3.bij"]), Bounds(sweep_n=4, perm_sweep_n=5)
+        )
+        failing = {r.id: r.to_json_line() for r in reports if not r.passed}
+        assert failing == expected
