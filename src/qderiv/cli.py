@@ -207,7 +207,13 @@ def _cached_family(family: str, n_max: int, cache_dir: Optional[str]) -> Table:
             return cached
     table = build_family(family, n_max)
     if cache_dir:
-        cache_store(cache_dir, table)
+        # the table is already computed: a cache that cannot take it costs
+        # the next run, not this one
+        try:
+            cache_store(cache_dir, table)
+        except OSError as exc:
+            _log("warning: cache entry %s not written: %s"
+                 % (_cache_path(cache_dir, family, n_max), exc.strerror or exc))
     return table
 
 

@@ -183,13 +183,11 @@ def one_series(order: int, mode: str = Q_MODE, ring: str = RING_Q) -> DividedSer
 # -- q-exponentials and q-trigonometric constructors -------------------
 
 
-@lru_cache(maxsize=None)
 def e_q(order: int) -> DividedSeries:
     """First q-exponential: every divided coefficient is 1."""
     return DividedSeries(Q_MODE, RING_Q, (QPoly.one(),) * (order + 1))
 
 
-@lru_cache(maxsize=None)
 def E_q(order: int) -> DividedSeries:
     """Second q-exponential: f_n = q^(n(n-1)/2)."""
     return DividedSeries(

@@ -233,8 +233,7 @@ def _cut(word: Word, parts: Tuple[int, ...]) -> Tuple[Word, ...]:
 def t_permutation_cuts(
     n: int, bound: Optional[int] = None
 ) -> Iterator[Tuple[Word, Tuple[TPermutation, ...]]]:
-    """Each permutation sigma of 1..n that has a valid cut, with the
-    t-permutations cut from it.
+    """Each permutation sigma of 1..n, with the t-permutations cut from it.
 
     Permutations come in lexicographic order and the cuts of one in the
     order of ``enumerate_t_compositions``, so work that depends on sigma
@@ -244,8 +243,7 @@ def t_permutation_cuts(
     _guard(n, bound)
     for sigma in permstats.iter_permutations(n):
         cuts = _valid_cuts(n, _descent_bits(sigma))
-        if cuts:
-            yield sigma, tuple(TPermutation._trusted(_cut(sigma, parts)) for parts in cuts)
+        yield sigma, tuple(TPermutation._trusted(_cut(sigma, parts)) for parts in cuts)
 
 
 def enumerate_t_permutations(n: int, bound: Optional[int] = None) -> Iterator[TPermutation]:

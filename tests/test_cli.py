@@ -1,8 +1,10 @@
 import hashlib
 import json
 import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qderiv import cli, verify
 from qderiv.render import table_from_payload
@@ -297,6 +299,38 @@ class TestExportAndCache:
             assert code == 2 and out == ""
             assert err.startswith("error:") and str(not_a_dir) in err
             assert not out_path.exists()
+
+    @pytest.mark.parametrize("command", ("table", "export"))
+    def test_unwritable_cache_entry_warns(self, capsys, tmp_path, command):
+        cache = tmp_path / "cache"
+        entry = cache / "A_n3.json"
+        entry.mkdir(parents=True)
+        out_path = tmp_path / "a.json"
+        argv = [command, "A", "--n", "3", "--format", "json", "--cache-dir", str(cache)]
+        if command == "export":
+            argv += ["--out", str(out_path)]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0
+        warnings = [line for line in err.splitlines() if line.startswith("warning:")]
+        assert len(warnings) == 1
+        assert warnings[0].startswith("warning: cache entry %s not written: " % entry)
+        written = out if command == "table" else out_path.read_text()
+        assert table_from_payload(json.loads(written)) == cli.build_family("A", 3)
+        assert entry.is_dir() and sorted(p.name for p in cache.iterdir()) == ["A_n3.json"]
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.sampled_from(cli.TABLE_FAMILIES), st.integers(0, 6))
+    def test_cache_store_then_load_roundtrips(self, family, n):
+        table = cli.build_family(family, n)
+        with tempfile.TemporaryDirectory() as cache:
+            cli.cache_store(cache, table)
+            entry = os.path.join(cache, "%s_n%d.json" % (family, n))
+            with open(entry, "rb") as handle:
+                first = handle.read()
+            assert cli.cache_load(cache, family, n) == table
+            cli.cache_store(cache, table)
+            with open(entry, "rb") as handle:
+                assert handle.read() == first
 
     def test_deterministic_output(self, capsys):
         _, one, _ = run_cli(capsys, "table", "tq", "--n", "5", "--format", "json")

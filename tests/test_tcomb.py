@@ -200,6 +200,7 @@ class TestTPermutations:
     def test_cuts_grouped_by_permutation(self, n):
         walk = list(t_permutation_cuts(n))
         sigmas = [sigma for sigma, _ in walk]
+        assert sigmas == list(permstats.iter_permutations(n))
         assert sigmas == sorted(set(sigmas))
         with_a_cut = {w.concat() for w in naive_t_permutations(n)}
         assert set(sigmas) == with_a_cut

@@ -217,3 +217,34 @@ class TestSweepFaults:
         )
         failing = {r.id: r.to_json_line() for r in reports if not r.passed}
         assert failing == expected
+
+
+class TestCountingArguments:
+    """3.bij and 8.2 keep no images; their counts still catch a missed or
+    doubled image."""
+
+    def test_3_bij_partition_catches_a_missing_target(self, monkeypatch):
+        real = verify.enumerate_t_permutations
+
+        def skip_first_of_order_4(n, bound=None):
+            walk = real(n, bound)
+            if n == 4:
+                next(walk)
+            return walk
+
+        monkeypatch.setattr(verify, "enumerate_t_permutations", skip_first_of_order_4)
+        report = verify.check_3_bijections(4)
+        assert report.status == "fail"
+        assert report.first_discrepancy.index == (4, "partition")
+
+    def test_8_2_bijective_catches_a_shared_image(self, monkeypatch):
+        # (3, 4, 1, 2) and (1, 3, 2, 4) share their descent word and imaj,
+        # so only the count of distinct psi images can tell them apart
+        real = permstats.psi
+        shared = real((1, 3, 2, 4))
+        monkeypatch.setattr(
+            permstats, "psi", lambda sigma: shared if tuple(sigma) == (3, 4, 1, 2) else real(sigma)
+        )
+        report = verify.check_psi_on_t(5)
+        assert report.status == "fail"
+        assert report.first_discrepancy.index == (4, "bijective")
