@@ -5,12 +5,20 @@ are words whose letters are exactly 1..n.  The statistics extend to
 arbitrary words of distinct letters: a position i is a descent when
 w[i] > w[i+1]; a value v lies in the inverse descent set when v+1 occurs
 strictly earlier in the word than v.
+
+Alternation is read off the descent word (bit i True when w[i] > w[i+1]):
+a word is rising alternating, y1 < y2 > y3 < ..., when its descent word is
+``zigzag(len, True)``, descents at the odd bits, and falling alternating
+when it is ``zigzag(len, False)``.  The predicates, the t-permutation cuts
+in ``tcomb`` and the alternating-permutation generators read that pattern.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator, Sequence, Tuple
 
 Word = Tuple[int, ...]
@@ -63,26 +71,25 @@ def statistics(word: Sequence[int]) -> WordStats:
     )
 
 
+def descent_word(word: Sequence[int]) -> Tuple[bool, ...]:
+    """Bit i is True when position i is a descent, word[i] > word[i+1]."""
+    return tuple(map(operator.gt, word, word[1:]))
+
+
+@lru_cache(maxsize=None)
+def zigzag(length: int, rising: bool) -> Tuple[bool, ...]:
+    """Descent word of an alternating word of ``length`` letters."""
+    return tuple(i % 2 == rising for i in range(length - 1))
+
+
 def is_rising_alternating(word: Sequence[int]) -> bool:
     """y1 < y2 > y3 < ...; empty and one-letter words qualify."""
-    for i in range(len(word) - 1):
-        if i % 2 == 0:
-            if word[i] > word[i + 1]:
-                return False
-        elif word[i] < word[i + 1]:
-            return False
-    return True
+    return descent_word(word) == zigzag(len(word), True)
 
 
 def is_falling_alternating(word: Sequence[int]) -> bool:
     """y1 > y2 < y3 > ...; empty and one-letter words qualify."""
-    for i in range(len(word) - 1):
-        if i % 2 == 0:
-            if word[i] < word[i + 1]:
-                return False
-        elif word[i] > word[i + 1]:
-            return False
-    return True
+    return descent_word(word) == zigzag(len(word), False)
 
 
 def _check_permutation(word: Sequence[int]) -> Word:
@@ -151,9 +158,36 @@ def iter_permutations(n: int) -> Iterator[Word]:
     return itertools.permutations(range(1, n + 1))
 
 
+def _iter_alternating(n: int, rising: bool) -> Iterator[Word]:
+    """Permutations of 1..n with descent word ``zigzag(n, rising)``, in
+    lexicographic order: a prefix is extended only by letters that keep
+    its descent word on the pattern.  The stack is explicit, so no order
+    reaches the recursion limit.
+    """
+    pattern = zigzag(n + 1, rising)  # the spare last bit meets no free letter
+    word: list = []
+    used = [False] * (n + 1)
+    # stack[d]: the free letters still to try at position d, ascending;
+    # deeper levels restore ``used`` before this one resumes
+    stack = [iter(range(1, n + 1))]
+    while stack:
+        if len(word) == n:
+            yield tuple(word)
+        letter = next(stack[-1], 0)
+        if letter:
+            used[letter] = True
+            word.append(letter)
+            span = range(1, letter) if pattern[len(word) - 1] else range(letter + 1, n + 1)
+            stack.append(iter([v for v in span if not used[v]]))
+        else:
+            stack.pop()
+            if word:
+                used[word.pop()] = False
+
+
 def iter_rising_alternating(n: int) -> Iterator[Word]:
-    return (w for w in iter_permutations(n) if is_rising_alternating(w))
+    return _iter_alternating(n, True)
 
 
 def iter_falling_alternating(n: int) -> Iterator[Word]:
-    return (w for w in iter_permutations(n) if is_falling_alternating(w))
+    return _iter_alternating(n, False)

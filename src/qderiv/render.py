@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import re
 from dataclasses import dataclass
 from typing import List, Tuple
 
@@ -126,20 +127,7 @@ def _render_text(table: Table) -> str:
 
 
 def _latex_caret(text: str) -> str:
-    out = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "^":
-            j = i + 1
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            out.append("^{" + text[i + 1 : j] + "}")
-            i = j
-        else:
-            out.append(ch)
-            i += 1
-    return "".join(out).replace("*", "\\,")
+    return re.sub(r"\^([0-9]*)", r"^{\1}", text).replace("*", "\\,")
 
 
 def _render_latex(table: Table) -> str:

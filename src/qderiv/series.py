@@ -148,13 +148,11 @@ class DividedSeries:
         return DividedSeries(self.mode, self.ring, self.coeffs[: order + 1])
 
     def promote(self, ring: str) -> "DividedSeries":
-        """Embed coefficients into a larger ring (int -> q -> xq)."""
+        """Embed coefficients into the next larger ring: int -> q, q -> xq."""
         if ring == self.ring:
             return self
         if self.ring == RING_INT and ring == RING_Q:
             coeffs = tuple(QPoly((c,)) for c in self.coeffs)
-        elif self.ring == RING_INT and ring == RING_XQ:
-            coeffs = tuple(XQPoly((QPoly((c,)),)) if c else XQPoly.zero() for c in self.coeffs)
         elif self.ring == RING_Q and ring == RING_XQ:
             coeffs = tuple(XQPoly((c,)) if c else XQPoly.zero() for c in self.coeffs)
         else:
@@ -287,11 +285,10 @@ def scaled_tan_power(k: int, e: int, order: int) -> DividedSeries:
 def tan_product(parts, order: int) -> DividedSeries:
     """Product of tan_q(q^s u) over the proper prefix sums s of ``parts``.
 
-    Accepts a part sequence or any object carrying a ``parts`` tuple.
     The last part never contributes; a single-part sequence yields the
     unit series.
     """
-    parts = tuple(getattr(parts, "parts", parts))
+    parts = tuple(parts)
     if not parts:
         raise ValueError("tan_product needs at least one part")
     out = one_series(order)

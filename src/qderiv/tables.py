@@ -291,7 +291,7 @@ def oracle_all(n: int) -> Tuple[dict, dict, dict]:
         return {(0, 1, 0): _ONE}, {(-1, 0, 0): _ONE}, {(0, 0): _ONE}
     by_pos, by_inv = Counter(), Counter()
     for sigma in permstats.iter_permutations(n):
-        desc = tcomb._descent_bits(sigma)
+        desc = permstats.descent_word(sigma)
         st = permstats.statistics(sigma)
         by_pos[(desc, sigma.index(1), st.ides, st.imaj)] += 1
         by_inv[(desc, st.inv)] += 1

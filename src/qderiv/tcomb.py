@@ -20,7 +20,6 @@ cuts; ``enumerate_t_permutations`` is the same walk, flattened.
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Optional, Sequence, Tuple
@@ -126,7 +125,7 @@ class TPermutation:
         word = self.concat()
         if sorted(word) != list(range(1, len(word) + 1)):
             raise ValueError("concatenation is not a permutation: %r" % (comps,))
-        if not _is_valid_cut(tuple(map(len, comps)), _descent_bits(word)):
+        if not _is_valid_cut(tuple(map(len, comps)), permstats.descent_word(word)):
             raise ValueError("component shapes violate the alternation rules: %r" % (comps,))
 
     @property
@@ -175,20 +174,14 @@ class TPermutation:
 # -- enumeration by cutting permutations --------------------------------
 
 
-def _descent_bits(word: Word) -> Tuple[bool, ...]:
-    return tuple(map(operator.gt, word, word[1:]))
-
-
 def _cut_alternation_ok(desc: Tuple[bool, ...], parts: Tuple[int, ...]) -> bool:
-    # Component 0 is rising (descents at odd offsets); the rest are
-    # falling (descents at even offsets).  Length parities are already
-    # guaranteed by the t-composition.
+    # Component 0 is rising, the rest falling; each slice of ``desc``
+    # inside a component must be that zigzag.  Length parities are
+    # already guaranteed by the t-composition.
     p = 0
     for ci, length in enumerate(parts):
-        odd_descents = ci == 0
-        for t in range(length - 1):
-            if desc[p + t] != (t % 2 == (1 if odd_descents else 0)):
-                return False
+        if length and desc[p : p + length - 1] != permstats.zigzag(length, ci == 0):
+            return False
         p += length
     return True
 
@@ -242,7 +235,7 @@ def t_permutation_cuts(
     """
     _guard(n, bound)
     for sigma in permstats.iter_permutations(n):
-        cuts = _valid_cuts(n, _descent_bits(sigma))
+        cuts = _valid_cuts(n, permstats.descent_word(sigma))
         yield sigma, tuple(TPermutation._trusted(_cut(sigma, parts)) for parts in cuts)
 
 

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, NamedTuple, Optional, Tuple
 
 from qderiv import permstats, special
 from qderiv.fixtures import DEFAULT_FIXTURES
@@ -762,23 +763,10 @@ def check_7_combined(n_max: int) -> VerificationReport:
     return col.report
 
 
-def _alt_polys(n: int, stat: str) -> Tuple[QPoly, QPoly]:
-    """(rising, falling) alternating generating polynomials by inv or imaj."""
-    top = n * (n - 1) // 2
-    rising = [0] * (top + 1)
-    falling = [0] * (top + 1)
-    for sigma in permstats.iter_permutations(n):
-        up = permstats.is_rising_alternating(sigma)
-        down = permstats.is_falling_alternating(sigma)
-        if not (up or down):
-            continue
-        st = permstats.statistics(sigma)
-        value = st.inv if stat == "inv" else st.imaj
-        if up:
-            rising[value] += 1
-        if down:
-            falling[value] += 1
-    return QPoly(rising), QPoly(falling)
+def _alt_poly(words: Iterable[permstats.Word], stat: str) -> QPoly:
+    """Generating polynomial of ``words`` by the statistic ``stat``."""
+    counts = Counter(getattr(permstats.statistics(sigma), stat) for sigma in words)
+    return QPoly(counts[e] for e in range(max(counts) + 1))
 
 
 def check_alternating(check_id: str, n_max: int) -> VerificationReport:
@@ -787,7 +775,8 @@ def check_alternating(check_id: str, n_max: int) -> VerificationReport:
     stat = {"7.1": "inv", "7.imaj": "imaj"}[check_id]
     with _Collector(check_id, {"n_max": n_max}) as col:
         for n in range(n_max + 1):
-            rising, falling = _alt_polys(n, stat)
+            rising = _alt_poly(permstats.iter_rising_alternating(n), stat)
+            falling = _alt_poly(permstats.iter_falling_alternating(n), stat)
             if n % 2:
                 col.eq((n, "RA"), q_tangent_number(n), rising)
                 col.eq((n, "FA"), q_tangent_number(n), falling)
@@ -987,18 +976,11 @@ def check_subdiagonal(check_id: str, n_max: int) -> VerificationReport:
 
 
 def _tq_combinatorial(n: int) -> XQPoly:
-    counts: Dict[int, Dict[int, int]] = {}
-    for sigma in permstats.iter_rising_alternating(n):
-        st = permstats.statistics(sigma)
-        row = counts.setdefault(1 + st.ides, {})
-        row[st.imaj] = row.get(st.imaj, 0) + 1
-    top = max(counts, default=0)
-    polys = []
-    for j in range(top + 1):
-        row = counts.get(j, {})
-        width = max(row, default=-1) + 1
-        polys.append(QPoly(row.get(e, 0) for e in range(width)))
-    return XQPoly(polys)
+    """Rising alternating permutations of 1..n, each as x^(1+ides) q^imaj."""
+    stats = map(permstats.statistics, permstats.iter_rising_alternating(n))
+    counts = Counter((1 + st.ides, st.imaj) for st in stats)
+    width = n * (n - 1) // 2 + 1
+    return XQPoly(QPoly(counts[j, e] for e in range(width)) for j in range(n + 2))
 
 
 def check_tq(n_max: int) -> VerificationReport:

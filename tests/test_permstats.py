@@ -1,11 +1,14 @@
 import math
+import sys
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings, strategies
 
 from qderiv import permstats
 from qderiv.permstats import (
     complement_gamma,
+    descent_word,
     foata_phi,
     inv,
     is_falling_alternating,
@@ -13,12 +16,40 @@ from qderiv.permstats import (
     iter_falling_alternating,
     iter_permutations,
     iter_rising_alternating,
+    ligne,
     mirror_rho,
     psi,
     statistics,
 )
 
 WORKED = (4, 5, 11, 1, 3, 10, 7, 9, 6, 8, 2)
+
+
+def scan_rising_alternating(word):
+    """Reference: compare each adjacent pair with y1 < y2 > y3 < ..."""
+    for i in range(len(word) - 1):
+        if i % 2 == 0:
+            if word[i] > word[i + 1]:
+                return False
+        elif word[i] < word[i + 1]:
+            return False
+    return True
+
+
+def scan_falling_alternating(word):
+    """Reference: compare each adjacent pair with y1 > y2 < y3 > ..."""
+    for i in range(len(word) - 1):
+        if i % 2 == 0:
+            if word[i] < word[i + 1]:
+                return False
+        elif word[i] > word[i + 1]:
+            return False
+    return True
+
+
+distinct_words = strategies.lists(
+    strategies.integers(1, 40), max_size=12, unique=True
+).map(tuple)
 
 
 class TestStatistics:
@@ -68,6 +99,43 @@ class TestAlternating:
         assert len(list(iter_rising_alternating(1))) == 1
         assert len(list(iter_rising_alternating(3))) == 2
         assert len(list(iter_falling_alternating(4))) == 5
+
+    @settings(max_examples=200, deadline=None)
+    @given(distinct_words)
+    def test_predicates_match_pairwise_scan(self, word):
+        assert is_rising_alternating(word) == scan_rising_alternating(word)
+        assert is_falling_alternating(word) == scan_falling_alternating(word)
+
+    @settings(max_examples=100, deadline=None)
+    @given(distinct_words)
+    def test_descent_word_is_ligne(self, word):
+        bits = descent_word(word)
+        assert len(bits) == max(len(word) - 1, 0)
+        assert [i for i, bit in enumerate(bits) if bit] == sorted(i - 1 for i in ligne(word))
+
+    def test_generators_equal_filter_of_s_n(self):
+        # same words, same (lexicographic) order as filtering S_n
+        for n in range(10):
+            rising, falling = [], []
+            for sigma in iter_permutations(n):
+                if is_rising_alternating(sigma):
+                    rising.append(sigma)
+                if is_falling_alternating(sigma):
+                    falling.append(sigma)
+            assert list(iter_rising_alternating(n)) == rising
+            assert list(iter_falling_alternating(n)) == falling
+
+    def test_generator_needs_no_recursion_depth(self):
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(200)
+        try:
+            rising = next(iter_rising_alternating(300))
+            falling = next(iter_falling_alternating(301))
+        finally:
+            sys.setrecursionlimit(limit)
+        assert rising[:5] == (1, 3, 2, 5, 4) and sorted(rising) == list(range(1, 301))
+        assert falling[:5] == (2, 1, 4, 3, 6) and sorted(falling) == list(range(1, 302))
+        assert is_rising_alternating(rising) and is_falling_alternating(falling)
 
     def test_ligne_characterization(self):
         for n in range(7):

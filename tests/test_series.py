@@ -220,6 +220,8 @@ class TestPromotionAndJson:
         assert xq.ring == RING_XQ
         with pytest.raises(ValueError):
             xq.promote(RING_Q)
+        with pytest.raises(ValueError):
+            s.promote(RING_XQ)
 
     @staticmethod
     def decode(data):

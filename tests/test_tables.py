@@ -136,7 +136,7 @@ def oracle_per_permutation(n):
     zero = QPoly.zero()
     a_row, b_row, c_row = {}, {}, {}
     for sigma in permstats.iter_permutations(n):
-        desc = tcomb._descent_bits(sigma)
+        desc = permstats.descent_word(sigma)
         st = permstats.statistics(sigma)
         imaj_mono = QPoly.monomial(st.imaj)
         inv_mono = QPoly.monomial(st.inv)
