@@ -7,9 +7,11 @@ rendered family to a file).  Data goes to stdout, logs to stderr; exit
 codes: 0 success/all-pass, 1 verification failure, 2 usage error.
 
 Computed tables may be cached on disk, one file per (family, n): a stamp
-line, then the table's canonical JSON payload.  The stamp is a sha256 over
-a fingerprint of the package's source and the payload bytes, so an entry
-that is corrupt, in an older format or written by other code is recomputed.
+line, then the exact ``--format json`` output (about 2.8 MB for A at
+n = 14).  The stamp is a sha256 over a fingerprint of the package's source
+and those bytes, so an entry that is corrupt, in an older format or
+written by other code is recomputed.  A json hit writes the stored bytes
+as they are; other formats decode them into a table and render it.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from typing import Optional
 
 from qderiv import series as series_mod
 from qderiv import special, tcomb, verify
-from qderiv.render import FORMATS, Table, render, table_from_payload, table_to_payload
+from qderiv.render import FORMATS, Table, render, table_from_payload
 from qderiv.tables import KIND_AC, PolyTable, a_table, ac_table, b_table, oracle_all
 from qderiv.tcomb import BruteForceBoundError, alpha, beta
 
@@ -170,7 +172,8 @@ def _cache_path(cache_dir: str, family: str, n_max: int) -> str:
     return os.path.join(cache_dir, "%s_n%d.json" % (family, n_max))
 
 
-def cache_load(cache_dir: str, family: str, n_max: int) -> Optional[Table]:
+def cache_load(cache_dir: str, family: str, n_max: int) -> Optional[str]:
+    """The cached ``--format json`` text of (family, n_max), or None."""
     path = _cache_path(cache_dir, family, n_max)
     try:
         with open(path, "rb") as handle:
@@ -180,13 +183,14 @@ def cache_load(cache_dir: str, family: str, n_max: int) -> Optional[Table]:
     if stamp != _stamp(body):
         _log("cache entry %s failed validation; recomputing" % path)
         return None
-    return table_from_payload(json.loads(body))
+    return body.decode("utf-8")
 
 
-def cache_store(cache_dir: str, table: Table) -> None:
+def cache_store(cache_dir: str, family: str, n_max: int, text: str) -> None:
+    """Store ``text``, the ``--format json`` rendering of (family, n_max)."""
     os.makedirs(cache_dir, exist_ok=True)
-    body = json.dumps(table_to_payload(table), sort_keys=True, separators=(",", ":")).encode("ascii")
-    path = _cache_path(cache_dir, table.family, table.n_max)
+    body = text.encode("utf-8")
+    path = _cache_path(cache_dir, family, n_max)
     # write a temp file beside the entry and rename it into place, so an
     # interrupted or concurrent run never leaves a half-written entry
     fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
@@ -200,21 +204,26 @@ def cache_store(cache_dir: str, table: Table) -> None:
             os.unlink(tmp)
 
 
-def _cached_family(family: str, n_max: int, cache_dir: Optional[str]) -> Table:
-    if cache_dir:
-        cached = cache_load(cache_dir, family, n_max)
-        if cached is not None:
-            return cached
+def _render_family(family: str, n_max: int, fmt: str, cache_dir: Optional[str]) -> str:
+    """The family rendered in ``fmt``, through the cache when one is given.
+
+    A hit in json is the entry's text as stored; other formats decode it.
+    """
+    text = cache_load(cache_dir, family, n_max) if cache_dir else None
+    if text is not None:
+        return text if fmt == "json" else render(table_from_payload(json.loads(text)), fmt)
     table = build_family(family, n_max)
-    if cache_dir:
-        # the table is already computed: a cache that cannot take it costs
-        # the next run, not this one
-        try:
-            cache_store(cache_dir, table)
-        except OSError as exc:
-            _log("warning: cache entry %s not written: %s"
-                 % (_cache_path(cache_dir, family, n_max), exc.strerror or exc))
-    return table
+    if not cache_dir:
+        return render(table, fmt)
+    text = render(table, "json")
+    # the table is already computed: a cache that cannot take it costs
+    # the next run, not this one
+    try:
+        cache_store(cache_dir, family, n_max, text)
+    except OSError as exc:
+        _log("warning: cache entry %s not written: %s"
+             % (_cache_path(cache_dir, family, n_max), exc.strerror or exc))
+    return text if fmt == "json" else render(table, fmt)
 
 
 # -- argument parsing -------------------------------------------------------
@@ -278,8 +287,7 @@ def _resolve_cache_dir(flag_value: Optional[str]) -> Optional[str]:
 
 
 def _cmd_table(args) -> int:
-    table = _cached_family(args.family, args.n_max, args.cache_dir)
-    sys.stdout.write(render(table, args.format))
+    sys.stdout.write(_render_family(args.family, args.n_max, args.format, args.cache_dir))
     return 0
 
 
@@ -346,7 +354,7 @@ def _cmd_export(args) -> int:
         _log("error: cannot write %s: %s" % (args.out, exc.strerror or exc))
         return 2
     with handle:
-        handle.write(render(_cached_family(args.family, args.n_max, args.cache_dir), args.format))
+        handle.write(_render_family(args.family, args.n_max, args.format, args.cache_dir))
     _log("wrote %s" % args.out)
     return 0
 

@@ -2,7 +2,9 @@
 
 A rendered family is an intermediate ``Table``: named typed columns plus
 rows holding exact values (ints, polynomials, tuples).  The JSON form is
-the interchange/cache format and round-trips bit-exactly.
+the interchange format and round-trips bit-exactly; the disk cache stores
+``render(table, "json")`` byte for byte, so a json cache hit is the same
+text with no decode or re-encode.
 """
 
 from __future__ import annotations

@@ -91,31 +91,56 @@ def _comp_order(parts: Tuple[int, ...]) -> tuple:
 # -- route 1: recurrences ------------------------------------------------
 
 
+def _diagonal_sums(row: dict, k: int, d: int, from_end: bool) -> List[QPoly]:
+    """Partial sums of ``row`` along the anti-diagonal a + b = d at one k.
+
+    Entry i of the result sums the a < i (or, ``from_end``, the a >= i);
+    i runs over 0..d+1.
+    """
+    acc = _ZERO
+    out = [acc]
+    for a in range(d, -1, -1) if from_end else range(0, d + 1):
+        term = row.get((k, a, d - a))
+        if term:
+            acc = acc + term if acc else term
+        out.append(acc)
+    if from_end:
+        out.reverse()
+    return out
+
+
 def _fill_triple_row(prev: dict, n: int, relaxed_first_sum: bool) -> dict:
     """One recurrence step shared by the A and B triples.
 
     ``prev`` maps (k, a, b) of row n to polynomials; the result is row
     n+1.  The B variant relaxes the cap on the first sum (a' may reach
     a'+b'), which is the only difference between the two recurrences.
+
+    Target (k', a', b') with m' = a' + b' sums row n along the
+    anti-diagonals a + b = m' - 1 and a + b = m' + 1: the a below a cut at
+    k = k' - 1 and the a from the cut on at k = k'.  Every such range is a
+    prefix or a suffix of its diagonal, so each diagonal's partial sums
+    are built once and every target reads at most four of them.
     """
     cur: dict = {}
     for kp in range(0, n + 1):
+        heads = {d: _diagonal_sums(prev, kp - 1, d, False) for d in range(-1, n + 4)}
+        tails = {d: _diagonal_sums(prev, kp, d, True) for d in range(-1, n + 4)}
         for mp in range(0, n + 3):
+            below_head, below_tail = heads[mp - 1], tails[mp - 1]
+            above_head, above_tail = heads[mp + 1], tails[mp + 1]
             for ap in range(0, mp + 1):
-                bp = mp - ap
-                acc = _ZERO
-                if relaxed_first_sum or ap - 1 <= mp - 2:
-                    for a in range(0, ap):
-                        acc = acc + prev.get((kp - 1, a, mp - 1 - a), _ZERO)
+                parts = [above_head[ap + 1], above_tail[ap + 1]]
+                if relaxed_first_sum or ap <= mp - 1:
+                    parts.append(below_head[ap])
                 if ap >= 1:
-                    for a in range(ap, mp):
-                        acc = acc + prev.get((kp, a, mp - 1 - a), _ZERO)
-                for a in range(0, ap + 1):
-                    acc = acc + prev.get((kp - 1, a, mp + 1 - a), _ZERO)
-                for a in range(ap + 1, mp + 2):
-                    acc = acc + prev.get((kp, a, mp + 1 - a), _ZERO)
+                    parts.append(below_tail[ap])
+                acc = _ZERO
+                for part in parts:
+                    if part:
+                        acc = acc + part if acc else part
                 if acc:
-                    cur[(kp, ap, bp)] = acc.shift(kp)
+                    cur[(kp, ap, mp - ap)] = acc.shift(kp)
     return cur
 
 

@@ -763,16 +763,20 @@ def check_7_combined(n_max: int) -> VerificationReport:
     return col.report
 
 
-def _alt_poly(words: Iterable[permstats.Word], stat: str) -> QPoly:
+def _alt_poly(words: Iterable[permstats.Word], stat: Callable[[permstats.Word], int]) -> QPoly:
     """Generating polynomial of ``words`` by the statistic ``stat``."""
-    counts = Counter(getattr(permstats.statistics(sigma), stat) for sigma in words)
+    counts = Counter(map(stat, words))
     return QPoly(counts[e] for e in range(max(counts) + 1))
+
+
+def _imaj(word: permstats.Word) -> int:
+    return sum(permstats.iligne(word))
 
 
 def check_alternating(check_id: str, n_max: int) -> VerificationReport:
     """7.1 (by inv) and 7.imaj (by imaj): alternating permutations are
     counted by the q-tangent and q-secant numbers."""
-    stat = {"7.1": "inv", "7.imaj": "imaj"}[check_id]
+    stat = {"7.1": permstats.inv, "7.imaj": _imaj}[check_id]
     with _Collector(check_id, {"n_max": n_max}) as col:
         for n in range(n_max + 1):
             rising = _alt_poly(permstats.iter_rising_alternating(n), stat)
@@ -977,8 +981,8 @@ def check_subdiagonal(check_id: str, n_max: int) -> VerificationReport:
 
 def _tq_combinatorial(n: int) -> XQPoly:
     """Rising alternating permutations of 1..n, each as x^(1+ides) q^imaj."""
-    stats = map(permstats.statistics, permstats.iter_rising_alternating(n))
-    counts = Counter((1 + st.ides, st.imaj) for st in stats)
+    ilignes = map(permstats.iligne, permstats.iter_rising_alternating(n))
+    counts = Counter((1 + len(ilg), sum(ilg)) for ilg in ilignes)
     width = n * (n - 1) // 2 + 1
     return XQPoly(QPoly(counts[j, e] for e in range(width)) for j in range(n + 2))
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qderiv import cli, verify
-from qderiv.render import table_from_payload
+from qderiv.render import render, table_from_payload
 from qderiv.ring import QPoly
 from qderiv.tables import a_table
 
@@ -197,7 +197,8 @@ class TestExportAndCache:
         # flip one byte of the body, keeping it valid JSON: the stamp no
         # longer matches, so the table is recomputed and rewritten
         entry = bytearray(cache_file.read_bytes())
-        at = entry.index(b'"coeffs":["', entry.index(b"\n")) + len(b'"coeffs":["')
+        coeffs = entry.index(b'"coeffs": [', entry.index(b"\n")) + len(b'"coeffs": [')
+        at = entry.index(b'"', coeffs) + 1
         entry[at] = ord("7") if entry[at] != ord("7") else ord("8")
         cache_file.write_bytes(bytes(entry))
         code, third, err = run_cli(
@@ -223,24 +224,25 @@ class TestExportAndCache:
         def failing_rename(src, dst):
             raise OSError("rename failed")
 
+        text = render(cli.build_family("A", 2), "json")
         # the temp file's write fails part way, or its rename into place
         for owner, name, failing in ((cli, "open", failing_write), (os, "replace", failing_rename)):
             # no entry yet: a failed write leaves neither an entry nor a temp file
             with monkeypatch.context() as patch:
                 patch.setattr(owner, name, failing, raising=False)
                 with pytest.raises(OSError):
-                    cli.cache_store(str(cache), cli.build_family("A", 2))
+                    cli.cache_store(str(cache), "A", 2, text)
             assert list(cache.iterdir()) == []
             # an existing entry survives a failed rewrite byte for byte
-            cli.cache_store(str(cache), cli.build_family("A", 2))
+            cli.cache_store(str(cache), "A", 2, text)
             before = entry.read_bytes()
             with monkeypatch.context() as patch:
                 patch.setattr(owner, name, failing, raising=False)
                 with pytest.raises(OSError):
-                    cli.cache_store(str(cache), cli.build_family("A", 2))
+                    cli.cache_store(str(cache), "A", 2, text)
             assert entry.read_bytes() == before
             assert [p.name for p in cache.iterdir()] == ["A_n2.json"]
-            assert cli.cache_load(str(cache), "A", 2) == cli.build_family("A", 2)
+            assert cli.cache_load(str(cache), "A", 2) == text
             entry.unlink()
 
     def test_cache_stale_entries_recomputed(self, capsys, tmp_path, monkeypatch):
@@ -322,15 +324,47 @@ class TestExportAndCache:
     @given(st.sampled_from(cli.TABLE_FAMILIES), st.integers(0, 6))
     def test_cache_store_then_load_roundtrips(self, family, n):
         table = cli.build_family(family, n)
+        text = render(table, "json")
         with tempfile.TemporaryDirectory() as cache:
-            cli.cache_store(cache, table)
+            cli.cache_store(cache, family, n, text)
             entry = os.path.join(cache, "%s_n%d.json" % (family, n))
             with open(entry, "rb") as handle:
                 first = handle.read()
-            assert cli.cache_load(cache, family, n) == table
-            cli.cache_store(cache, table)
+            loaded = cli.cache_load(cache, family, n)
+            assert loaded == text
+            assert table_from_payload(json.loads(loaded)) == table
+            cli.cache_store(cache, family, n, text)
             with open(entry, "rb") as handle:
                 assert handle.read() == first
+
+    @pytest.mark.parametrize("family", cli.TABLE_FAMILIES)
+    def test_cache_serves_every_format(self, capsys, tmp_path, monkeypatch, family):
+        n = "6"
+        plain = {
+            fmt: run_cli(capsys, "table", family, "--n", n, "--format", fmt)[1]
+            for fmt in ("json", "text", "latex", "csv")
+        }
+        body = render(cli.build_family(family, 6), "json").encode("utf-8")
+        for miss, hit in (("text", "json"), ("json", "text")):
+            cache = tmp_path / ("from-" + miss)
+            argv = ("table", family, "--n", n, "--cache-dir", str(cache))
+            code, out, err = run_cli(capsys, *argv, "--format", miss)
+            assert code == 0 and out == plain[miss] and err == ""
+            entry = cache / ("%s_n%s.json" % (family, n))
+            assert entry.read_bytes().partition(b"\n")[2] == body
+            with monkeypatch.context() as patch:
+                patch.setattr(cli, "build_family", lambda *args: pytest.fail("table computed"))
+                code, out, err = run_cli(capsys, *argv, "--format", hit)
+            assert code == 0 and out == plain[hit] and err == ""
+        # an entry written by a json miss serves latex and csv exports
+        monkeypatch.setattr(cli, "build_family", lambda *args: pytest.fail("table computed"))
+        for fmt in ("latex", "csv"):
+            out_path = tmp_path / ("out." + fmt)
+            code, _, _ = run_cli(
+                capsys, "export", family, "--n", n, "--format", fmt, "--out", str(out_path),
+                "--cache-dir", str(tmp_path / "from-json"),
+            )
+            assert code == 0 and out_path.read_text() == plain[fmt]
 
     def test_deterministic_output(self, capsys):
         _, one, _ = run_cli(capsys, "table", "tq", "--n", "5", "--format", "json")

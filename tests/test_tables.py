@@ -8,6 +8,7 @@ from qderiv.cli import TABLE_FAMILIES, build_family, build_oracle
 from qderiv.render import table_from_payload, table_to_payload
 from qderiv.ring import QPoly
 from qderiv.tables import (
+    _fill_triple_row,
     a_table,
     ac_table,
     b_table,
@@ -127,6 +128,41 @@ class TestRewriteEngines:
         assert rewrite(n) == row
         if kind == "Ac":
             assert rewrite_comp_sec(n) == {c: p for c, p in row.items() if c[-1] == 0}
+
+
+def reference_triple_row(prev, n, relaxed_first_sum):
+    """Row n+1 of A or B, each of the four sums summed term by term."""
+    zero = QPoly.zero()
+    cur = {}
+    for kp in range(0, n + 1):
+        for mp in range(0, n + 3):
+            for ap in range(0, mp + 1):
+                bp = mp - ap
+                acc = zero
+                if relaxed_first_sum or ap - 1 <= mp - 2:
+                    for a in range(0, ap):
+                        acc = acc + prev.get((kp - 1, a, mp - 1 - a), zero)
+                if ap >= 1:
+                    for a in range(ap, mp):
+                        acc = acc + prev.get((kp, a, mp - 1 - a), zero)
+                for a in range(0, ap + 1):
+                    acc = acc + prev.get((kp - 1, a, mp + 1 - a), zero)
+                for a in range(ap + 1, mp + 2):
+                    acc = acc + prev.get((kp, a, mp + 1 - a), zero)
+                if acc:
+                    cur[(kp, ap, bp)] = acc.shift(kp)
+    return cur
+
+
+class TestTripleRowStep:
+    @pytest.mark.parametrize("table, relaxed", ((a_table, False), (b_table, True)))
+    def test_prefix_sums_equal_term_by_term_sums(self, table, relaxed):
+        rows = table(12).rows
+        for n in range(12):
+            expected = reference_triple_row(rows[n], n, relaxed)
+            actual = _fill_triple_row(rows[n], n, relaxed)
+            assert list(actual.items()) == list(expected.items())
+            assert list(rows[n + 1].items()) == list(expected.items())
 
 
 def oracle_per_permutation(n):
