@@ -360,26 +360,22 @@ def _cmd_export(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     if args.command in ("table", "export"):
         try:
             args.cache_dir = _resolve_cache_dir(args.cache_dir)
         except OSError as exc:
             _log("error: unusable cache directory: %s" % exc)
             return 2
-    if args.command == "table":
-        return _cmd_table(args)
-    if args.command == "oracle":
-        return _cmd_oracle(args)
-    if args.command == "verify":
-        return _cmd_verify(args)
-    if args.command == "series":
-        return _cmd_series(args)
-    if args.command == "export":
-        return _cmd_export(args)
-    parser.error("unknown command")
-    return 2
+    # the subparsers are required, so the command is always one of these
+    commands = {
+        "table": _cmd_table,
+        "oracle": _cmd_oracle,
+        "verify": _cmd_verify,
+        "series": _cmd_series,
+        "export": _cmd_export,
+    }
+    return commands[args.command](args)
 
 
 if __name__ == "__main__":

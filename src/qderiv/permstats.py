@@ -9,8 +9,9 @@ strictly earlier in the word than v.
 Alternation is read off the descent word (bit i True when w[i] > w[i+1]):
 a word is rising alternating, y1 < y2 > y3 < ..., when its descent word is
 ``zigzag(len, True)``, descents at the odd bits, and falling alternating
-when it is ``zigzag(len, False)``.  The predicates, the t-permutation cuts
-in ``tcomb`` and the alternating-permutation generators read that pattern.
+when it is ``zigzag(len, False)``.  ``is_falling_alternating``, the
+t-permutation cuts in ``tcomb`` and the alternating-permutation generators
+read that pattern.
 """
 
 from __future__ import annotations
@@ -80,11 +81,6 @@ def descent_word(word: Sequence[int]) -> Tuple[bool, ...]:
 def zigzag(length: int, rising: bool) -> Tuple[bool, ...]:
     """Descent word of an alternating word of ``length`` letters."""
     return tuple(i % 2 == rising for i in range(length - 1))
-
-
-def is_rising_alternating(word: Sequence[int]) -> bool:
-    """y1 < y2 > y3 < ...; empty and one-letter words qualify."""
-    return descent_word(word) == zigzag(len(word), True)
 
 
 def is_falling_alternating(word: Sequence[int]) -> bool:

@@ -8,7 +8,9 @@ pair (0, 0).
 
 A t-permutation of order n is a sequence of words whose concatenation is
 a permutation of 1..n, the first word rising alternating, the others
-falling alternating, with lengths forming a t-composition.
+falling alternating, with lengths forming a t-composition.  It is stored
+flat, as that permutation ``word`` and the block lengths ``parts``; its
+``components`` are sliced from the pair on demand.
 
 Every t-permutation is a cut of the permutation it concatenates to, and
 which cuts are valid depends only on that permutation's descent word.
@@ -19,6 +21,7 @@ cuts; ``enumerate_t_permutations`` is the same walk, flattened.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
@@ -113,53 +116,70 @@ def _composition(parts: Tuple[int, ...]) -> TComposition:
     return TComposition(parts)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class TPermutation:
-    components: Tuple[Word, ...]
+    """A permutation ``word`` cut into blocks of lengths ``parts``."""
+
+    word: Word
+    parts: Tuple[int, ...]
+
+    def __init__(self, components: Sequence[Sequence[int]]):
+        comps = tuple(map(tuple, components))
+        object.__setattr__(self, "word", tuple(itertools.chain.from_iterable(comps)))
+        object.__setattr__(self, "parts", tuple(map(len, comps)))
+        self.__post_init__()
+
+    @classmethod
+    def _flat(cls, word: Word, parts: Tuple[int, ...], check: bool = True) -> "TPermutation":
+        """Build from the flat pair; ``check=False`` only for cuts known valid."""
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "word", word)
+        object.__setattr__(obj, "parts", parts)
+        if check:
+            obj.__post_init__()
+        return obj
 
     def __post_init__(self):
-        comps = tuple(map(tuple, self.components))
-        object.__setattr__(self, "components", comps)
-        if not comps:
+        # the one validation hook: both constructors call it
+        word, parts = self.word, self.parts
+        if not parts:
             raise ValueError("a t-permutation has at least one component")
-        word = self.concat()
+        if sum(parts) != len(word):
+            raise ValueError("block lengths %r do not cut a word of length %d" % (parts, len(word)))
         if sorted(word) != list(range(1, len(word) + 1)):
-            raise ValueError("concatenation is not a permutation: %r" % (comps,))
-        if not _is_valid_cut(tuple(map(len, comps)), permstats.descent_word(word)):
-            raise ValueError("component shapes violate the alternation rules: %r" % (comps,))
+            raise ValueError("concatenation is not a permutation: %r" % (self.components,))
+        if not _is_valid_cut(parts, permstats.descent_word(word)):
+            raise ValueError("component shapes violate the alternation rules: %r" % (self.components,))
+
+    @property
+    def components(self) -> Tuple[Word, ...]:
+        edges = tuple(itertools.accumulate(self.parts, initial=0))
+        return tuple(self.word[a:b] for a, b in zip(edges, edges[1:]))
 
     @property
     def n(self) -> int:
-        return sum(len(w) for w in self.components)
+        return len(self.word)
 
     @property
     def mu(self) -> int:
-        return len(self.components) - 1
+        return len(self.parts) - 1
 
     def concat(self) -> Word:
-        return tuple(itertools.chain.from_iterable(self.components))
-
-    @classmethod
-    def _trusted(cls, components: Tuple[Word, ...]) -> "TPermutation":
-        """Wrap components that are valid by construction, skipping the checks."""
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "components", components)
-        return obj
+        return self.word
 
     def lam(self) -> TComposition:
-        return _composition(tuple(map(len, self.components)))
+        return _composition(self.parts)
 
     def min_component(self) -> Optional[int]:
         """Index of the component containing the letter 1; None when n = 0."""
-        for a, w in enumerate(self.components):
-            if 1 in w:
-                return a
-        return None
+        if not self.word:
+            return None
+        return bisect.bisect_right(tuple(itertools.accumulate(self.parts)), self.word.index(1))
 
     def stats(self) -> permstats.WordStats:
         """Statistics of the concatenated word; ``lam()``, ``mu`` and
         ``min_component()`` are read from the t-permutation itself."""
-        return permstats.statistics(self.concat())
+        return permstats.statistics(self.word)
 
     def is_first_kind(self) -> bool:
         """True when 1 occurs as a one-letter component that can be deleted.
@@ -168,7 +188,7 @@ class TPermutation:
         only component would not leave a t-permutation, and the insertion
         bijections classify it as a gluing image.
         """
-        return self.mu >= 1 and (1,) in self.components
+        return self.mu >= 1 and self.n > 0 and self.parts[self.min_component()] == 1
 
 
 # -- enumeration by cutting permutations --------------------------------
@@ -214,15 +234,6 @@ def _valid_cuts(n: int, desc: Tuple[bool, ...]) -> Tuple[Tuple[int, ...], ...]:
     )
 
 
-def _cut(word: Word, parts: Tuple[int, ...]) -> Tuple[Word, ...]:
-    out = []
-    p = 0
-    for length in parts:
-        out.append(word[p : p + length])
-        p += length
-    return tuple(out)
-
-
 def t_permutation_cuts(
     n: int, bound: Optional[int] = None
 ) -> Iterator[Tuple[Word, Tuple[TPermutation, ...]]]:
@@ -236,7 +247,7 @@ def t_permutation_cuts(
     _guard(n, bound)
     for sigma in permstats.iter_permutations(n):
         cuts = _valid_cuts(n, permstats.descent_word(sigma))
-        yield sigma, tuple(TPermutation._trusted(_cut(sigma, parts)) for parts in cuts)
+        yield sigma, tuple(TPermutation._flat(sigma, parts, check=False) for parts in cuts)
 
 
 def enumerate_t_permutations(n: int, bound: Optional[int] = None) -> Iterator[TPermutation]:
@@ -247,64 +258,61 @@ def enumerate_t_permutations(n: int, bound: Optional[int] = None) -> Iterator[TP
 
 def cut_by_lambda(sigma: Word, comp: TComposition) -> TPermutation:
     """Cut a permutation into consecutive blocks with the given lengths."""
-    return TPermutation(_cut(tuple(sigma), comp.parts))
+    return TPermutation._flat(tuple(sigma), comp.parts)
 
 
 # -- the two insertion bijections ---------------------------------------
 
 
-def _incremented(components: Tuple[Word, ...]) -> list:
-    return [tuple(y + 1 for y in w) for w in components]
+def _insert_one(i: int, w: TPermutation, glue: bool) -> TPermutation:
+    """Shift w up and put the letter 1 at the start of block i; it becomes a
+    block of its own, or with ``glue`` joins blocks i-1 and i."""
+    if not 1 <= i <= w.mu:
+        raise ValueError("index %d out of range 1..%d" % (i, w.mu))
+    parts = w.parts
+    p = sum(parts[:i])
+    word = tuple(y + 1 for y in w.word)
+    middle = (parts[i - 1] + 1 + parts[i],) if glue else (parts[i - 1], 1, parts[i])
+    return TPermutation._flat(word[:p] + (1,) + word[p:], parts[: i - 1] + middle + parts[i + 1 :])
 
 
 def delta_star(i: int, w: TPermutation) -> TPermutation:
     """Insert the one-letter word 1 before component i of the shifted word."""
-    if not 1 <= i <= w.mu:
-        raise ValueError("index %d out of range 1..%d" % (i, w.mu))
-    inc = _incremented(w.components)
-    return TPermutation(tuple(inc[:i] + [(1,)] + inc[i:]))
+    return _insert_one(i, w, glue=False)
 
 
 def star_delta(i: int, w: TPermutation) -> TPermutation:
     """Glue components i-1 and i of the shifted word around the letter 1."""
-    if not 1 <= i <= w.mu:
-        raise ValueError("index %d out of range 1..%d" % (i, w.mu))
-    inc = _incremented(w.components)
-    merged = inc[i - 1] + (1,) + inc[i]
-    return TPermutation(tuple(inc[: i - 1] + [merged] + inc[i + 1 :]))
+    return _insert_one(i, w, glue=True)
 
 
-def _decremented(components: Sequence[Word]) -> Tuple[Word, ...]:
-    return tuple(tuple(y - 1 for y in w) for w in components)
+def _remove_one(w: TPermutation, first_kind: bool) -> Tuple[int, TPermutation]:
+    """Delete the letter 1 and shift down.  Its block a goes (first kind,
+    giving back a) or is split at the 1 (second kind, giving back a + 1)."""
+    if w.n == 0 or w.is_first_kind() != first_kind:
+        raise ValueError("not of the %s kind" % ("first" if first_kind else "second"))
+    parts = w.parts
+    a = w.min_component()
+    j = w.word.index(1) - sum(parts[:a])
+    middle = () if first_kind else (j, parts[a] - 1 - j)
+    word = tuple(y - 1 for y in w.word if y != 1)
+    back = TPermutation._flat(word, parts[:a] + middle + parts[a + 1 :])
+    return (a if first_kind else a + 1), back
 
 
 def delta_star_inv(w: TPermutation) -> Tuple[int, TPermutation]:
     """Inverse of ``delta_star``: delete the one-letter 1 and shift down."""
-    comps = w.components
-    try:
-        a = comps.index((1,))
-    except ValueError:
-        raise ValueError("not of the first kind: no one-letter component 1")
-    rest = comps[:a] + comps[a + 1 :]
-    return a, TPermutation(_decremented(rest))
+    return _remove_one(w, first_kind=True)
 
 
 def star_delta_inv(w: TPermutation) -> Tuple[int, TPermutation]:
     """Inverse of ``star_delta``: split the component carrying 1."""
-    for a, comp in enumerate(w.components):
-        if 1 in comp and (len(comp) > 1 or w.mu == 0):
-            j = comp.index(1)
-            pieces = (
-                w.components[:a] + (comp[:j], comp[j + 1 :]) + w.components[a + 1 :]
-            )
-            return a + 1, TPermutation(_decremented(pieces))
-    raise ValueError("not of the second kind: 1 is not inside a longer component")
+    return _remove_one(w, first_kind=False)
 
 
 def psi_on_t(w: TPermutation) -> TPermutation:
     """Apply the descent-preserving bijection to the concatenation and re-cut."""
-    image = permstats.psi(w.concat())
-    return cut_by_lambda(image, w.lam())
+    return TPermutation._flat(permstats.psi(w.word), w.parts)
 
 
 # -- counting layer ------------------------------------------------------

@@ -12,7 +12,6 @@ from qderiv.permstats import (
     foata_phi,
     inv,
     is_falling_alternating,
-    is_rising_alternating,
     iter_falling_alternating,
     iter_permutations,
     iter_rising_alternating,
@@ -20,6 +19,7 @@ from qderiv.permstats import (
     mirror_rho,
     psi,
     statistics,
+    zigzag,
 )
 
 WORKED = (4, 5, 11, 1, 3, 10, 7, 9, 6, 8, 2)
@@ -88,11 +88,11 @@ class TestStatistics:
 
 class TestAlternating:
     def test_examples(self):
-        assert is_rising_alternating((1, 3, 2))
+        assert descent_word((1, 3, 2)) == zigzag(3, True)
         assert not is_falling_alternating((1, 3, 2))
-        assert is_rising_alternating(())
+        assert descent_word(()) == zigzag(0, True)
         assert is_falling_alternating(())
-        assert is_rising_alternating((1, 2))
+        assert descent_word((1, 2)) == zigzag(2, True)
         assert not is_falling_alternating((1, 2))
 
     def test_counts(self):
@@ -103,7 +103,7 @@ class TestAlternating:
     @settings(max_examples=200, deadline=None)
     @given(distinct_words)
     def test_predicates_match_pairwise_scan(self, word):
-        assert is_rising_alternating(word) == scan_rising_alternating(word)
+        assert (descent_word(word) == zigzag(len(word), True)) == scan_rising_alternating(word)
         assert is_falling_alternating(word) == scan_falling_alternating(word)
 
     @settings(max_examples=100, deadline=None)
@@ -118,7 +118,7 @@ class TestAlternating:
         for n in range(10):
             rising, falling = [], []
             for sigma in iter_permutations(n):
-                if is_rising_alternating(sigma):
+                if descent_word(sigma) == zigzag(len(sigma), True):
                     rising.append(sigma)
                 if is_falling_alternating(sigma):
                     falling.append(sigma)
@@ -135,7 +135,7 @@ class TestAlternating:
             sys.setrecursionlimit(limit)
         assert rising[:5] == (1, 3, 2, 5, 4) and sorted(rising) == list(range(1, 301))
         assert falling[:5] == (2, 1, 4, 3, 6) and sorted(falling) == list(range(1, 302))
-        assert is_rising_alternating(rising) and is_falling_alternating(falling)
+        assert descent_word(rising) == zigzag(len(rising), True) and is_falling_alternating(falling)
 
     def test_ligne_characterization(self):
         for n in range(7):
@@ -144,7 +144,7 @@ class TestAlternating:
                 odds = frozenset(range(1, n, 2))
                 evens = frozenset(range(2, n, 2))
                 assert is_falling_alternating(sigma) == (st.ligne == odds)
-                assert is_rising_alternating(sigma) == (st.ligne == evens)
+                assert (descent_word(sigma) == zigzag(len(sigma), True)) == (st.ligne == evens)
 
 
 class TestElementaryBijections:

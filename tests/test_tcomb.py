@@ -4,8 +4,8 @@ import math
 
 import pytest
 
-from qderiv import permstats
-from qderiv.permstats import is_falling_alternating, is_rising_alternating
+from qderiv import permstats, tcomb
+from qderiv.permstats import descent_word, is_falling_alternating, zigzag
 from qderiv.ring import QPoly
 from qderiv.tcomb import (
     BruteForceBoundError,
@@ -49,9 +49,9 @@ def old_rule_accepts(comps):
     rising alternating, the others falling alternating; a single word of
     odd length, else even end words and odd interior words."""
     if len(comps) == 1:
-        return is_rising_alternating(comps[0]) and len(comps[0]) % 2 == 1
+        return descent_word(comps[0]) == zigzag(len(comps[0]), True) and len(comps[0]) % 2 == 1
     return (
-        is_rising_alternating(comps[0])
+        descent_word(comps[0]) == zigzag(len(comps[0]), True)
         and len(comps[0]) % 2 == 0
         and is_falling_alternating(comps[-1])
         and len(comps[-1]) % 2 == 0
@@ -72,6 +72,64 @@ def alpha_closed(n, m):
         return n % 2
     free = n - m + 1
     return 0 if free < 0 or free % 2 else math.comb(free // 2 + m, m)
+
+
+# -- the component-tuple form, kept as the reference for the flat one -----
+
+
+def reference_cut(word, parts):
+    out = []
+    p = 0
+    for length in parts:
+        out.append(word[p : p + length])
+        p += length
+    return tuple(out)
+
+
+def reference_t_permutation_cuts(n):
+    """The walk of ``t_permutation_cuts``, each cut a tuple of components."""
+    for sigma in permstats.iter_permutations(n):
+        for parts in tcomb._valid_cuts(n, descent_word(sigma)):
+            yield reference_cut(sigma, parts)
+
+
+def reference_incremented(comps):
+    return [tuple(y + 1 for y in c) for c in comps]
+
+
+def reference_decremented(comps):
+    return tuple(tuple(y - 1 for y in c) for c in comps)
+
+
+def reference_delta_star(i, comps):
+    inc = reference_incremented(comps)
+    return tuple(inc[:i] + [(1,)] + inc[i:])
+
+
+def reference_star_delta(i, comps):
+    inc = reference_incremented(comps)
+    return tuple(inc[: i - 1] + [inc[i - 1] + (1,) + inc[i]] + inc[i + 1 :])
+
+
+def reference_delta_star_inv(comps):
+    a = comps.index((1,))
+    return a, reference_decremented(comps[:a] + comps[a + 1 :])
+
+
+def reference_star_delta_inv(comps):
+    for a, comp in enumerate(comps):
+        if 1 in comp and (len(comp) > 1 or len(comps) == 1):
+            j = comp.index(1)
+            return a + 1, reference_decremented(comps[:a] + (comp[:j], comp[j + 1 :]) + comps[a + 1 :])
+    raise ValueError("not of the second kind")
+
+
+def reference_min_component(comps):
+    return next((a for a, c in enumerate(comps) if 1 in c), None)
+
+
+def reference_is_first_kind(comps):
+    return len(comps) >= 2 and (1,) in comps
 
 
 class TestTCompositions:
@@ -326,6 +384,49 @@ class TestPsiLift:
     def test_cut_by_lambda(self):
         w = cut_by_lambda((2, 1, 3), TComposition((0, 3, 0)))
         assert w.components == ((), (2, 1, 3), ())
+
+    def test_cut_by_lambda_of_another_order(self):
+        # a composition of another order neither drops letters nor cuts a
+        # t-permutation of the wrong order
+        with pytest.raises(ValueError, match="block lengths"):
+            cut_by_lambda((1, 2, 3), TComposition((1,)))
+        with pytest.raises(ValueError, match="block lengths"):
+            cut_by_lambda((2, 1, 3, 4), TComposition((0, 1, 1, 0)))
+        with pytest.raises(ValueError, match="block lengths"):
+            cut_by_lambda((1,), TComposition((0, 1, 1, 0)))
+
+
+class TestFlatAgainstComponentReference:
+    @pytest.mark.parametrize("n", range(7))
+    def test_bijections_and_kinds(self, n):
+        for w in enumerate_t_permutations(n):
+            comps = w.components
+            assert TPermutation(comps) == w and hash(TPermutation(comps)) == hash(w)
+            assert w.min_component() == reference_min_component(comps)
+            assert w.is_first_kind() == reference_is_first_kind(comps)
+            for i in range(1, w.mu + 1):
+                for insert, ref_insert, invert, ref_invert, wrong_invert in (
+                    (delta_star, reference_delta_star, delta_star_inv, reference_delta_star_inv, star_delta_inv),
+                    (star_delta, reference_star_delta, star_delta_inv, reference_star_delta_inv, delta_star_inv),
+                ):
+                    image = insert(i, w)
+                    ref_image = ref_insert(i, comps)
+                    assert image.components == ref_image
+                    assert image.min_component() == reference_min_component(ref_image)
+                    assert image.is_first_kind() == reference_is_first_kind(ref_image)
+                    back_i, back = invert(image)
+                    assert (back_i, back.components) == ref_invert(ref_image) == (i, comps)
+                    with pytest.raises(ValueError):
+                        wrong_invert(image)
+
+    def test_walk_of_order_7(self):
+        flat = [w.components for w in enumerate_t_permutations(7)]
+        assert flat == list(reference_t_permutation_cuts(7))
+
+    def test_flat_pair(self):
+        assert W_EXAMPLE.word == (4, 5, 11, 1, 3, 10, 7, 9, 6, 8, 2)
+        assert W_EXAMPLE.parts == (2, 3, 3, 1, 2)
+        assert W_EXAMPLE.concat() == W_EXAMPLE.word and W_EXAMPLE.n == 11
 
 
 class TestCountingLayer:
