@@ -1,4 +1,4 @@
-"""Permutation and word statistics, alternation predicates and bijections.
+"""Permutation and word statistics, alternation patterns, bijections, and one walk.
 
 Words are tuples of distinct positive integers; permutations of order n
 are words whose letters are exactly 1..n.  The statistics extend to
@@ -9,20 +9,23 @@ strictly earlier in the word than v.
 Alternation is read off the descent word (bit i True when w[i] > w[i+1]):
 a word is rising alternating, y1 < y2 > y3 < ..., when its descent word is
 ``zigzag(len, True)``, descents at the odd bits, and falling alternating
-when it is ``zigzag(len, False)``.  ``is_falling_alternating``, the
-t-permutation cuts in ``tcomb`` and the alternating-permutation generators
-read that pattern.
+when it is ``zigzag(len, False)``.
+
+``walk`` enumerates S_n, or its alternating permutations, with each
+permutation's descent word, inv, ides and imaj carried along the prefix;
+``statistics`` and ``descent_word`` stay the definitions it is tested
+against, and compute the statistics of words the walk never visits.
 """
 
 from __future__ import annotations
 
-import itertools
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Sequence, Tuple
+from typing import Iterator, Optional, Sequence, Tuple
 
 Word = Tuple[int, ...]
+Row = Tuple[Word, Tuple[bool, ...], int, int, int]  # a permutation, its descent word, inv, ides, imaj
 
 
 @dataclass(frozen=True)
@@ -81,11 +84,6 @@ def descent_word(word: Sequence[int]) -> Tuple[bool, ...]:
 def zigzag(length: int, rising: bool) -> Tuple[bool, ...]:
     """Descent word of an alternating word of ``length`` letters."""
     return tuple(i % 2 == rising for i in range(length - 1))
-
-
-def is_falling_alternating(word: Sequence[int]) -> bool:
-    """y1 > y2 < y3 > ...; empty and one-letter words qualify."""
-    return descent_word(word) == zigzag(len(word), False)
 
 
 def _check_permutation(word: Sequence[int]) -> Word:
@@ -149,41 +147,48 @@ def psi(sigma: Sequence[int]) -> Word:
     return inverse(foata_phi(inverse(sigma)))
 
 
-def iter_permutations(n: int) -> Iterator[Word]:
-    """All permutations of 1..n in lexicographic order."""
-    return itertools.permutations(range(1, n + 1))
+def walk(n: int, rising: Optional[bool] = None) -> Iterator[Row]:
+    """``(word, descent word, inv, ides, imaj)`` for every permutation of
+    1..n, in lexicographic order; with ``rising`` set, only those whose
+    descent word is ``zigzag(n, rising)``.
 
-
-def _iter_alternating(n: int, rising: bool) -> Iterator[Word]:
-    """Permutations of 1..n with descent word ``zigzag(n, rising)``, in
-    lexicographic order: a prefix is extended only by letters that keep
-    its descent word on the pattern.  The stack is explicit, so no order
-    reaches the recursion limit.
+    A prefix walk: appending a letter a to a prefix updates each statistic
+    from a alone.  The descent word gains ``last > a``; inv gains one for
+    each placed letter greater than a; a joins iligne, adding 1 to ides
+    and a to imaj, exactly when a + 1 is already placed.  With a pattern,
+    a prefix is extended only by letters that keep its descent word on it.
+    The stack is explicit, so no order reaches the recursion limit.
     """
-    pattern = zigzag(n + 1, rising)  # the spare last bit meets no free letter
-    word: list = []
-    used = [False] * (n + 1)
-    # stack[d]: the free letters still to try at position d, ascending;
-    # deeper levels restore ``used`` before this one resumes
+    pattern = None if rising is None else zigzag(n, rising)
+    rows = [((), (), 0, 0, 0)]
+    if n == 0:
+        yield rows[0]
+    placed = [False] * (n + 2)  # placed[n + 1] stays False
+    # stack[d]: the free letters still to try after the prefix rows[d],
+    # ascending; deeper levels restore ``placed`` before this one resumes
     stack = [iter(range(1, n + 1))]
     while stack:
-        if len(word) == n:
-            yield tuple(word)
-        letter = next(stack[-1], 0)
-        if letter:
-            used[letter] = True
-            word.append(letter)
-            span = range(1, letter) if pattern[len(word) - 1] else range(letter + 1, n + 1)
-            stack.append(iter([v for v in span if not used[v]]))
-        else:
+        a = next(stack[-1], 0)
+        if not a:
             stack.pop()
+            word = rows.pop()[0]
             if word:
-                used[word.pop()] = False
-
-
-def iter_rising_alternating(n: int) -> Iterator[Word]:
-    return _iter_alternating(n, True)
-
-
-def iter_falling_alternating(n: int) -> Iterator[Word]:
-    return _iter_alternating(n, False)
+                placed[word[-1]] = False
+            continue
+        word, desc, inversions, ides, imaj = rows[-1]
+        if word:
+            desc += (word[-1] > a,)
+        if placed[a + 1]:
+            ides += 1
+            imaj += a
+        row = (word + (a,), desc, inversions + placed[a + 1 :].count(True), ides, imaj)
+        if len(row[0]) == n:
+            yield row
+            continue
+        rows.append(row)
+        placed[a] = True
+        if pattern is None:
+            span = range(1, n + 1)
+        else:
+            span = range(1, a) if pattern[len(word)] else range(a + 1, n + 1)
+        stack.append(iter([v for v in span if not placed[v]]))

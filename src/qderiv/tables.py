@@ -305,21 +305,19 @@ def oracle_all(n: int) -> Tuple[dict, dict, dict]:
     imaj-generating triple rows and the inv-generating composition row.
     Callers apply the brute-force bound (``tcomb._guard``).
 
-    Every permutation of S_n is enumerated and its statistics come from
-    ``permstats.statistics``, so this route shares nothing with the
-    recurrences or the rewrite engines.  Which cuts are t-permutations
-    depends only on the descent word, so permutations are tallied by
-    (descent word, position of 1, ides, imaj) and by (descent word, inv),
-    and each class is expanded over its valid cuts once.
+    Every permutation of S_n is visited by ``permstats.walk``, which
+    carries its descent word, inv, ides and imaj, so this route shares
+    nothing with the recurrences or the rewrite engines.  Which cuts are
+    t-permutations depends only on the descent word, so permutations are
+    tallied by (descent word, position of 1, ides, imaj) and by (descent
+    word, inv), and each class is expanded over its valid cuts once.
     """
     if n == 0:
         return {(0, 1, 0): _ONE}, {(-1, 0, 0): _ONE}, {(0, 0): _ONE}
     by_pos, by_inv = Counter(), Counter()
-    for sigma in permstats.iter_permutations(n):
-        desc = permstats.descent_word(sigma)
-        st = permstats.statistics(sigma)
-        by_pos[(desc, sigma.index(1), st.ides, st.imaj)] += 1
-        by_inv[(desc, st.inv)] += 1
+    for sigma, desc, inv, ides, imaj in permstats.walk(n):
+        by_pos[(desc, sigma.index(1), ides, imaj)] += 1
+        by_inv[(desc, inv)] += 1
     # block_of[parts][i]: the component holding position i of the cut
     block_of = {
         c.parts: tuple(b for b, p in enumerate(c.parts) for _ in range(p))

@@ -14,9 +14,10 @@ flat, as that permutation ``word`` and the block lengths ``parts``; its
 
 Every t-permutation is a cut of the permutation it concatenates to, and
 which cuts are valid depends only on that permutation's descent word.
-``t_permutation_cuts`` walks S_n once and yields each permutation with its
-t-permutations, so a sweep can do per-permutation work once for all of its
-cuts; ``enumerate_t_permutations`` is the same walk, flattened.
+``t_permutation_cuts`` follows ``permstats.walk`` over S_n, which carries
+each descent word, and yields each permutation with its t-permutations, so
+a sweep can do per-permutation work once for all of its cuts;
+``enumerate_t_permutations`` is the same walk, flattened.
 """
 
 from __future__ import annotations
@@ -164,9 +165,6 @@ class TPermutation:
     def mu(self) -> int:
         return len(self.parts) - 1
 
-    def concat(self) -> Word:
-        return self.word
-
     def lam(self) -> TComposition:
         return _composition(self.parts)
 
@@ -245,8 +243,8 @@ def t_permutation_cuts(
     once for all of its cuts.
     """
     _guard(n, bound)
-    for sigma in permstats.iter_permutations(n):
-        cuts = _valid_cuts(n, permstats.descent_word(sigma))
+    for sigma, desc, _, _, _ in permstats.walk(n):
+        cuts = _valid_cuts(n, desc)
         yield sigma, tuple(TPermutation._flat(sigma, parts, check=False) for parts in cuts)
 
 

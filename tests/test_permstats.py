@@ -11,18 +11,24 @@ from qderiv.permstats import (
     descent_word,
     foata_phi,
     inv,
-    is_falling_alternating,
-    iter_falling_alternating,
-    iter_permutations,
-    iter_rising_alternating,
     ligne,
     mirror_rho,
     psi,
     statistics,
+    walk,
     zigzag,
 )
 
 WORKED = (4, 5, 11, 1, 3, 10, 7, 9, 6, 8, 2)
+
+
+def s_n(n):
+    """Reference: the permutations of 1..n in lexicographic order."""
+    return permutations(range(1, n + 1))
+
+
+def is_falling(word):
+    return descent_word(word) == zigzag(len(word), False)
 
 
 def scan_rising_alternating(word):
@@ -79,7 +85,7 @@ class TestStatistics:
         assert st.iligne == frozenset()
 
     def test_imaj_is_maj_of_inverse(self):
-        for sigma in iter_permutations(5):
+        for sigma in s_n(5):
             st = statistics(sigma)
             ist = statistics(permstats.inverse(sigma))
             assert st.imaj == ist.maj
@@ -89,22 +95,22 @@ class TestStatistics:
 class TestAlternating:
     def test_examples(self):
         assert descent_word((1, 3, 2)) == zigzag(3, True)
-        assert not is_falling_alternating((1, 3, 2))
+        assert not is_falling((1, 3, 2))
         assert descent_word(()) == zigzag(0, True)
-        assert is_falling_alternating(())
+        assert is_falling(())
         assert descent_word((1, 2)) == zigzag(2, True)
-        assert not is_falling_alternating((1, 2))
+        assert not is_falling((1, 2))
 
     def test_counts(self):
-        assert len(list(iter_rising_alternating(1))) == 1
-        assert len(list(iter_rising_alternating(3))) == 2
-        assert len(list(iter_falling_alternating(4))) == 5
+        assert len(list(walk(1, True))) == 1
+        assert len(list(walk(3, True))) == 2
+        assert len(list(walk(4, False))) == 5
 
     @settings(max_examples=200, deadline=None)
     @given(distinct_words)
     def test_predicates_match_pairwise_scan(self, word):
         assert (descent_word(word) == zigzag(len(word), True)) == scan_rising_alternating(word)
-        assert is_falling_alternating(word) == scan_falling_alternating(word)
+        assert is_falling(word) == scan_falling_alternating(word)
 
     @settings(max_examples=100, deadline=None)
     @given(distinct_words)
@@ -117,33 +123,35 @@ class TestAlternating:
         # same words, same (lexicographic) order as filtering S_n
         for n in range(10):
             rising, falling = [], []
-            for sigma in iter_permutations(n):
+            for sigma in s_n(n):
                 if descent_word(sigma) == zigzag(len(sigma), True):
                     rising.append(sigma)
-                if is_falling_alternating(sigma):
+                if is_falling(sigma):
                     falling.append(sigma)
-            assert list(iter_rising_alternating(n)) == rising
-            assert list(iter_falling_alternating(n)) == falling
+            assert [row[0] for row in walk(n, True)] == rising
+            assert [row[0] for row in walk(n, False)] == falling
 
     def test_generator_needs_no_recursion_depth(self):
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(200)
         try:
-            rising = next(iter_rising_alternating(300))
-            falling = next(iter_falling_alternating(301))
+            rising = next(walk(300, True))[0]
+            falling = next(walk(301, False))[0]
+            identity = next(walk(300))
         finally:
             sys.setrecursionlimit(limit)
         assert rising[:5] == (1, 3, 2, 5, 4) and sorted(rising) == list(range(1, 301))
         assert falling[:5] == (2, 1, 4, 3, 6) and sorted(falling) == list(range(1, 302))
-        assert descent_word(rising) == zigzag(len(rising), True) and is_falling_alternating(falling)
+        assert descent_word(rising) == zigzag(len(rising), True) and is_falling(falling)
+        assert identity == (tuple(range(1, 301)), (False,) * 299, 0, 0, 0)
 
     def test_ligne_characterization(self):
         for n in range(7):
-            for sigma in iter_permutations(n):
+            for sigma in s_n(n):
                 st = statistics(sigma)
                 odds = frozenset(range(1, n, 2))
                 evens = frozenset(range(2, n, 2))
-                assert is_falling_alternating(sigma) == (st.ligne == odds)
+                assert is_falling(sigma) == (st.ligne == odds)
                 assert (descent_word(sigma) == zigzag(len(sigma), True)) == (st.ligne == evens)
 
 
@@ -157,7 +165,7 @@ class TestElementaryBijections:
     def test_rho_inv_complement(self):
         for n in range(1, 8):
             total = n * (n - 1) // 2
-            for sigma in iter_permutations(n):
+            for sigma in s_n(n):
                 assert inv(sigma) + inv(mirror_rho(sigma)) == total
 
     def test_inverse_requires_permutation(self):
@@ -174,14 +182,14 @@ class TestFoata:
         assert foata_phi(()) == ()
 
     def test_contract_on_s4(self):
-        for sigma in iter_permutations(4):
+        for sigma in s_n(4):
             image = foata_phi(sigma)
             assert statistics(sigma).maj == statistics(image).inv
             assert statistics(sigma).iligne == statistics(image).iligne
 
     def test_bijectivity(self):
         for n in range(7):
-            images = {foata_phi(s) for s in iter_permutations(n)}
+            images = {foata_phi(s) for s in s_n(n)}
             assert len(images) == math.factorial(n)
 
 
@@ -197,7 +205,7 @@ class TestPsi:
         assert psi((1, 2, 3, 4, 5)) == (1, 2, 3, 4, 5)
 
     def test_contract_on_s5(self):
-        for sigma in iter_permutations(5):
+        for sigma in s_n(5):
             image = psi(sigma)
             assert statistics(sigma).ligne == statistics(image).ligne
             assert statistics(sigma).imaj == statistics(image).inv
@@ -205,8 +213,23 @@ class TestPsi:
 
 class TestEnumeration:
     def test_lexicographic(self):
-        assert list(iter_permutations(3)) == [tuple(p) for p in permutations((1, 2, 3))]
+        assert [row[0] for row in walk(3)] == [tuple(p) for p in permutations((1, 2, 3))]
 
     def test_empty_order(self):
-        assert list(iter_permutations(0)) == [()]
-        assert list(iter_rising_alternating(0)) == [()]
+        assert list(walk(0)) == [((), (), 0, 0, 0)]
+        assert list(walk(0, True)) == [((), (), 0, 0, 0)]
+
+
+class TestWalk:
+    """The walk against the definitions: same rows, same order."""
+
+    @pytest.mark.parametrize("n", range(9))
+    def test_equals_statistics_over_s_n(self, n):
+        reference = []
+        for w in s_n(n):
+            st = statistics(w)
+            reference.append((w, descent_word(w), st.inv, st.ides, st.imaj))
+        assert list(walk(n)) == reference
+        for rising in (True, False):
+            pattern = zigzag(n, rising)
+            assert list(walk(n, rising)) == [row for row in reference if row[1] == pattern]

@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import pytest
@@ -171,7 +172,7 @@ def oracle_per_permutation(n):
         return {(0, 1, 0): P(1)}, {(-1, 0, 0): P(1)}, {(0, 0): P(1)}
     zero = QPoly.zero()
     a_row, b_row, c_row = {}, {}, {}
-    for sigma in permstats.iter_permutations(n):
+    for sigma in itertools.permutations(range(1, n + 1)):
         desc = permstats.descent_word(sigma)
         st = permstats.statistics(sigma)
         imaj_mono = QPoly.monomial(st.imaj)

@@ -140,6 +140,20 @@ class TestIndividualChecks:
     def test_q1_bridge(self):
         assert verify.check_q1_bridge(6).passed
 
+    def test_3_bij_walks_each_order_once(self, monkeypatch):
+        # |T(n)| is counted during the domain walk of order n; only order
+        # n_max + 1 is walked for its count alone
+        real = verify.enumerate_t_permutations
+        orders = []
+
+        def recording(n, bound=None):
+            orders.append(n)
+            return real(n, bound)
+
+        monkeypatch.setattr(verify, "enumerate_t_permutations", recording)
+        assert verify.check_3_bijections(4).passed
+        assert orders == [0, 1, 2, 3, 4, 5]
+
 
 # -- fault injection into the bijection sweeps --------------------------------
 #
@@ -171,13 +185,13 @@ def _psi_reversed(sigma):
 def _delta_star_late(i, w):
     # inserts the letter 1 before component i + 1 instead of i
     shifted = [tuple(y + 1 for y in c) for c in w.components]
-    j = i + 1 if _fires(w.concat(), 4) else i
+    j = i + 1 if _fires(w.word, 4) else i
     return TPermutation(tuple(shifted[:j] + [(1,)] + shifted[j:]))
 
 
 def _star_delta_inv_off(w):
     i, back = _real_star_delta_inv(w)
-    return (i + 1 if _fires(w.concat(), 5) else i), back
+    return (i + 1 if _fires(w.word, 5) else i), back
 
 
 SWEEP_FAULTS = {
