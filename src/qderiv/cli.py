@@ -6,12 +6,13 @@ checks), ``series`` (render series coefficients) and ``export`` (write a
 rendered family to a file).  Data goes to stdout, logs to stderr; exit
 codes: 0 success/all-pass, 1 verification failure, 2 usage error.
 
-Computed tables may be cached on disk, one file per (family, n): a stamp
-line, then the exact ``--format json`` output (about 2.8 MB for A at
-n = 14).  The stamp is a sha256 over a fingerprint of the package's source
-and those bytes, so an entry that is corrupt, in an older format or
-written by other code is recomputed.  A json hit writes the stored bytes
-as they are; other formats decode them into a table and render it.
+Rendered tables may be cached on disk, one file per (family, n, format),
+named ``<family>_n<n>.<format>``: a stamp line, then the exact output of
+that command (about 2.8 MB for A at n = 14 in json).  The stamp is a
+sha256 over a fingerprint of the package's source and those bytes, so an
+entry that is corrupt, in an older format or written by other code is
+recomputed.  A hit writes the stored bytes as they are; a miss renders the
+requested format once, stores it and writes it.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from typing import Optional
 
 from qderiv import series as series_mod
 from qderiv import special, tcomb, verify
-from qderiv.render import FORMATS, Table, render, table_from_payload
+from qderiv.render import FORMATS, Table, render
 from qderiv.tables import KIND_AC, PolyTable, a_table, ac_table, b_table, oracle_all
 from qderiv.tcomb import BruteForceBoundError, alpha, beta
 
@@ -168,13 +169,13 @@ def _stamp(body: bytes) -> bytes:
     return hashlib.sha256(_source_fingerprint() + body).hexdigest().encode("ascii")
 
 
-def _cache_path(cache_dir: str, family: str, n_max: int) -> str:
-    return os.path.join(cache_dir, "%s_n%d.json" % (family, n_max))
+def _cache_path(cache_dir: str, family: str, n_max: int, fmt: str) -> str:
+    return os.path.join(cache_dir, "%s_n%d.%s" % (family, n_max, fmt))
 
 
-def cache_load(cache_dir: str, family: str, n_max: int) -> Optional[str]:
-    """The cached ``--format json`` text of (family, n_max), or None."""
-    path = _cache_path(cache_dir, family, n_max)
+def cache_load(cache_dir: str, family: str, n_max: int, fmt: str) -> Optional[str]:
+    """The cached ``fmt`` rendering of (family, n_max), or None."""
+    path = _cache_path(cache_dir, family, n_max, fmt)
     try:
         with open(path, "rb") as handle:
             stamp, _, body = handle.read().partition(b"\n")
@@ -186,11 +187,11 @@ def cache_load(cache_dir: str, family: str, n_max: int) -> Optional[str]:
     return body.decode("utf-8")
 
 
-def cache_store(cache_dir: str, family: str, n_max: int, text: str) -> None:
-    """Store ``text``, the ``--format json`` rendering of (family, n_max)."""
+def cache_store(cache_dir: str, family: str, n_max: int, fmt: str, text: str) -> None:
+    """Store ``text``, the ``fmt`` rendering of (family, n_max)."""
     os.makedirs(cache_dir, exist_ok=True)
     body = text.encode("utf-8")
-    path = _cache_path(cache_dir, family, n_max)
+    path = _cache_path(cache_dir, family, n_max, fmt)
     # write a temp file beside the entry and rename it into place, so an
     # interrupted or concurrent run never leaves a half-written entry
     fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
@@ -205,25 +206,21 @@ def cache_store(cache_dir: str, family: str, n_max: int, text: str) -> None:
 
 
 def _render_family(family: str, n_max: int, fmt: str, cache_dir: Optional[str]) -> str:
-    """The family rendered in ``fmt``, through the cache when one is given.
-
-    A hit in json is the entry's text as stored; other formats decode it.
-    """
-    text = cache_load(cache_dir, family, n_max) if cache_dir else None
+    """The family rendered in ``fmt``: the cache entry of (family, n_max,
+    fmt) as stored when there is one, else rendered once (and stored)."""
+    text = cache_load(cache_dir, family, n_max, fmt) if cache_dir else None
     if text is not None:
-        return text if fmt == "json" else render(table_from_payload(json.loads(text)), fmt)
-    table = build_family(family, n_max)
-    if not cache_dir:
-        return render(table, fmt)
-    text = render(table, "json")
-    # the table is already computed: a cache that cannot take it costs
-    # the next run, not this one
-    try:
-        cache_store(cache_dir, family, n_max, text)
-    except OSError as exc:
-        _log("warning: cache entry %s not written: %s"
-             % (_cache_path(cache_dir, family, n_max), exc.strerror or exc))
-    return text if fmt == "json" else render(table, fmt)
+        return text
+    text = render(build_family(family, n_max), fmt)
+    if cache_dir:
+        # the table is already rendered: a cache that cannot take it costs
+        # the next run, not this one
+        try:
+            cache_store(cache_dir, family, n_max, fmt, text)
+        except OSError as exc:
+            _log("warning: cache entry %s not written: %s"
+                 % (_cache_path(cache_dir, family, n_max, fmt), exc.strerror or exc))
+    return text
 
 
 # -- argument parsing -------------------------------------------------------

@@ -1,10 +1,10 @@
 """Rendering of table-like results as json, csv, latex or aligned text.
 
 A rendered family is an intermediate ``Table``: named typed columns plus
-rows holding exact values (ints, polynomials, tuples).  The JSON form is
-the interchange format and round-trips bit-exactly; the disk cache stores
-``render(table, "json")`` byte for byte, so a json cache hit is the same
-text with no decode or re-encode.
+rows holding exact values (ints, polynomials, tuples).  ``_KINDS`` says,
+once per column type, how a value becomes a JSON value, a text or csv cell
+and a cell of a flat LaTeX table.  The disk cache stores each format's
+rendering byte for byte, so nothing reads rendered text back.
 """
 
 from __future__ import annotations
@@ -14,13 +14,11 @@ import io
 import json
 import re
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Callable, List, NamedTuple, Tuple
 
-from qderiv.ring import QPoly, XQPoly, poly_str, xpoly_str
+from qderiv.ring import poly_str, xpoly_str
 
 FORMATS = ("json", "csv", "latex", "text")
-
-# column types: "int", "str", "parts" (tuple of ints), "qpoly", "xqpoly"
 
 
 @dataclass(frozen=True)
@@ -35,64 +33,56 @@ class Table:
         return [name for name, _ in self.columns]
 
 
-def _encode_value(value, kind: str):
-    if kind == "int":
-        return str(value)
-    if kind == "str":
-        return value
-    if kind == "parts":
-        return list(value)
-    if kind in ("qpoly", "xqpoly"):
-        return value.to_json()
-    raise ValueError("unknown column type %r" % (kind,))
+def _plain(value, outer: str) -> str:
+    return str(value)
 
 
-def _decode_value(value, kind: str):
-    if kind == "int":
-        return int(value)
-    if kind == "str":
-        return value
-    if kind == "parts":
-        return tuple(value)
-    if kind == "qpoly":
-        return QPoly.from_json(value)
-    if kind == "xqpoly":
-        return XQPoly.from_json(value)
-    raise ValueError("unknown column type %r" % (kind,))
+class _Kind(NamedTuple):
+    """How one column type becomes a cell in each format."""
+
+    encode: Callable  # value -> JSON value
+    display: Callable  # (value, outer variable) -> text and csv cell
+    latex: Callable  # (value, outer variable) -> cell of a flat LaTeX table
+
+
+_KINDS = {
+    "int": _Kind(str, _plain, _plain),
+    "str": _Kind(str, _plain, _plain),
+    # a tuple of ints
+    "parts": _Kind(
+        list,
+        lambda v, outer: "(%s)" % " ".join(map(str, v)),
+        lambda v, outer: "$(%s)$" % ",".join(map(str, v)),
+    ),
+    "qpoly": _Kind(
+        lambda v: v.to_json(),
+        lambda v, outer: poly_str(v),
+        lambda v, outer: "$%s$" % _latex_caret(poly_str(v)),
+    ),
+    "xqpoly": _Kind(
+        lambda v: v.to_json(),
+        lambda v, outer: xpoly_str(v, outer=outer),
+        lambda v, outer: "$%s$" % _latex_caret(xpoly_str(v, outer=outer)),
+    ),
+}
+
+
+def _cells(table: Table, field: str) -> List[List[str]]:
+    """Every row's cells, made by each column kind's ``display`` or ``latex``."""
+    makers = [getattr(_KINDS[kind], field) for _, kind in table.columns]
+    outer = table.outer_var
+    return [[make(v, outer) for make, v in zip(makers, row)] for row in table.rows]
 
 
 def table_to_payload(table: Table) -> dict:
+    encoders = [_KINDS[kind].encode for _, kind in table.columns]
     return {
         "family": table.family,
         "n_max": table.n_max,
         "outer_var": table.outer_var,
         "columns": [list(c) for c in table.columns],
-        "rows": [
-            [_encode_value(v, kind) for v, (_, kind) in zip(row, table.columns)]
-            for row in table.rows
-        ],
+        "rows": [[enc(v) for enc, v in zip(encoders, row)] for row in table.rows],
     }
-
-
-def table_from_payload(payload: dict) -> Table:
-    columns = tuple((name, kind) for name, kind in payload["columns"])
-    rows = tuple(
-        tuple(_decode_value(v, kind) for v, (_, kind) in zip(row, columns))
-        for row in payload["rows"]
-    )
-    return Table(
-        payload["family"], payload["n_max"], columns, rows, payload.get("outer_var", "t")
-    )
-
-
-def _display(value, kind: str, outer: str) -> str:
-    if kind == "qpoly":
-        return poly_str(value)
-    if kind == "xqpoly":
-        return xpoly_str(value, outer=outer)
-    if kind == "parts":
-        return "(" + " ".join(str(p) for p in value) + ")"
-    return str(value)
 
 
 def render(table: Table, fmt: str) -> str:
@@ -102,10 +92,7 @@ def render(table: Table, fmt: str) -> str:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(table.column_names())
-        for row in table.rows:
-            writer.writerow(
-                [_display(v, kind, table.outer_var) for v, (_, kind) in zip(row, table.columns)]
-            )
+        writer.writerows(_cells(table, "display"))
         return buf.getvalue()
     if fmt == "text":
         return _render_text(table)
@@ -116,11 +103,7 @@ def render(table: Table, fmt: str) -> str:
 
 def _render_text(table: Table) -> str:
     header = table.column_names()
-    cells = [header]
-    for row in table.rows:
-        cells.append(
-            [_display(v, kind, table.outer_var) for v, (_, kind) in zip(row, table.columns)]
-        )
+    cells = [header] + _cells(table, "display")
     widths = [max(len(r[i]) for r in cells) for i in range(len(header))]
     lines = []
     for r in cells:
@@ -149,16 +132,7 @@ def _latex_flat(table: Table) -> str:
         " & ".join("\\textbf{%s}" % h for h in header) + " \\\\",
         "\\hline",
     ]
-    for row in table.rows:
-        cells = []
-        for v, (_, kind) in zip(row, table.columns):
-            if kind in ("qpoly", "xqpoly"):
-                cells.append("$" + _latex_caret(_display(v, kind, table.outer_var)) + "$")
-            elif kind == "parts":
-                cells.append("$(%s)$" % ",".join(str(p) for p in v))
-            else:
-                cells.append(str(v))
-        lines.append(" & ".join(cells) + " \\\\")
+    lines += [" & ".join(cells) + " \\\\" for cells in _cells(table, "latex")]
     lines.append("\\end{tabular}")
     return "\n".join(lines) + "\n"
 

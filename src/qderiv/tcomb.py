@@ -22,7 +22,6 @@ a sweep can do per-permutation work once for all of its cuts;
 
 from __future__ import annotations
 
-import bisect
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
@@ -168,11 +167,17 @@ class TPermutation:
     def lam(self) -> TComposition:
         return _composition(self.parts)
 
+    def _one(self) -> Tuple[int, int]:
+        """The block holding the letter 1 and its offset there; n > 0."""
+        offset = self.word.index(1)
+        for block, length in enumerate(self.parts):
+            if offset < length:
+                return block, offset
+            offset -= length
+
     def min_component(self) -> Optional[int]:
         """Index of the component containing the letter 1; None when n = 0."""
-        if not self.word:
-            return None
-        return bisect.bisect_right(tuple(itertools.accumulate(self.parts)), self.word.index(1))
+        return self._one()[0] if self.word else None
 
     def stats(self) -> permstats.WordStats:
         """Statistics of the concatenated word; ``lam()``, ``mu`` and
@@ -186,7 +191,7 @@ class TPermutation:
         only component would not leave a t-permutation, and the insertion
         bijections classify it as a gluing image.
         """
-        return self.mu >= 1 and self.n > 0 and self.parts[self.min_component()] == 1
+        return self.mu >= 1 and self.n > 0 and self.parts[self._one()[0]] == 1
 
 
 # -- enumeration by cutting permutations --------------------------------
@@ -287,11 +292,11 @@ def star_delta(i: int, w: TPermutation) -> TPermutation:
 def _remove_one(w: TPermutation, first_kind: bool) -> Tuple[int, TPermutation]:
     """Delete the letter 1 and shift down.  Its block a goes (first kind,
     giving back a) or is split at the 1 (second kind, giving back a + 1)."""
-    if w.n == 0 or w.is_first_kind() != first_kind:
+    a, j = w._one() if w.n else (0, 0)
+    # the rule of is_first_kind, on the same lookup
+    if w.n == 0 or (w.mu >= 1 and w.parts[a] == 1) != first_kind:
         raise ValueError("not of the %s kind" % ("first" if first_kind else "second"))
     parts = w.parts
-    a = w.min_component()
-    j = w.word.index(1) - sum(parts[:a])
     middle = () if first_kind else (j, parts[a] - 1 - j)
     word = tuple(y - 1 for y in w.word if y != 1)
     back = TPermutation._flat(word, parts[:a] + middle + parts[a + 1 :])

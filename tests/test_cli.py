@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qderiv import cli, verify
-from qderiv.render import render, table_from_payload
+from qderiv.render import FORMATS, render
 from qderiv.ring import QPoly
 from qderiv.tables import a_table
 
@@ -23,9 +23,11 @@ class TestTableCommand:
         code, out, _ = run_cli(capsys, "table", "A", "--n", "3", "--format", "json")
         assert code == 0
         payload = json.loads(out)
-        table = table_from_payload(payload)
-        assert table.family == "A"
-        rows = {(n, k, a, b): poly for n, k, a, b, poly in table.rows}
+        assert payload["family"] == "A"
+        rows = {
+            (int(n), int(k), int(a), int(b)): QPoly.from_json(poly)
+            for n, k, a, b, poly in payload["rows"]
+        }
         assert rows == dict(a_table(3).items())
 
     def test_text_and_latex_render(self, capsys):
@@ -231,18 +233,18 @@ class TestExportAndCache:
             with monkeypatch.context() as patch:
                 patch.setattr(owner, name, failing, raising=False)
                 with pytest.raises(OSError):
-                    cli.cache_store(str(cache), "A", 2, text)
+                    cli.cache_store(str(cache), "A", 2, "json", text)
             assert list(cache.iterdir()) == []
             # an existing entry survives a failed rewrite byte for byte
-            cli.cache_store(str(cache), "A", 2, text)
+            cli.cache_store(str(cache), "A", 2, "json", text)
             before = entry.read_bytes()
             with monkeypatch.context() as patch:
                 patch.setattr(owner, name, failing, raising=False)
                 with pytest.raises(OSError):
-                    cli.cache_store(str(cache), "A", 2, text)
+                    cli.cache_store(str(cache), "A", 2, "json", text)
             assert entry.read_bytes() == before
             assert [p.name for p in cache.iterdir()] == ["A_n2.json"]
-            assert cli.cache_load(str(cache), "A", 2) == text
+            assert cli.cache_load(str(cache), "A", 2, "json") == text
             entry.unlink()
 
     def test_cache_stale_entries_recomputed(self, capsys, tmp_path, monkeypatch):
@@ -317,52 +319,52 @@ class TestExportAndCache:
         assert len(warnings) == 1
         assert warnings[0].startswith("warning: cache entry %s not written: " % entry)
         written = out if command == "table" else out_path.read_text()
-        assert table_from_payload(json.loads(written)) == cli.build_family("A", 3)
+        assert written == render(cli.build_family("A", 3), "json")
         assert entry.is_dir() and sorted(p.name for p in cache.iterdir()) == ["A_n3.json"]
 
     @settings(max_examples=20, deadline=None)
-    @given(st.sampled_from(cli.TABLE_FAMILIES), st.integers(0, 6))
-    def test_cache_store_then_load_roundtrips(self, family, n):
-        table = cli.build_family(family, n)
-        text = render(table, "json")
+    @given(st.sampled_from(cli.TABLE_FAMILIES), st.integers(0, 6), st.sampled_from(FORMATS))
+    def test_cache_store_then_load_roundtrips(self, family, n, fmt):
+        text = render(cli.build_family(family, n), fmt)
         with tempfile.TemporaryDirectory() as cache:
-            cli.cache_store(cache, family, n, text)
-            entry = os.path.join(cache, "%s_n%d.json" % (family, n))
+            cli.cache_store(cache, family, n, fmt, text)
+            entry = os.path.join(cache, "%s_n%d.%s" % (family, n, fmt))
             with open(entry, "rb") as handle:
                 first = handle.read()
-            loaded = cli.cache_load(cache, family, n)
-            assert loaded == text
-            assert table_from_payload(json.loads(loaded)) == table
-            cli.cache_store(cache, family, n, text)
+            assert cli.cache_load(cache, family, n, fmt) == text
+            cli.cache_store(cache, family, n, fmt, text)
             with open(entry, "rb") as handle:
                 assert handle.read() == first
 
     @pytest.mark.parametrize("family", cli.TABLE_FAMILIES)
     def test_cache_serves_every_format(self, capsys, tmp_path, monkeypatch, family):
-        n = "6"
         plain = {
-            fmt: run_cli(capsys, "table", family, "--n", n, "--format", fmt)[1]
-            for fmt in ("json", "text", "latex", "csv")
+            fmt: run_cli(capsys, "table", family, "--n", "6", "--format", fmt)[1] for fmt in FORMATS
         }
-        body = render(cli.build_family(family, 6), "json").encode("utf-8")
-        for miss, hit in (("text", "json"), ("json", "text")):
-            cache = tmp_path / ("from-" + miss)
-            argv = ("table", family, "--n", n, "--cache-dir", str(cache))
-            code, out, err = run_cli(capsys, *argv, "--format", miss)
-            assert code == 0 and out == plain[miss] and err == ""
-            entry = cache / ("%s_n%s.json" % (family, n))
-            assert entry.read_bytes().partition(b"\n")[2] == body
-            with monkeypatch.context() as patch:
-                patch.setattr(cli, "build_family", lambda *args: pytest.fail("table computed"))
-                code, out, err = run_cli(capsys, *argv, "--format", hit)
-            assert code == 0 and out == plain[hit] and err == ""
-        # an entry written by a json miss serves latex and csv exports
+        cache = tmp_path / "cache"
+        argv = ("table", family, "--n", "6", "--cache-dir", str(cache))
+        real, built = cli.build_family, []
+        monkeypatch.setattr(cli, "build_family", lambda *args: built.append(args) or real(*args))
+        # json comes first: the later misses build the table again rather
+        # than read the entries of the formats before them
+        for fmt in FORMATS:
+            code, out, err = run_cli(capsys, *argv, "--format", fmt)
+            assert code == 0 and out == plain[fmt] and err == ""
+            assert built == [(family, 6)]
+            built.clear()
+            entry = cache / ("%s_n6.%s" % (family, fmt))
+            assert entry.read_bytes().partition(b"\n")[2] == out.encode("utf-8")
+        names = sorted(p.name for p in cache.iterdir())
+        assert names == sorted("%s_n6.%s" % (family, fmt) for fmt in FORMATS)
+        # every hit, from table or export, is the stored text with no table built
         monkeypatch.setattr(cli, "build_family", lambda *args: pytest.fail("table computed"))
-        for fmt in ("latex", "csv"):
+        for fmt in FORMATS:
+            code, out, err = run_cli(capsys, *argv, "--format", fmt)
+            assert code == 0 and out == plain[fmt] and err == ""
             out_path = tmp_path / ("out." + fmt)
             code, _, _ = run_cli(
-                capsys, "export", family, "--n", n, "--format", fmt, "--out", str(out_path),
-                "--cache-dir", str(tmp_path / "from-json"),
+                capsys, "export", family, "--n", "6", "--format", fmt, "--out", str(out_path),
+                "--cache-dir", str(cache),
             )
             assert code == 0 and out_path.read_text() == plain[fmt]
 

@@ -127,7 +127,7 @@ def test_stdout_matches_golden(argv, capsys):
 def test_cached_stdout_matches_golden(argv, capsys, tmp_path):
     cached = tuple(argv) + ("--cache-dir", str(tmp_path))
     assert run_command(cached, capsys) == GOLDEN[" ".join(argv)]
-    assert cli.cache_load(str(tmp_path), argv[1], 6) is not None
+    assert cli.cache_load(str(tmp_path), argv[1], 6, argv[-1]) is not None
     assert run_command(cached, capsys) == GOLDEN[" ".join(argv)]
 
 

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from qderiv import permstats, tcomb, verify
+from qderiv import permstats, special, tcomb, verify
 from qderiv.fixtures import DEFAULT_FIXTURES
 from qderiv.tcomb import TPermutation
 from qderiv.verify import Bounds
@@ -139,6 +139,20 @@ class TestIndividualChecks:
 
     def test_q1_bridge(self):
         assert verify.check_q1_bridge(6).passed
+
+    def test_10_5_compares_every_carlitz_coefficient(self, monkeypatch):
+        # a Carlitz row that loses its top coefficient fails at that key
+        real = special.carlitz_table
+
+        def truncated(n_max):
+            rows = list(real(n_max))
+            rows[4] = {j: poly for j, poly in rows[4].items() if j < max(rows[4])}
+            return tuple(rows)
+
+        monkeypatch.setattr(special, "carlitz_table", truncated)
+        report = verify.check_10_5(6)
+        assert report.status == "fail"
+        assert report.first_discrepancy.index == (4, 3)
 
     def test_3_bij_walks_each_order_once(self, monkeypatch):
         # |T(n)| is counted during the domain walk of order n; only order
