@@ -9,9 +9,9 @@ codes: 0 success/all-pass, 1 verification failure, 2 usage error.
 Rendered tables may be cached on disk, one file per (family, n, format),
 named ``<family>_n<n>.<format>``: a stamp line, then the exact output of
 that command (about 2.8 MB for A at n = 14 in json).  The stamp is a
-sha256 over a fingerprint of the package's source and those bytes, so an
-entry that is corrupt, in an older format or written by other code is
-recomputed.  A hit writes the stored bytes as they are; a miss renders the
+sha256 over a fingerprint of the package's source, the entry's file name
+and those bytes, so an entry that is corrupt, in an older format, written
+by other code or copied under another entry's name is recomputed.  A hit writes the stored bytes as they are; a miss renders the
 requested format once, stores it and writes it.
 """
 
@@ -165,8 +165,14 @@ def _source_fingerprint() -> bytes:
     return digest.hexdigest().encode("ascii")
 
 
-def _stamp(body: bytes) -> bytes:
-    return hashlib.sha256(_source_fingerprint() + body).hexdigest().encode("ascii")
+def _stamp(path: str, body: bytes) -> bytes:
+    """sha256 over the source fingerprint, the entry's file name and its
+    body, so an entry is valid under its own name only; the body is hashed
+    where it lies, not copied into one buffer with the fingerprint."""
+    digest = hashlib.sha256(_source_fingerprint())
+    digest.update(b" %s\n" % os.path.basename(path).encode("utf-8"))
+    digest.update(body)
+    return digest.hexdigest().encode("ascii")
 
 
 def _cache_path(cache_dir: str, family: str, n_max: int, fmt: str) -> str:
@@ -178,10 +184,11 @@ def cache_load(cache_dir: str, family: str, n_max: int, fmt: str) -> Optional[st
     path = _cache_path(cache_dir, family, n_max, fmt)
     try:
         with open(path, "rb") as handle:
-            stamp, _, body = handle.read().partition(b"\n")
+            stamp = handle.readline().rstrip(b"\n")
+            body = handle.read()
     except OSError:
         return None
-    if stamp != _stamp(body):
+    if stamp != _stamp(path, body):
         _log("cache entry %s failed validation; recomputing" % path)
         return None
     return body.decode("utf-8")
@@ -197,7 +204,7 @@ def cache_store(cache_dir: str, family: str, n_max: int, fmt: str, text: str) ->
     fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
     try:
         with open(fd, "wb") as handle:
-            handle.write(_stamp(body) + b"\n")
+            handle.write(_stamp(path, body) + b"\n")
             handle.write(body)
         os.replace(tmp, path)
     finally:

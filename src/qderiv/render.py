@@ -5,6 +5,11 @@ rows holding exact values (ints, polynomials, tuples).  ``_KINDS`` says,
 once per column type, how a value becomes a JSON value, a text or csv cell
 and a cell of a flat LaTeX table.  The disk cache stores each format's
 rendering byte for byte, so nothing reads rendered text back.
+
+JSON is ``json.dumps(payload, indent=2, sort_keys=True)`` of the whole
+table, but it is encoded one row at a time by the same stdlib call and
+the pieces joined once, so the render never holds the table as a second
+tree of JSON values; its peak is a little over twice its output.
 """
 
 from __future__ import annotations
@@ -74,20 +79,38 @@ def _cells(table: Table, field: str) -> List[List[str]]:
     return [[make(v, outer) for make, v in zip(makers, row)] for row in table.rows]
 
 
-def table_to_payload(table: Table) -> dict:
+def _render_json(table: Table) -> str:
+    """The header encoded with ``"rows": []``, then each row spliced in."""
+    header = json.dumps(
+        {
+            "family": table.family,
+            "n_max": table.n_max,
+            "outer_var": table.outer_var,
+            "columns": [list(c) for c in table.columns],
+            "rows": [],
+        },
+        indent=2,
+        sort_keys=True,
+    )
+    if not table.rows:
+        return header
+    # "rows" sorts last, so the header ends with its empty list
+    head, _, tail = header.rpartition("[]")
     encoders = [_KINDS[kind].encode for _, kind in table.columns]
-    return {
-        "family": table.family,
-        "n_max": table.n_max,
-        "outer_var": table.outer_var,
-        "columns": [list(c) for c in table.columns],
-        "rows": [[enc(v) for enc, v in zip(encoders, row)] for row in table.rows],
-    }
+    chunks = [head, "[\n"]
+    for i, row in enumerate(table.rows):
+        if i:
+            chunks.append(",\n")
+        text = json.dumps([enc(v) for enc, v in zip(encoders, row)], indent=2, sort_keys=True)
+        # a row sits two levels deep; JSON strings hold no raw newline
+        chunks.append("    " + text.replace("\n", "\n    "))
+    chunks += ["\n  ]", tail]
+    return "".join(chunks)
 
 
 def render(table: Table, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps(table_to_payload(table), indent=2, sort_keys=True)
+        return _render_json(table)
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")

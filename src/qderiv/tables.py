@@ -145,34 +145,36 @@ def _fill_triple_row(prev: dict, n: int, relaxed_first_sum: bool) -> dict:
 
 
 def _fill_comp_row(row: dict, n: int) -> dict:
-    """Composition-indexed row n+1, filled by part surgery on each target."""
+    """Composition-indexed row n+1, filled by part surgery on each target.
+
+    Each target lists its sources in row n with their shifts, then adds
+    their coefficients into one integer list; the degree of row n+1 (its
+    largest inv) is at most (n+1)n/2.
+    """
+    width = (n + 1) * n // 2 + 1
     cur: dict = {}
     for comp in enumerate_t_compositions(n + 1):
         cp = comp.parts
         mp = len(cp) - 1
-        acc = _ZERO
-        c0 = cp[0]
-        for j in range(0, (c0 - 1) // 2 + 1):
-            target = (2 * j, c0 - 2 * j - 1) + cp[1:]
-            val = row.get(target)
-            if val:
-                acc = acc + val.shift(2 * j)
+        c0, rest = cp[0], cp[1:]
+        sources = [((2 * j, c0 - 2 * j - 1) + rest, 2 * j) for j in range(0, (c0 - 1) // 2 + 1)]
         prefix = 0
         for i in range(1, mp + 1):
             prefix += cp[i - 1]
-            ci = cp[i]
+            ci, head, tail = cp[i], cp[:i], cp[i + 1 :]
             for j in range(1, ci // 2 + 1):
-                target = cp[:i] + (2 * j - 1, ci - 2 * j) + cp[i + 1 :]
-                val = row.get(target)
-                if val:
-                    acc = acc + val.shift(prefix + 2 * j - 1)
+                sources.append((head + (2 * j - 1, ci - 2 * j) + tail, prefix + 2 * j - 1))
             if ci == 1 and i <= mp - 1:
-                target = cp[:i] + cp[i + 1 :]
-                val = row.get(target)
-                if val:
-                    acc = acc + val.shift(prefix)
-        if acc:
-            cur[cp] = acc
+                sources.append((head + tail, prefix))
+        acc = [0] * width
+        for source, shift in sources:
+            val = row.get(source)
+            if val:
+                for d, c in enumerate(val.coeffs, shift):
+                    acc[d] += c
+        poly = QPoly(acc)
+        if poly:
+            cur[cp] = poly
     return cur
 
 

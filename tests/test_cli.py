@@ -278,6 +278,25 @@ class TestExportAndCache:
         assert "failed validation" in err
         assert entry.read_bytes() == fresh
 
+    def test_cache_entry_valid_under_its_own_name_only(self, capsys, tmp_path):
+        cache = tmp_path / "cache"
+        code, _, _ = run_cli(capsys, "table", "A", "--n", "3", "--format", "json", "--cache-dir", str(cache))
+        assert code == 0
+        entry = (cache / "A_n3.json").read_bytes()
+        # the A json entry saved as another family's entry, then as another format's
+        for family, fmt in (("B", "json"), ("A", "text")):
+            argv = ("table", family, "--n", "3", "--format", fmt)
+            _, uncached, _ = run_cli(capsys, *argv)
+            copy = cache / ("%s_n3.%s" % (family, fmt))
+            copy.write_bytes(entry)
+            code, out, err = run_cli(capsys, *argv, "--cache-dir", str(cache))
+            assert code == 0 and out == uncached
+            assert "%s failed validation" % copy in err
+            # recomputed and rewritten, so the next run is a clean hit
+            assert copy.read_bytes() != entry
+            code, out, err = run_cli(capsys, *argv, "--cache-dir", str(cache))
+            assert code == 0 and out == uncached and err == ""
+
     def test_cache_env_var(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv(cli.CACHE_ENV, str(tmp_path / "envcache"))
         code, _, _ = run_cli(capsys, "table", "Ac", "--n", "2", "--format", "json")

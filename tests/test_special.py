@@ -3,7 +3,7 @@ import json
 import pytest
 
 from qderiv.cli import build_family
-from qderiv.render import table_to_payload
+from qderiv.render import render
 from qderiv.ring import QPoly, XQPoly
 from qderiv.series import Sec_q, sec_q
 from qderiv.special import (
@@ -44,7 +44,7 @@ class TestSmallTriangles:
 
     def test_json_roundtrip(self):
         tri_a, _ = small_triangles(4)
-        data = json.loads(json.dumps(table_to_payload(build_family("a_small", 4))))
+        data = json.loads(render(build_family("a_small", 4), "json"))
         assert data["family"] == "a_small" and data["n_max"] == 4
         rows = [tuple(map(int, row)) for row in data["rows"]]
         assert [(n, m, v) for n, row in enumerate(tri_a) for m, v in row.items()] == rows

@@ -1,12 +1,13 @@
 import itertools
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qderiv import permstats, tcomb
 from qderiv.cli import TABLE_FAMILIES, build_family, build_oracle
-from qderiv.render import table_to_payload
+from qderiv.render import Table, render
 from qderiv.ring import QPoly, XQPoly
 from qderiv.tables import (
     _fill_triple_row,
@@ -245,7 +246,7 @@ _PARSE = {
 
 
 def _payload_rows(family, n_max):
-    data = json.loads(json.dumps(table_to_payload(build_family(family, n_max))))
+    data = json.loads(render(build_family(family, n_max), "json"))
     parse = [_PARSE[kind] for _, kind in data["columns"]]
     return data, [tuple(p(v) for p, v in zip(parse, row)) for row in data["rows"]]
 
@@ -269,3 +270,59 @@ class TestPolyTableJson:
         assert (data["family"], data["n_max"], data["outer_var"]) == (family, n_max, table.outer_var)
         assert tuple(map(tuple, data["columns"])) == table.columns
         assert tuple(rows) == table.rows
+
+
+# each column type's JSON cell, as the whole-table encoding had it
+_ENCODE = {
+    "int": str, "str": str, "parts": list, "qpoly": QPoly.to_json, "xqpoly": XQPoly.to_json,
+}
+
+
+def whole_table_json(table):
+    """The reference json rendering: one stdlib encode of the whole table."""
+    encoders = [_ENCODE[kind] for _, kind in table.columns]
+    payload = {
+        "family": table.family,
+        "n_max": table.n_max,
+        "outer_var": table.outer_var,
+        "columns": [list(c) for c in table.columns],
+        "rows": [[enc(v) for enc, v in zip(encoders, row)] for row in table.rows],
+    }
+    return json.dumps(payload, indent=2, sort_keys=True)
+
+
+class TestRowWiseJson:
+    @pytest.mark.parametrize(
+        "family, n_max",
+        [(f, n) for f in TABLE_FAMILIES for n in range(7)] + [(f, 9) for f in ("A", "B", "Ac")],
+    )
+    def test_equals_whole_table_encoding(self, family, n_max):
+        table = build_family(family, n_max)
+        assert render(table, "json") == whole_table_json(table)
+
+    @pytest.mark.parametrize(
+        "rows",
+        (
+            (),
+            ((1, 0, 0, 0, QPoly.zero()),),
+            ((0, 0, 1, 0, QPoly.one()), (1, 0, 0, 0, QPoly.zero()), (1, 1, 0, 1, P(0, 2))),
+        ),
+        ids=("no-rows", "zero-poly", "zero-poly-between-rows"),
+    )
+    def test_edge_tables_equal_whole_table_encoding(self, rows):
+        table = Table("A", 1, build_family("A", 1).columns, rows)
+        text = render(table, "json")
+        assert text == whole_table_json(table)
+        assert json.loads(text)["rows"] == [[str(n), str(k), str(a), str(b), p.to_json()] for n, k, a, b, p in rows]
+
+    def test_peak_memory_is_a_small_multiple_of_the_output(self):
+        # encoding a whole-table payload peaks near 9x the output; row by
+        # row, the peak is the chunks and their join
+        table = build_family("Ac", 10)
+        tracemalloc.start()
+        try:
+            text = render(table, "json")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * len(text)
