@@ -11,7 +11,6 @@ from qderiv.ring import (
     QPoly,
     XQPoly,
     gauss_binomial,
-    int_binomial,
     poly_str,
     q_bracket,
     q_multinomial,
@@ -26,7 +25,7 @@ from qderiv.series import (
     RING_XQ,
     DividedSeries,
 )
-from qderiv.tcomb import BruteForceBoundError, TComposition, TPermutation
+from qderiv.tcomb import BruteForceBoundError, TPermutation
 from qderiv.tables import PolyTable
 from qderiv.verify import Bounds, VerificationReport, run_suite
 
@@ -36,7 +35,6 @@ __all__ = [
     "QPoly",
     "XQPoly",
     "gauss_binomial",
-    "int_binomial",
     "poly_str",
     "q_bracket",
     "q_multinomial",
@@ -49,7 +47,6 @@ __all__ = [
     "RING_XQ",
     "DividedSeries",
     "BruteForceBoundError",
-    "TComposition",
     "TPermutation",
     "PolyTable",
     "Bounds",

@@ -4,7 +4,9 @@ Subcommands: ``table`` (compute and render a family), ``oracle`` (the
 same schema computed by brute force only), ``verify`` (run identity
 checks), ``series`` (render series coefficients) and ``export`` (write a
 rendered family to a file).  Data goes to stdout, logs to stderr; exit
-codes: 0 success/all-pass, 1 verification failure, 2 usage error.
+codes: 0 success/all-pass, 1 verification failure, 2 usage error, 141
+when the reader of stdout closes it early (as a shell reports a writer
+killed by SIGPIPE).
 
 Rendered tables may be cached on disk, one file per (family, n, format),
 named ``<family>_n<n>.<format>``: a stamp line, then the exact output of
@@ -379,7 +381,15 @@ def main(argv=None) -> int:
         "series": _cmd_series,
         "export": _cmd_export,
     }
-    return commands[args.command](args)
+    try:
+        status = commands[args.command](args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone: send what is still buffered, and the flush at
+        # exit, to /dev/null rather than into a second BrokenPipeError
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
+    return status
 
 
 if __name__ == "__main__":

@@ -160,7 +160,7 @@ def _latex_flat(table: Table) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _latex_grid(family: str, cells: dict, n_max: int) -> str:
+def _latex_grid(cells: dict, n_max: int) -> str:
     """n-by-m grid with the entries of one cell stacked in an array."""
     m_top = max((m for (_, m) in cells), default=0)
     lines = [
@@ -194,7 +194,7 @@ def _latex_triple_grid(table: Table) -> str:
             table.family, n, k, a, b, _latex_caret(poly_str(poly)),
         )
         cells.setdefault((n, a + b), []).append(label)
-    return _latex_grid(table.family, cells, table.n_max)
+    return _latex_grid(cells, table.n_max)
 
 
 def _latex_comp_grid(table: Table) -> str:
@@ -204,7 +204,7 @@ def _latex_comp_grid(table: Table) -> str:
             n, "".join(str(p) for p in parts), _latex_caret(poly_str(poly)),
         )
         cells.setdefault((n, len(parts) - 1), []).append(label)
-    return _latex_grid(table.family, cells, table.n_max)
+    return _latex_grid(cells, table.n_max)
 
 
 def _latex_triangle(table: Table) -> str:
@@ -222,4 +222,4 @@ def _latex_triangle(table: Table) -> str:
         for n, m, value in table.rows:
             text = "\\mathbf{%d}" % value if bold else "%d" % value
             cells.setdefault((n, m), []).append(text)
-    return _latex_grid(table.family, cells, table.n_max)
+    return _latex_grid(cells, table.n_max)

@@ -20,7 +20,6 @@ ring division-free.
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 from typing import Dict, Iterable, Sequence, Tuple
 
@@ -30,9 +29,9 @@ class _DensePoly:
     coefficient of the i-th power of the variable.
 
     A subclass names its coefficient ring: ``_COEFF_ZERO``/``_COEFF_ONE``,
-    the ``_SCALARS`` it accepts as constant polynomials, and the JSON codec
-    of one coefficient (``_coeff_to_json``/``_coeff_from_json``).  It also
-    brings its own ``__mul__`` and ``__str__``.  Equality is same-type only.
+    the ``_SCALARS`` it accepts as constant polynomials, and the JSON form
+    of one coefficient (``_coeff_to_json``).  It also brings its own
+    ``__mul__`` and ``__str__``.  Equality is same-type only.
     """
 
     __slots__ = ("coeffs",)
@@ -103,10 +102,6 @@ class _DensePoly:
     def to_json(self) -> dict:
         return {"coeffs": list(map(self._coeff_to_json, self.coeffs))}
 
-    @classmethod
-    def from_json(cls, data: dict):
-        return cls(map(cls._coeff_from_json, data["coeffs"]))
-
     def __repr__(self) -> str:
         return "%s(%r)" % (type(self).__name__, self.coeffs)
 
@@ -116,7 +111,7 @@ class QPoly(_DensePoly):
 
     __slots__ = ()
     _COEFF_ZERO, _COEFF_ONE, _SCALARS = 0, 1, int
-    _coeff_to_json, _coeff_from_json = str, int
+    _coeff_to_json = str
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -207,7 +202,7 @@ class XQPoly(_DensePoly):
 
     __slots__ = ()
     _COEFF_ZERO, _COEFF_ONE, _SCALARS = _Q_ZERO, _Q_ONE, (int, QPoly)
-    _coeff_to_json, _coeff_from_json = staticmethod(QPoly.to_json), QPoly.from_json
+    _coeff_to_json = staticmethod(QPoly.to_json)
 
     def coefficient(self, exp: int) -> QPoly:
         if 0 <= exp < len(self.coeffs):
@@ -308,12 +303,6 @@ def q_multinomial(n: int, parts: Sequence[int]) -> QPoly:
         out = out * gauss_binomial(rem, p)
         rem -= p
     return out
-
-
-def int_binomial(n: int, m: int) -> int:
-    if not 0 <= m <= n:
-        raise ValueError("int_binomial needs 0 <= m <= n")
-    return math.comb(n, m)
 
 
 # -- pretty-printing ---------------------------------------------------

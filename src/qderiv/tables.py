@@ -19,12 +19,12 @@ import threading
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from typing import Dict, Iterator, List, Tuple, Union
+from typing import Dict, Iterator, List, Tuple
 
 from qderiv import permstats, tcomb
 from qderiv.ring import QPoly, q_multinomial
 from qderiv.series import q_secant2_number, q_tan_sec_number
-from qderiv.tcomb import TComposition, enumerate_t_compositions
+from qderiv.tcomb import enumerate_t_compositions, is_t_composition
 
 KIND_A = "A"
 KIND_B = "B"
@@ -153,8 +153,7 @@ def _fill_comp_row(row: dict, n: int) -> dict:
     """
     width = (n + 1) * n // 2 + 1
     cur: dict = {}
-    for comp in enumerate_t_compositions(n + 1):
-        cp = comp.parts
+    for cp in enumerate_t_compositions(n + 1):
         mp = len(cp) - 1
         c0, rest = cp[0], cp[1:]
         sources = [((2 * j, c0 - 2 * j - 1) + rest, 2 * j) for j in range(0, (c0 - 1) // 2 + 1)]
@@ -322,8 +321,8 @@ def oracle_all(n: int) -> Tuple[dict, dict, dict]:
         by_inv[(desc, inv)] += 1
     # block_of[parts][i]: the component holding position i of the cut
     block_of = {
-        c.parts: tuple(b for b, p in enumerate(c.parts) for _ in range(p))
-        for c in enumerate_t_compositions(n)
+        parts: tuple(b for b, p in enumerate(parts) for _ in range(p))
+        for parts in enumerate_t_compositions(n)
     }
     # coefficient lists; imaj and inv are at most n(n-1)/2
     width = n * (n - 1) // 2 + 1
@@ -346,19 +345,19 @@ def oracle_all(n: int) -> Tuple[dict, dict, dict]:
 # -- the product formula ---------------------------------------------------
 
 
-def product_formula(n: int, comp: Union[TComposition, Tuple[int, ...]]) -> QPoly:
+def product_formula(n: int, parts: Tuple[int, ...]) -> QPoly:
     """Closed product form of the composition-indexed polynomials.
 
     q-multinomial of the parts times a tangent/secant coefficient per
     part, the last part contributing a second-kind secant coefficient.
     """
-    if not isinstance(comp, TComposition):
-        comp = TComposition(tuple(comp))
-    if comp.n != n:
-        raise ValueError("composition sums to %d, not %d" % (comp.n, n))
-    if comp.mu == 0:
+    if not is_t_composition(parts):
+        raise ValueError("not a t-composition: %r" % (parts,))
+    if sum(parts) != n:
+        raise ValueError("composition sums to %d, not %d" % (sum(parts), n))
+    if len(parts) == 1:
         return q_tan_sec_number(n)
-    poly = q_multinomial(n, comp.parts)
-    for part in comp.parts[:-1]:
+    poly = q_multinomial(n, parts)
+    for part in parts[:-1]:
         poly = poly * q_tan_sec_number(part)
-    return poly * q_secant2_number(comp.parts[-1])
+    return poly * q_secant2_number(parts[-1])

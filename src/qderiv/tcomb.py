@@ -4,7 +4,8 @@ A t-composition of n is a composition (c_0, ..., c_m) of n in which only
 the end parts may vanish, with the extra parity conditions: a single part
 must be odd; with two or more parts the ends are even and the interior
 parts odd.  The empty object n = 0 is represented by the distinguished
-pair (0, 0).
+pair (0, 0).  A t-composition is its parts tuple: ``is_t_composition``
+tests one, and ``enumerate_t_compositions`` lists those of n.
 
 A t-permutation of order n is a sequence of words whose concatenation is
 a permutation of 1..n, the first word rising alternating, the others
@@ -46,29 +47,8 @@ def _guard(n: int, bound: Optional[int]) -> None:
         )
 
 
-@dataclass(frozen=True)
-class TComposition:
-    parts: Tuple[int, ...]
-
-    def __post_init__(self):
-        parts = tuple(self.parts)
-        object.__setattr__(self, "parts", parts)
-        if not _is_t_composition(parts):
-            raise ValueError("not a t-composition: %r" % (parts,))
-
-    @property
-    def n(self) -> int:
-        return sum(self.parts)
-
-    @property
-    def mu(self) -> int:
-        return len(self.parts) - 1
-
-    def is_s_composition(self) -> bool:
-        return self.parts[-1] == 0
-
-
-def _is_t_composition(parts: Tuple[int, ...]) -> bool:
+def is_t_composition(parts: Tuple[int, ...]) -> bool:
+    """True when the parts tuple ``parts`` is a t-composition."""
     if not parts or any(p < 0 for p in parts):
         return False
     if sum(parts) == 0:
@@ -93,12 +73,12 @@ def _odd_compositions(total: int) -> Tuple[Tuple[int, ...], ...]:
 
 
 @lru_cache(maxsize=None)
-def enumerate_t_compositions(n: int) -> Tuple[TComposition, ...]:
+def enumerate_t_compositions(n: int) -> Tuple[Tuple[int, ...], ...]:
     """All t-compositions of n, ordered by (number of parts, parts)."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n == 0:
-        return (TComposition((0, 0)),)
+        return ((0, 0),)
     found = []
     if n % 2:
         found.append((n,))
@@ -107,13 +87,7 @@ def enumerate_t_compositions(n: int) -> Tuple[TComposition, ...]:
             for interior in _odd_compositions(n - c0 - cm):
                 found.append((c0,) + interior + (cm,))
     found.sort(key=lambda p: (len(p), p))
-    return tuple(TComposition(p) for p in found)
-
-
-@lru_cache(maxsize=None)
-def _composition(parts: Tuple[int, ...]) -> TComposition:
-    """One validated ``TComposition`` per parts tuple."""
-    return TComposition(parts)
+    return tuple(found)
 
 
 @dataclass(frozen=True, init=False)
@@ -164,9 +138,6 @@ class TPermutation:
     def mu(self) -> int:
         return len(self.parts) - 1
 
-    def lam(self) -> TComposition:
-        return _composition(self.parts)
-
     def _one(self) -> Tuple[int, int]:
         """The block holding the letter 1 and its offset there; n > 0."""
         offset = self.word.index(1)
@@ -178,11 +149,6 @@ class TPermutation:
     def min_component(self) -> Optional[int]:
         """Index of the component containing the letter 1; None when n = 0."""
         return self._one()[0] if self.word else None
-
-    def stats(self) -> permstats.WordStats:
-        """Statistics of the concatenated word; ``lam()``, ``mu`` and
-        ``min_component()`` are read from the t-permutation itself."""
-        return permstats.statistics(self.word)
 
     def is_first_kind(self) -> bool:
         """True when 1 occurs as a one-letter component that can be deleted.
@@ -219,7 +185,7 @@ def _is_valid_cut(parts: Tuple[int, ...], desc: Tuple[bool, ...]) -> bool:
     validated without listing the t-compositions of its order.  The cache
     is bounded, for callers that build many large t-permutations.
     """
-    return _is_t_composition(parts) and _cut_alternation_ok(desc, parts)
+    return is_t_composition(parts) and _cut_alternation_ok(desc, parts)
 
 
 @lru_cache(maxsize=None)
@@ -231,9 +197,9 @@ def _valid_cuts(n: int, desc: Tuple[bool, ...]) -> Tuple[Tuple[int, ...], ...]:
     that of ``enumerate_t_compositions``.
     """
     return tuple(
-        comp.parts
-        for comp in enumerate_t_compositions(n)
-        if _cut_alternation_ok(desc, comp.parts)
+        parts
+        for parts in enumerate_t_compositions(n)
+        if _cut_alternation_ok(desc, parts)
     )
 
 
@@ -259,9 +225,9 @@ def enumerate_t_permutations(n: int, bound: Optional[int] = None) -> Iterator[TP
         yield from cuts
 
 
-def cut_by_lambda(sigma: Word, comp: TComposition) -> TPermutation:
-    """Cut a permutation into consecutive blocks with the given lengths."""
-    return TPermutation._flat(tuple(sigma), comp.parts)
+def cut_by_lambda(sigma: Word, parts: Tuple[int, ...]) -> TPermutation:
+    """Cut a permutation into consecutive blocks of lengths ``parts``."""
+    return TPermutation._flat(tuple(sigma), parts)
 
 
 # -- the two insertion bijections ---------------------------------------

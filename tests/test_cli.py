@@ -1,6 +1,8 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 import tempfile
 
 import pytest
@@ -10,6 +12,10 @@ from qderiv import cli, verify
 from qderiv.render import FORMATS, render
 from qderiv.ring import QPoly
 from qderiv.tables import a_table
+
+
+def qpoly_from_json(data):
+    return QPoly(map(int, data["coeffs"]))
 
 
 def run_cli(capsys, *argv):
@@ -25,7 +31,7 @@ class TestTableCommand:
         payload = json.loads(out)
         assert payload["family"] == "A"
         rows = {
-            (int(n), int(k), int(a), int(b)): QPoly.from_json(poly)
+            (int(n), int(k), int(a), int(b)): qpoly_from_json(poly)
             for n, k, a, b, poly in payload["rows"]
         }
         assert rows == dict(a_table(3).items())
@@ -153,7 +159,7 @@ class TestSeriesCommand:
         code, out, _ = run_cli(capsys, "series", "tan_q", "--order", "5", "--format", "json")
         assert code == 0
         data = json.loads(out)
-        coeffs = [QPoly.from_json(c) for c in data["coeffs"]]
+        coeffs = [qpoly_from_json(c) for c in data["coeffs"]]
         assert data["order"] == 5 and len(coeffs) == 6 and str(coeffs[3]) == "q + q^2"
 
     def test_text(self, capsys):
@@ -391,3 +397,31 @@ class TestExportAndCache:
         _, one, _ = run_cli(capsys, "table", "tq", "--n", "5", "--format", "json")
         _, two, _ = run_cli(capsys, "table", "tq", "--n", "5", "--format", "json")
         assert one == two
+
+
+class TestClosedStdout:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("verify", "all", "--n", "3", "--order", "4", "--bound-bruteforce", "3", "--format", "text"),
+            ("table", "Ac", "--n", "12", "--format", "text"),
+            ("series", "tan_q", "--order", "20"),
+        ],
+        ids=("verify", "table", "series"),
+    )
+    def test_exits_141_without_traceback(self, argv):
+        # stdout is a pipe whose reader has already gone, as under `| head -1`
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = {k: v for k, v in os.environ.items() if k != cli.CACHE_ENV}
+        env["PYTHONPATH"] = src
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "qderiv.cli", *argv],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 141
+        assert b"Traceback" not in proc.stderr

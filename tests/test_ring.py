@@ -10,7 +10,6 @@ from qderiv.ring import (
     QPoly,
     XQPoly,
     gauss_binomial,
-    int_binomial,
     poly_str,
     q_bracket,
     q_multinomial,
@@ -194,7 +193,7 @@ class TestQConstants:
             for m in range(n + 1):
                 g = gauss_binomial(n, m)
                 assert g == gauss_binomial(n, n - m)
-                assert g.eval_at_one() == int_binomial(n, m)
+                assert g.eval_at_one() == math.comb(n, m)
 
     def test_pochhammer_factorization(self):
         for n in range(13):
@@ -237,11 +236,6 @@ class TestQConstants:
         with pytest.raises(ValueError):
             q_multinomial(4, (2, 1))
 
-    def test_int_binomial_bounds(self):
-        assert int_binomial(5, 2) == math.comb(5, 2)
-        with pytest.raises(ValueError):
-            int_binomial(2, 5)
-
 
 class TestJson:
     def test_qpoly_wire_format(self):
@@ -251,17 +245,18 @@ class TestJson:
 
     @given(polys)
     def test_qpoly_roundtrip(self, p):
-        assert QPoly.from_json(json.loads(json.dumps(p.to_json()))) == p
+        data = json.loads(json.dumps(p.to_json()))
+        assert data == {"coeffs": [str(c) for c in p.coeffs]}
 
     def test_xqpoly_roundtrip(self):
         xp = XQPoly((P(1), P(0, 2), QPoly(), P(3)))
-        again = XQPoly.from_json(json.loads(json.dumps(xp.to_json())))
-        assert again == xp
+        data = json.loads(json.dumps(xp.to_json()))
+        assert data == {"coeffs": [{"coeffs": ["1"]}, {"coeffs": ["0", "2"]}, {"coeffs": []}, {"coeffs": ["3"]}]}
 
     def test_big_integers_survive(self):
         big = 10 ** 40 + 7
-        p = QPoly((big,))
-        assert QPoly.from_json(p.to_json()).coeffs == (big,)
+        data = json.loads(json.dumps(QPoly((big,)).to_json()))
+        assert data == {"coeffs": ["10000000000000000000000000000000000000007"]}
 
 
 class TestXQPoly:
@@ -331,8 +326,8 @@ class TestXQPolyProperties:
     def test_equal_values_hash_equal(self, a, b):
         padded = XQPoly(a.coeffs + (QPoly(), QPoly((0, 0))))
         rebuilt = (a + b) - b
-        decoded = XQPoly.from_json(json.loads(json.dumps(a.to_json())))
-        for same in (padded, rebuilt, decoded):
+        copied = XQPoly(QPoly(list(c.coeffs)) for c in a.coeffs)
+        for same in (padded, rebuilt, copied):
             assert same == a and hash(same) == hash(a)
 
 

@@ -9,7 +9,6 @@ from qderiv.permstats import descent_word, zigzag
 from qderiv.ring import QPoly
 from qderiv.tcomb import (
     BruteForceBoundError,
-    TComposition,
     TPermutation,
     alpha,
     beta,
@@ -19,6 +18,7 @@ from qderiv.tcomb import (
     enumerate_t_compositions,
     enumerate_t_permutations,
     fibonacci_poly,
+    is_t_composition,
     psi_on_t,
     star_delta,
     star_delta_inv,
@@ -27,21 +27,30 @@ from qderiv.tcomb import (
 
 
 def parts(n):
-    return {c.parts for c in enumerate_t_compositions(n)}
+    return set(enumerate_t_compositions(n))
 
 
 def naive_t_permutations(n):
     """Every t-composition cut of every permutation, each fully validated."""
     for sigma in itertools.permutations(range(1, n + 1)):
-        for comp in enumerate_t_compositions(n):
+        for lengths in enumerate_t_compositions(n):
             cuts = [0]
-            for p in comp.parts:
+            for p in lengths:
                 cuts.append(cuts[-1] + p)
             components = tuple(sigma[a:b] for a, b in zip(cuts, cuts[1:]))
             try:
                 yield TPermutation(components)
             except ValueError:
                 continue
+
+
+def positive_compositions(total):
+    """Every composition of ``total`` into positive parts; () for 0."""
+    if total == 0:
+        yield ()
+    for first in range(1, total + 1):
+        for rest in positive_compositions(total - first):
+            yield (first,) + rest
 
 
 def old_rule_accepts(comps):
@@ -145,28 +154,32 @@ class TestTCompositions:
         }
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            TComposition((2,))          # single even part
-        with pytest.raises(ValueError):
-            TComposition((1, 2))        # odd end with two parts
-        with pytest.raises(ValueError):
-            TComposition((0, 2, 0))     # even interior
-        with pytest.raises(ValueError):
-            TComposition((0, 0, 1, 0))  # zero interior
-        TComposition((0, 0))
-        TComposition((5,))
+        assert not is_t_composition((2,))          # single even part
+        assert not is_t_composition((1, 2))        # odd end with two parts
+        assert not is_t_composition((0, 2, 0))     # even interior
+        assert not is_t_composition((0, 0, 1, 0))  # zero interior
+        assert is_t_composition((0, 0))
+        assert is_t_composition((5,))
 
     def test_filters(self):
-        three_parts = {c.parts for c in enumerate_t_compositions(3) if c.mu == 2}
+        three_parts = {p for p in enumerate_t_compositions(3) if len(p) == 3}
         assert three_parts == {(0, 1, 2), (2, 1, 0), (0, 3, 0)}
-        s_two = {c.parts for c in enumerate_t_compositions(2) if c.is_s_composition()}
+        s_two = {p for p in enumerate_t_compositions(2) if p[-1] == 0}
         assert s_two == {(2, 0), (0, 1, 1, 0)}
-        assert [c.parts for c in enumerate_t_compositions(0) if c.is_s_composition()] == [(0, 0)]
+        assert [p for p in enumerate_t_compositions(0) if p[-1] == 0] == [(0, 0)]
 
-    def test_reduced_and_mirror(self):
-        assert not TComposition((0, 1, 2)).is_s_composition()
-        s = TComposition((2, 1, 0))
-        assert s.is_s_composition() and s.parts[:-1] == (2, 1)
+    @pytest.mark.parametrize("n", range(11))
+    def test_enumeration_is_every_candidate_the_predicate_accepts(self, n):
+        # candidates: the one-part (n,) and every (c0, *interior, cm) of sum
+        # n with nonnegative ends and positive interior parts
+        candidates = [(n,)] + [
+            (c0,) + interior + (cm,)
+            for c0 in range(n + 1)
+            for cm in range(n - c0 + 1)
+            for interior in positive_compositions(n - c0 - cm)
+        ]
+        accepted = sorted(filter(is_t_composition, candidates), key=lambda p: (len(p), p))
+        assert list(enumerate_t_compositions(n)) == accepted
 
 
 class TestTPermutations:
@@ -197,23 +210,22 @@ class TestTPermutations:
 
     def test_stats_worked_example(self):
         w = TPermutation(((4, 5), (11, 1, 3), (10, 7, 9), (6,), (8, 2)))
-        st = w.stats()
+        st = permstats.statistics(w.word)
         assert (st.ides, st.imaj, st.inv, w.min_component()) == (6, 38, 27, 1)
-        assert w.lam().parts == (2, 3, 3, 1, 2)
+        assert w.parts == (2, 3, 3, 1, 2)
 
     def test_stats_small(self):
         w = TPermutation(((), (1,), ()))
-        st = w.stats()
+        st = permstats.statistics(w.word)
         assert (w.mu, w.min_component(), st.ides, st.imaj, st.inv) == (2, 1, 0, 0, 0)
         w = TPermutation(((1, 3, 2),))
-        assert w.lam().parts == (3,) and w.mu == 0 and w.stats().imaj == 2
+        assert w.parts == (3,) and w.mu == 0 and permstats.statistics(w.word).imaj == 2
 
     def test_min_component_empty_order(self):
         assert TPermutation(((), ())).min_component() is None
 
     def test_lambda_with_filter(self):
-        comp = TComposition((0, 1, 1, 0))
-        found = [w for w in enumerate_t_permutations(2) if w.lam() == comp]
+        found = [w for w in enumerate_t_permutations(2) if w.parts == (0, 1, 1, 0)]
         assert {w.components for w in found} == {
             ((), (2,), (1,), ()), ((), (1,), (2,), ()),
         }
@@ -223,12 +235,12 @@ class TestTPermutations:
         found = {
             w.components
             for w in enumerate_t_permutations(3)
-            if (w.stats().ides, w.min_component(), w.mu) == (1, 1, 2)
+            if (permstats.statistics(w.word).ides, w.min_component(), w.mu) == (1, 1, 2)
         }
         assert len(found) == 4
         for w in found:
             t = TPermutation(w)
-            assert (t.stats().ides, t.min_component(), t.mu) == (1, 1, 2)
+            assert (permstats.statistics(t.word).ides, t.min_component(), t.mu) == (1, 1, 2)
 
     def test_s_permutations(self):
         trailing_empty = {
@@ -244,7 +256,7 @@ class TestTPermutations:
         assert [w.components for w in fast] == [w.components for w in naive_t_permutations(n)]
         for w in fast:
             assert TPermutation(w.components) == w
-            assert w.lam() == TComposition(tuple(len(c) for c in w.components))
+            assert w.parts == tuple(len(c) for c in w.components)
 
     def test_bound_guard(self):
         with pytest.raises(BruteForceBoundError):
@@ -369,31 +381,31 @@ class TestPsiLift:
     def test_preserves_shape_small(self):
         for w in enumerate_t_permutations(5):
             image = psi_on_t(w)
-            assert image.lam() == w.lam()
-            assert image.stats().inv == w.stats().imaj
+            assert image.parts == w.parts
+            assert permstats.statistics(image.word).inv == permstats.statistics(w.word).imaj
 
     @pytest.mark.parametrize("n", range(7))
     def test_is_the_cut_of_psi_of_the_permutation(self, n):
         for sigma, cuts in t_permutation_cuts(n):
             image = permstats.psi(sigma)
             for w in cuts:
-                edges = list(itertools.accumulate((0,) + w.lam().parts))
+                edges = list(itertools.accumulate((0,) + w.parts))
                 expected = tuple(image[a:b] for a, b in zip(edges, edges[1:]))
                 assert psi_on_t(w).components == expected
 
     def test_cut_by_lambda(self):
-        w = cut_by_lambda((2, 1, 3), TComposition((0, 3, 0)))
+        w = cut_by_lambda((2, 1, 3), (0, 3, 0))
         assert w.components == ((), (2, 1, 3), ())
 
     def test_cut_by_lambda_of_another_order(self):
         # a composition of another order neither drops letters nor cuts a
         # t-permutation of the wrong order
         with pytest.raises(ValueError, match="block lengths"):
-            cut_by_lambda((1, 2, 3), TComposition((1,)))
+            cut_by_lambda((1, 2, 3), (1,))
         with pytest.raises(ValueError, match="block lengths"):
-            cut_by_lambda((2, 1, 3, 4), TComposition((0, 1, 1, 0)))
+            cut_by_lambda((2, 1, 3, 4), (0, 1, 1, 0))
         with pytest.raises(ValueError, match="block lengths"):
-            cut_by_lambda((1,), TComposition((0, 1, 1, 0)))
+            cut_by_lambda((1,), (0, 1, 1, 0))
 
 
 class TestFlatAgainstComponentReference:
@@ -439,7 +451,7 @@ class TestCountingLayer:
         for n in range(11):
             by_mu = {}
             for c in enumerate_t_compositions(n):
-                by_mu[c.mu] = by_mu.get(c.mu, 0) + 1
+                by_mu[len(c) - 1] = by_mu.get(len(c) - 1, 0) + 1
             for m in range(n + 3):
                 assert alpha(n, m) == by_mu.get(m, 0)
 
