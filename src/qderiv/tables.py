@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import Dict, Iterator, List, Tuple
 
-from qderiv import permstats, tcomb
+from qderiv import tcomb
 from qderiv.ring import QPoly, q_multinomial
 from qderiv.series import q_secant2_number, q_tan_sec_number
 from qderiv.tcomb import enumerate_t_compositions, is_t_composition
@@ -298,6 +298,48 @@ def rewrite_comp_sec(n: int) -> dict:
 # -- route 3: brute-force statistics oracles ------------------------------
 
 
+def _insertion_tally(n: int) -> Tuple[Counter, Counter]:
+    """Every permutation of 1..n, n >= 1, tallied by (descent word,
+    position of 1, ides, imaj) and by (descent word, inv).
+
+    S_k is built from S_{k-1} by inserting k at each position p.  With q
+    the position of k - 1: inv gains the k - 1 - p letters after k; k - 1
+    joins iligne (ides + 1, imaj + k - 1) exactly when p <= q; the letter 1
+    moves right when p <= its position; and only the two bits around p
+    change in the descent word.  A node of the explicit stack is one
+    permutation of 1..k, k = len(desc) + 1, as (desc, position of 1, ides,
+    imaj, inv, position of k); the children of the last inner level are
+    tallied without being built.
+    """
+    if n == 1:
+        return Counter({((), 0, 0, 0): 1}), Counter({((), 0): 1})
+    by_pos, by_inv = Counter(), Counter()
+    stack = [((), 0, 0, 0, 0, 0)]  # the permutation (1)
+    while stack:
+        desc, pos1, ides, imaj, inv, top = stack.pop()
+        k = len(desc) + 2  # the letter to insert
+        last = k == n
+        for p in range(k):
+            if p == 0:
+                child = (True,) + desc
+            elif p == k - 1:
+                child = desc + (False,)
+            else:
+                child = desc[: p - 1] + (False, True) + desc[p:]
+            if p <= top:
+                c_ides, c_imaj = ides + 1, imaj + k - 1
+            else:
+                c_ides, c_imaj = ides, imaj
+            c_pos1 = pos1 + 1 if p <= pos1 else pos1
+            c_inv = inv + k - 1 - p
+            if last:
+                by_pos[(child, c_pos1, c_ides, c_imaj)] += 1
+                by_inv[(child, c_inv)] += 1
+            else:
+                stack.append((child, c_pos1, c_ides, c_imaj, c_inv, p))
+    return by_pos, by_inv
+
+
 @lru_cache(maxsize=None)
 def oracle_all(n: int) -> Tuple[dict, dict, dict]:
     """Statistics sums over all t-permutations of order n, one sweep.
@@ -306,19 +348,17 @@ def oracle_all(n: int) -> Tuple[dict, dict, dict]:
     imaj-generating triple rows and the inv-generating composition row.
     Callers apply the brute-force bound (``tcomb._guard``).
 
-    Every permutation of S_n is visited by ``permstats.walk``, which
-    carries its descent word, inv, ides and imaj, so this route shares
-    nothing with the recurrences or the rewrite engines.  Which cuts are
-    t-permutations depends only on the descent word, so permutations are
-    tallied by (descent word, position of 1, ides, imaj) and by (descent
-    word, inv), and each class is expanded over its valid cuts once.
+    Every permutation of S_n is visited once by ``_insertion_tally``, which
+    builds S_n by inserting letters and carries each descent word, inv,
+    ides and imaj, so this route shares nothing with the recurrences or the
+    rewrite engines.  Which cuts are t-permutations depends only on the
+    descent word, so permutations are tallied by (descent word, position of
+    1, ides, imaj) and by (descent word, inv), and each class is expanded
+    over its valid cuts once.
     """
     if n == 0:
         return {(0, 1, 0): _ONE}, {(-1, 0, 0): _ONE}, {(0, 0): _ONE}
-    by_pos, by_inv = Counter(), Counter()
-    for sigma, desc, inv, ides, imaj in permstats.walk(n):
-        by_pos[(desc, sigma.index(1), ides, imaj)] += 1
-        by_inv[(desc, inv)] += 1
+    by_pos, by_inv = _insertion_tally(n)
     # block_of[parts][i]: the component holding position i of the cut
     block_of = {
         parts: tuple(b for b, p in enumerate(parts) for _ in range(p))

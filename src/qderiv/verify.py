@@ -9,6 +9,7 @@ deterministically.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from collections import Counter
@@ -16,7 +17,7 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Callable, Dict, Iterable, List, Mapping, NamedTuple, Optional, Tuple
 
-from qderiv import permstats, special
+from qderiv import permstats, special, tcomb
 from qderiv.fixtures import DEFAULT_FIXTURES
 from qderiv.ring import QPoly, XQPoly, gauss_binomial
 from qderiv.series import (
@@ -538,7 +539,6 @@ def _check_31_images(col: _Collector, tag, w: TPermutation, st, image_stats: dic
     min_comp = w.min_component()
     shifted = frozenset(j + 1 for j in st.iligne)
     prefix = 0
-    comps = w.components
     for i in range(1, w.mu + 1):
         prefix += w.parts[i - 1]
         # the new 1 is an inverse descent exactly when it lands after 2
@@ -554,12 +554,13 @@ def _check_31_images(col: _Collector, tag, w: TPermutation, st, image_stats: dic
             ist = image_stats.get(image.word)
             if ist is None:
                 ist = image_stats[image.word] = permstats.statistics(image.word)
-            idx = tag + (comps, i, name)
-            col.eq(idx + ("iligne",), exp_ilg, ist.iligne)
-            col.eq(idx + ("ides",), exp_ides, ist.ides)
-            col.eq(idx + ("imaj",), exp_imaj, ist.imaj)
-            col.eq(idx + ("inv",), exp_inv, ist.inv)
-            col.eq(idx + ("min",), exp_min, image.min_component())
+            expected = (exp_ilg, exp_ides, exp_imaj, exp_inv, exp_min)
+            actual = (ist.iligne, ist.ides, ist.imaj, ist.inv, image.min_component())
+            if expected != actual:
+                # report indices name components, built only on failure
+                idx = tag + (w.components, i, name)
+                for stat, exp, act in zip(("iligne", "ides", "imaj", "inv", "min"), expected, actual):
+                    col.eq(idx + (stat,), exp, act)
 
 
 def check_3_1(n_max: int) -> VerificationReport:
@@ -627,20 +628,37 @@ def check_3_bijections(n_max: int) -> VerificationReport:
     return col.report
 
 
+# sigma's statistics, read off its walk row (sigma, descent word, imaj)
+_ROW_STATS = {
+    "maj": lambda sigma, desc, imaj: sum(itertools.compress(range(1, len(sigma)), desc)),
+    "ligne": lambda sigma, desc, imaj: frozenset(itertools.compress(range(1, len(sigma)), desc)),
+    "imaj": lambda sigma, desc, imaj: imaj,
+    "iligne": lambda sigma, desc, imaj: permstats.iligne(sigma),
+}
+
+
 def _check_word_bijection(check_id, n_max, example, bijection, pairs) -> VerificationReport:
-    """A bijection of S_n carrying each (tag, stat, image stat) of ``pairs``."""
+    """A bijection of S_n carrying each (tag, stat, image stat) of ``pairs``.
+
+    sigma's statistic comes from ``_ROW_STATS``; the image's is the
+    ``permstats`` definition of that name, so only the compared statistics
+    are computed, and none of the image's is taken from the walk.
+    """
     source, expected = example
     with _Collector(check_id, {"n_max": n_max}) as col:
         col.eq(("example",), expected, bijection(source))
+        compared = [
+            (tag, _ROW_STATS[stat], getattr(permstats, image_stat)) for tag, stat, image_stat in pairs
+        ]
         for n in range(n_max + 1):
             images = set()
-            for sigma, _, _, _, _ in permstats.walk(n):
+            for sigma, desc, _, _, imaj in permstats.walk(n):
                 image = bijection(sigma)
                 images.add(image)
-                st = permstats.statistics(sigma)
-                ist = permstats.statistics(image)
-                for tag, stat, image_stat in pairs:
-                    col.eq((n, sigma, tag), getattr(st, stat), getattr(ist, image_stat))
+                for tag, stat, image_stat in compared:
+                    value, image_value = stat(sigma, desc, imaj), image_stat(image)
+                    if value != image_value:
+                        col.eq((n, sigma, tag), value, image_value)
             col.eq((n, "bijective"), math.factorial(n), len(images))
     return col.report
 
@@ -669,12 +687,14 @@ def check_psi_on_t(n_max: int) -> VerificationReport:
     """psi, cut at the same lengths, is a lambda-preserving bijection of T(n)
     carrying imaj to inv.
 
-    Each image is cut at the lengths of its source, so it keeps lambda, and
-    the validating constructor puts it in T(n).  Cuts of one
-    permutation at distinct lengths differ, and so do cuts of permutations
-    with distinct psi images; so the map is injective, hence onto the finite
-    T(n), exactly when psi takes as many distinct words as permutations
-    were walked.
+    Each image is cut at the lengths of its source, so it keeps lambda.
+    Every cut of sigma is valid on sigma's descent word, so an image that
+    is a permutation with that descent word lies in T(n) under all of them;
+    only an image that is not is put through the validating constructor,
+    cut by cut.  Cuts of one permutation at distinct lengths differ, and so
+    do cuts of permutations with distinct psi images; so the map is
+    injective, hence onto the finite T(n), exactly when psi takes as many
+    distinct words as permutations were walked.
     """
     w = TPermutation(((), (6,), (4,), (9, 2, 7), (5, 1, 8, 3)))
     with _Collector("8.2", {"n_max": n_max}) as col:
@@ -684,21 +704,28 @@ def check_psi_on_t(n_max: int) -> VerificationReport:
             psi_on_t(w).components,
         )
         for n in range(n_max + 1):
+            letters = list(range(1, n + 1))
             image_words = set()
             count = 0
-            for sigma, cuts in t_permutation_cuts(n, bound=n):
+            for sigma, desc, _, _, imaj in permstats.walk(n):
                 image_word = permstats.psi(sigma)
                 image_words.add(image_word)
                 count += 1
-                imaj = sum(permstats.iligne(sigma))
                 image_inv = permstats.inv(image_word)
-                for w in cuts:
+                if (
+                    imaj == image_inv
+                    and sorted(image_word) == letters
+                    and permstats.descent_word(image_word) == desc
+                ):
+                    continue
+                for parts in tcomb._valid_cuts(n, desc):
                     # the validating constructor: a psi that breaks the
                     # descent word fails here
-                    cut_by_lambda(image_word, w.parts)
+                    cut_by_lambda(image_word, parts)
                     if imaj != image_inv:
                         # report indices name components, built only on failure
-                        col.eq((n, w.components, "inv=imaj"), imaj, image_inv)
+                        comps = cut_by_lambda(sigma, parts).components
+                        col.eq((n, comps, "inv=imaj"), imaj, image_inv)
             col.eq((n, "bijective"), count, len(image_words))
     return col.report
 

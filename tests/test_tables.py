@@ -1,6 +1,7 @@
 import itertools
 import json
 import tracemalloc
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +12,7 @@ from qderiv.render import Table, render
 from qderiv.ring import QPoly, XQPoly
 from qderiv.tables import (
     _fill_triple_row,
+    _insertion_tally,
     a_table,
     ac_table,
     b_table,
@@ -200,6 +202,16 @@ class TestOracles:
     @pytest.mark.parametrize("n", range(8))
     def test_matches_per_permutation_sums(self, n):
         assert oracle_all(n) == oracle_per_permutation(n)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_insertion_tally_equals_definitions(self, n):
+        by_pos, by_inv = Counter(), Counter()
+        for sigma in itertools.permutations(range(1, n + 1)):
+            desc = permstats.descent_word(sigma)
+            st = permstats.statistics(sigma)
+            by_pos[(desc, sigma.index(1), st.ides, st.imaj)] += 1
+            by_inv[(desc, st.inv)] += 1
+        assert _insertion_tally(n) == (by_pos, by_inv)
 
     def test_oracle_values(self):
         assert oracle_all(3)[0][(1, 1, 1)] == P(0, 2, 2)

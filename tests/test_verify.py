@@ -247,6 +247,80 @@ class TestSweepFaults:
         assert failing == expected
 
 
+def _psi_not_a_permutation(sigma):
+    # its last letter becomes n + 1
+    image = _real_psi(sigma)
+    return image[:-1] + (len(image) + 1,) if _fires(sigma, 5) else image
+
+
+def _psi_greedy_inv(sigma):
+    # the permutation with the greedy Lehmer code of inv(psi(sigma)): the
+    # right inv, and in general another descent word
+    image = _real_psi(sigma)
+    if not _fires(sigma, 5):
+        return image
+    remaining, letters, out = permstats.inv(image), list(range(1, len(image) + 1)), []
+    while letters:
+        skip = min(remaining, len(letters) - 1)
+        out.append(letters.pop(skip))
+        remaining -= skip
+    return tuple(out)
+
+
+_real_foata_phi = permstats.foata_phi
+
+
+def _foata_phi_swapped(word):
+    # swaps the first two letters: still a permutation, maj = inv broken
+    image = _real_foata_phi(word)
+    return image[1::-1] + image[2:] if _fires(word, 5) else image
+
+
+class TestFastPathFaults:
+    """8.2 validates each psi image once per permutation and replays the
+    per-cut validating constructor only when that fails; psi is conjugate
+    to foata_phi, so a fault in phi fails 8.phi and 8.1 alike; 3.1 compares
+    an image's five values at once and replays them one by one on failure."""
+
+    @pytest.mark.parametrize("fake, message", [
+        (_psi_not_a_permutation, "concatenation is not a permutation: ((), (3, 1, 2), (4,), (6,), ())"),
+        (_psi_greedy_inv, "component shapes violate the alternation rules: ((), (5, 3, 1), (2, 4))"),
+    ], ids=["not-a-permutation", "greedy-inv"])
+    def test_8_2_falls_back_to_the_validating_constructor(self, monkeypatch, fake, message):
+        monkeypatch.setattr(permstats, "psi", fake)
+        (report,) = verify.run_checks(verify.specs_for(["8.2"]), Bounds(perm_sweep_n=5))
+        assert report.to_json_line() == (
+            '{"first_discrepancy": {"actual": "ValueError(\'%s\')", "expected": "no exception", '
+            '"index": ["exception"]}, "id": "8.2", "params": {"perm_sweep_n": 5}, "status": "fail"}'
+            % message
+        )
+
+    def test_a_phi_fault_fails_8_phi_and_8_1(self, monkeypatch):
+        monkeypatch.setattr(permstats, "foata_phi", _foata_phi_swapped)
+        reports = verify.run_checks(verify.specs_for(["8.phi", "8.1"]), Bounds(perm_sweep_n=5))
+        assert [r.to_json_line() for r in reports] == [
+            '{"first_discrepancy": {"actual": "2", "expected": "1", "index": '
+            '[5, [3, 1, 2, 4, 5], "maj=inv"]}, "id": "8.phi", "params": {"n_max": 5}, "status": "fail"}',
+            '{"first_discrepancy": {"actual": "2", "expected": "1", "index": '
+            '[5, [2, 3, 1, 4, 5], "inv=imaj"]}, "id": "8.1", "params": {"n_max": 5}, "status": "fail"}',
+        ]
+
+    def test_3_1_replays_the_component_of_1(self, monkeypatch):
+        # gluing instead of inserting keeps the image word, so only the
+        # component holding 1 differs
+        monkeypatch.setattr(
+            verify,
+            "delta_star",
+            lambda i, w: tcomb.star_delta(i, w) if _fires(w.word, 4) else tcomb.delta_star(i, w),
+        )
+        (report,) = verify.run_checks(verify.specs_for(["3.1"]), Bounds(sweep_n=4))
+        assert report.to_json_line() == (
+            '{"first_discrepancy": {"actual": "0", "expected": "1", "index": ["sweep", 4, '
+            '[[], [3, 1, 2], [4], []], 1, "delta*", "min"]}, "id": "3.1", "params": {"n_max": 4}, '
+            '"status": "fail"}'
+        )
+
+
 class TestCountingArguments:
     """3.bij and 8.2 keep no images; their counts still catch a missed or
     doubled image."""
