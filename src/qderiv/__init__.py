@@ -5,52 +5,52 @@ polynomial triangles by three independent routes (recurrences, symbolic
 q-derivative rewriting, brute-force statistics sums over t-permutations)
 and verifies the identity catalog connecting them as exact polynomial
 equalities.
+
+The public names below are re-exported lazily (PEP 562): ``qderiv.QPoly``
+or ``from qderiv import run_suite`` imports the home module on first use,
+so importing the package, or one of its modules such as ``qderiv.cli``,
+loads no module it does not run.
 """
 
-from qderiv.ring import (
-    QPoly,
-    XQPoly,
-    gauss_binomial,
-    poly_str,
-    q_bracket,
-    q_multinomial,
-    q_pochhammer,
-    xpoly_str,
-)
-from qderiv.series import (
-    CLASSICAL_MODE,
-    Q_MODE,
-    RING_INT,
-    RING_Q,
-    RING_XQ,
-    DividedSeries,
-)
-from qderiv.tcomb import BruteForceBoundError, TPermutation
-from qderiv.tables import PolyTable
-from qderiv.verify import Bounds, VerificationReport, run_suite
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "QPoly",
-    "XQPoly",
-    "gauss_binomial",
-    "poly_str",
-    "q_bracket",
-    "q_multinomial",
-    "q_pochhammer",
-    "xpoly_str",
-    "CLASSICAL_MODE",
-    "Q_MODE",
-    "RING_INT",
-    "RING_Q",
-    "RING_XQ",
-    "DividedSeries",
-    "BruteForceBoundError",
-    "TPermutation",
-    "PolyTable",
-    "Bounds",
-    "VerificationReport",
-    "run_suite",
-    "__version__",
-]
+# public name -> the module that defines it
+_HOMES = {
+    "QPoly": "ring",
+    "XQPoly": "ring",
+    "gauss_binomial": "ring",
+    "poly_str": "ring",
+    "q_bracket": "ring",
+    "q_multinomial": "ring",
+    "q_pochhammer": "ring",
+    "xpoly_str": "ring",
+    "CLASSICAL_MODE": "series",
+    "Q_MODE": "series",
+    "RING_INT": "series",
+    "RING_Q": "series",
+    "RING_XQ": "series",
+    "DividedSeries": "series",
+    "BruteForceBoundError": "tcomb",
+    "TPermutation": "tcomb",
+    "PolyTable": "tables",
+    "Bounds": "verify",
+    "VerificationReport": "verify",
+    "run_suite": "verify",
+}
+
+__all__ = list(_HOMES) + ["__version__"]
+
+
+def __getattr__(name):
+    home = _HOMES.get(name)
+    if home is None:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    value = getattr(importlib.import_module("qderiv." + home), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_HOMES))

@@ -13,8 +13,12 @@ named ``<family>_n<n>.<format>``: a stamp line, then the exact output of
 that command (about 2.8 MB for A at n = 14 in json).  The stamp is a
 sha256 over a fingerprint of the package's source, the entry's file name
 and those bytes, so an entry that is corrupt, in an older format, written
-by other code or copied under another entry's name is recomputed.  A hit writes the stored bytes as they are; a miss renders the
-requested format once, stores it and writes it.
+by other code or copied under another entry's name is recomputed.  A hit
+writes the stored bytes as they are; a miss renders the requested format
+once, stores it and writes it.
+
+The math modules are imported inside the commands that run them, so a
+cache hit imports none of them, and ``series`` imports no table code.
 """
 
 from __future__ import annotations
@@ -24,16 +28,13 @@ import hashlib
 import json
 import os
 import sys
-import tempfile
-from dataclasses import replace
 from functools import lru_cache
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from qderiv import series as series_mod
-from qderiv import special, tcomb, verify
 from qderiv.render import FORMATS, Table, render
-from qderiv.tables import KIND_AC, PolyTable, a_table, ac_table, b_table, oracle_all
-from qderiv.tcomb import BruteForceBoundError, alpha, beta
+
+if TYPE_CHECKING:
+    from qderiv.tables import PolyTable
 
 CACHE_ENV = "QDERIV_CACHE_DIR"
 
@@ -50,19 +51,20 @@ TABLE_FAMILIES = (
 )
 ORACLE_FAMILIES = ("A", "B", "Ac")
 
-SERIES_NAMES = {
-    "e_q": series_mod.e_q,
-    "E_q": series_mod.E_q,
-    "sin_q": series_mod.sin_q,
-    "cos_q": series_mod.cos_q,
-    "Sin_q": series_mod.Sin_q,
-    "Cos_q": series_mod.Cos_q,
-    "tan_q": series_mod.tan_q,
-    "sec_q": series_mod.sec_q,
-    "Sec_q": series_mod.Sec_q,
-    "classical_tan": series_mod.classical_tan,
-    "classical_sec": series_mod.classical_sec,
-}
+# the ``qderiv.series`` functions that ``series`` may print
+SERIES_NAMES = (
+    "e_q",
+    "E_q",
+    "sin_q",
+    "cos_q",
+    "Sin_q",
+    "Cos_q",
+    "tan_q",
+    "sec_q",
+    "Sec_q",
+    "classical_tan",
+    "classical_sec",
+)
 
 
 def _log(message: str) -> None:
@@ -78,6 +80,8 @@ _COMP_COLUMNS = (("n", "int"), ("c", "parts"), ("poly", "qpoly"))
 
 def _poly_family(table: PolyTable) -> Table:
     """Render rows (n, k, a, b, poly) or (n, c, poly) of any route's table."""
+    from qderiv.tables import KIND_AC
+
     columns = _COMP_COLUMNS if table.kind == KIND_AC else _TRIPLE_COLUMNS
     rows = tuple(key + (poly,) for key, poly in table.sorted_items())
     return Table(table.kind, table.n_max, columns, rows)
@@ -90,12 +94,17 @@ def _row_family(family: str, n_max: int, rows, columns) -> Table:
 
 
 def build_family(family: str, n_max: int) -> Table:
-    if family == "a_small" or family == "b_small":
-        tri = special.small_triangles(n_max)[0 if family == "a_small" else 1]
-        return _row_family(family, n_max, tri, (("n", "int"), ("m", "int"), ("value", "int")))
+    from qderiv.tables import a_table, ac_table, b_table
+
     recurrence = {"A": a_table, "B": b_table, "Ac": ac_table}.get(family)
     if recurrence is not None:
         return _poly_family(recurrence(n_max))
+    from qderiv import special
+    from qderiv.tcomb import alpha, beta
+
+    if family == "a_small" or family == "b_small":
+        tri = special.small_triangles(n_max)[0 if family == "a_small" else 1]
+        return _row_family(family, n_max, tri, (("n", "int"), ("m", "int"), ("value", "int")))
     if family == "carlitz":
         table = special.carlitz_table(n_max)
         return _row_family(family, n_max, table, (("n", "int"), ("j", "int"), ("poly", "qpoly")))
@@ -144,6 +153,9 @@ def build_family(family: str, n_max: int) -> Table:
 
 
 def build_oracle(family: str, n_max: int, brute_bound: Optional[int]) -> Table:
+    from qderiv import tcomb
+    from qderiv.tables import PolyTable, oracle_all
+
     tcomb._guard(n_max, brute_bound)
     index = ORACLE_FAMILIES.index(family)
     rows = tuple(oracle_all(n)[index] for n in range(n_max + 1))
@@ -201,6 +213,8 @@ def cache_store(cache_dir: str, family: str, n_max: int, fmt: str, text: str) ->
     os.makedirs(cache_dir, exist_ok=True)
     body = text.encode("utf-8")
     path = _cache_path(cache_dir, family, n_max, fmt)
+    import tempfile
+
     # write a temp file beside the entry and rename it into place, so an
     # interrupted or concurrent run never leaves a half-written entry
     fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
@@ -298,6 +312,8 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    from qderiv.tcomb import BruteForceBoundError
+
     try:
         table = build_oracle(args.family, args.n_max, args.bound_bruteforce)
     except BruteForceBoundError as exc:
@@ -308,6 +324,10 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from dataclasses import replace
+
+    from qderiv import verify
+
     try:
         specs = verify.specs_for(args.ids)
     except KeyError as exc:
@@ -342,7 +362,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_series(args) -> int:
-    built = SERIES_NAMES[args.name](args.order)
+    from qderiv import series
+
+    built = getattr(series, args.name)(args.order)
     if args.format == "json":
         sys.stdout.write(json.dumps(built.to_json(), sort_keys=True) + "\n")
         return 0

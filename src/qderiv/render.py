@@ -2,14 +2,16 @@
 
 A rendered family is an intermediate ``Table``: named typed columns plus
 rows holding exact values (ints, polynomials, tuples).  ``_KINDS`` says,
-once per column type, how a value becomes a JSON value, a text or csv cell
+once per column type, how a value becomes JSON text, a text or csv cell
 and a cell of a flat LaTeX table.  The disk cache stores each format's
 rendering byte for byte, so nothing reads rendered text back.
 
-JSON is ``json.dumps(payload, indent=2, sort_keys=True)`` of the whole
-table, but it is encoded one row at a time by the same stdlib call and
-the pieces joined once, so the render never holds the table as a second
-tree of JSON values; its peak is a little over twice its output.
+JSON is the text of ``json.dumps(payload, indent=2, sort_keys=True)`` of
+the whole table.  The stdlib encoder renders only the header: each row is
+written by its column kinds' ``json`` writers, with ``str`` joins that lay
+out exactly what that call would, and the rows are joined once, so the
+render never holds the table as a tree of JSON values; its peak is a
+little over twice its output.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import io
 import json
 import re
 from dataclasses import dataclass
-from typing import Callable, List, NamedTuple, Tuple
+from typing import Callable, List, NamedTuple, Sequence, Tuple
 
 from qderiv.ring import poly_str, xpoly_str
 
@@ -42,30 +44,66 @@ def _plain(value, outer: str) -> str:
     return str(value)
 
 
+def _json_list(items: List[str], indent: str) -> str:
+    """The JSON list of the encoded ``items``, as ``json.dumps(indent=2)``
+    lays it out when ``indent`` (a newline and spaces) starts its line."""
+    if not items:
+        return "[]"
+    inner = indent + "  "
+    return "[" + inner + ("," + inner).join(items) + indent + "]"
+
+
+def _json_ints(values: Sequence[int], indent: str, quote: str = "") -> str:
+    """``_json_list`` of the ints ``values``: numbers, or with ``quote='"'``
+    decimal strings, which need no escaping."""
+    if not values:
+        return "[]"
+    inner = indent + "  "
+    sep = quote + "," + inner + quote
+    return "[" + inner + quote + sep.join(map(str, values)) + quote + indent + "]"
+
+
+def _json_qpoly(poly, indent: str) -> str:
+    """``QPoly.to_json()`` as JSON text: each coefficient a decimal string."""
+    inner = indent + "  "
+    return '{%s"coeffs": %s%s}' % (inner, _json_ints(poly.coeffs, inner, '"'), indent)
+
+
+def _json_xqpoly(poly, indent: str) -> str:
+    """``XQPoly.to_json()`` as JSON text: each coefficient a ``QPoly``."""
+    inner = indent + "  "
+    deeper = inner + "  "
+    coeffs = _json_list([_json_qpoly(c, deeper) for c in poly.coeffs], inner)
+    return '{%s"coeffs": %s%s}' % (inner, coeffs, indent)
+
+
 class _Kind(NamedTuple):
     """How one column type becomes a cell in each format."""
 
-    encode: Callable  # value -> JSON value
+    # (value, indent) -> the JSON text that json.dumps(indent=2,
+    # sort_keys=True) writes for the cell when ``indent`` starts its line
+    json: Callable
     display: Callable  # (value, outer variable) -> text and csv cell
     latex: Callable  # (value, outer variable) -> cell of a flat LaTeX table
 
 
 _KINDS = {
-    "int": _Kind(str, _plain, _plain),
-    "str": _Kind(str, _plain, _plain),
-    # a tuple of ints
+    # a decimal string, which needs no escaping
+    "int": _Kind(lambda v, indent: '"%d"' % v, _plain, _plain),
+    "str": _Kind(lambda v, indent: json.dumps(v), _plain, _plain),
+    # a tuple of ints, a JSON list of numbers
     "parts": _Kind(
-        list,
+        _json_ints,
         lambda v, outer: "(%s)" % " ".join(map(str, v)),
         lambda v, outer: "$(%s)$" % ",".join(map(str, v)),
     ),
     "qpoly": _Kind(
-        lambda v: v.to_json(),
+        _json_qpoly,
         lambda v, outer: poly_str(v),
         lambda v, outer: "$%s$" % _latex_caret(poly_str(v)),
     ),
     "xqpoly": _Kind(
-        lambda v: v.to_json(),
+        _json_xqpoly,
         lambda v, outer: xpoly_str(v, outer=outer),
         lambda v, outer: "$%s$" % _latex_caret(xpoly_str(v, outer=outer)),
     ),
@@ -94,16 +132,17 @@ def _render_json(table: Table) -> str:
     )
     if not table.rows:
         return header
-    # "rows" sorts last, so the header ends with its empty list
+    # "rows" sorts last, so the header ends with its empty list; a row sits
+    # two levels deep, its cells three
     head, _, tail = header.rpartition("[]")
-    encoders = [_KINDS[kind].encode for _, kind in table.columns]
-    chunks = [head, "[\n"]
-    for i, row in enumerate(table.rows):
-        if i:
-            chunks.append(",\n")
-        text = json.dumps([enc(v) for enc, v in zip(encoders, row)], indent=2, sort_keys=True)
-        # a row sits two levels deep; JSON strings hold no raw newline
-        chunks.append("    " + text.replace("\n", "\n    "))
+    writers = [_KINDS[kind].json for _, kind in table.columns]
+    row_indent, cell_indent = "\n    ", "\n      "
+    chunks = [head]
+    sep = "[" + row_indent
+    for row in table.rows:
+        chunks.append(sep)
+        chunks.append(_json_list([w(v, cell_indent) for w, v in zip(writers, row)], row_indent))
+        sep = "," + row_indent
     chunks += ["\n  ]", tail]
     return "".join(chunks)
 

@@ -425,3 +425,78 @@ class TestClosedStdout:
             os.close(write_end)
         assert proc.returncode == 141
         assert b"Traceback" not in proc.stderr
+
+
+# runs one command like `python -m qderiv.cli`, then names on its last
+# stderr line every qderiv module it loaded
+_LOADED_MODULES = """
+import sys
+from qderiv import cli
+status = cli.main(sys.argv[1:])
+sys.stdout.flush()
+print(" ".join(sorted(m for m in sys.modules if m.startswith("qderiv"))), file=sys.stderr)
+sys.exit(status)
+"""
+
+# the package's public names, by the module that defines them
+_REEXPORTS = {
+    "ring": ("QPoly", "XQPoly", "gauss_binomial", "poly_str", "q_bracket", "q_multinomial",
+             "q_pochhammer", "xpoly_str"),
+    "series": ("CLASSICAL_MODE", "Q_MODE", "RING_INT", "RING_Q", "RING_XQ", "DividedSeries"),
+    "tcomb": ("BruteForceBoundError", "TPermutation"),
+    "tables": ("PolyTable",),
+    "verify": ("Bounds", "VerificationReport", "run_suite"),
+}
+
+
+def _python(*args):
+    env = {k: v for k, v in os.environ.items() if k != cli.CACHE_ENV}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.run([sys.executable, *args], capture_output=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr.decode()
+    return proc
+
+
+class TestImportContract:
+    def _run(self, *argv):
+        proc = _python("-c", _LOADED_MODULES, *argv)
+        return proc.stdout, set(proc.stderr.decode().splitlines()[-1].split())
+
+    def test_cache_hit_loads_no_math_module(self, tmp_path):
+        argv = ("table", "A", "--n", "3", "--format", "json", "--cache-dir", str(tmp_path))
+        miss_out, miss_loaded = self._run(*argv)
+        hit_out, hit_loaded = self._run(*argv)
+        assert hit_out == miss_out
+        assert "qderiv.tables" in miss_loaded
+        math = {"qderiv." + m for m in ("verify", "special", "tables", "tcomb", "permstats", "series", "fixtures")}
+        assert not hit_loaded & math
+
+    def test_series_loads_no_table_code(self):
+        out, loaded = self._run("series", "tan_q", "--order", "4")
+        assert out.startswith(b"0: ")
+        assert "qderiv.series" in loaded
+        assert not loaded & {"qderiv." + m for m in ("verify", "special", "tables", "tcomb", "permstats")}
+
+    def test_public_names_are_their_home_modules_objects(self):
+        check = """
+import importlib, sys
+import qderiv
+assert sorted(m for m in sys.modules if m.startswith("qderiv")) == ["qderiv"]
+from qderiv import QPoly, run_suite
+homes = %r
+assert sorted(qderiv.__all__) == sorted([n for names in homes.values() for n in names] + ["__version__"])
+for home, names in homes.items():
+    module = importlib.import_module("qderiv." + home)
+    for name in names:
+        assert getattr(qderiv, name) is getattr(module, name), name
+assert QPoly is qderiv.ring.QPoly and run_suite is qderiv.verify.run_suite
+""" % (_REEXPORTS,)
+        _python("-c", check)
+
+    def test_unknown_name_raises_attribute_error(self):
+        import qderiv
+
+        with pytest.raises(AttributeError):
+            qderiv.nope
+        with pytest.raises(ImportError):
+            from qderiv import nope  # noqa: F401

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from qderiv import permstats, tcomb
 from qderiv.cli import TABLE_FAMILIES, build_family, build_oracle
 from qderiv.render import Table, render
-from qderiv.ring import QPoly, XQPoly
+from qderiv.ring import QPoly, XQPoly, q_pochhammer
 from qderiv.tables import (
     _fill_triple_row,
     _insertion_tally,
@@ -330,6 +330,24 @@ class TestRowWiseJson:
         text = render(table, "json")
         assert text == whole_table_json(table)
         assert json.loads(text)["rows"] == [[str(n), str(k), str(a), str(b), p.to_json()] for n, k, a, b, p in rows]
+
+    @pytest.mark.parametrize(
+        "columns, rows",
+        (
+            (
+                (("n", "int"), ("kind", "str"), ("poly", "xqpoly")),
+                ((2, "secant", XQPoly((QPoly.zero(), QPoly.one()))), (3, "tangent", XQPoly.zero())),
+            ),
+            ((("n", "int"), ("poly", "qpoly")), ((3, q_pochhammer(3)),)),
+            ((("n", "int"), ("kind", "str")), ((0, 'a"b\\c é'),)),
+            ((("n", "int"), ("c", "parts")), ((0, ()), (0, (0, 0)))),
+            ((("n", "int"), ("value", "int")), ((-3, 10**30),)),
+        ),
+        ids=("xqpoly-zeros", "qpoly-negative", "str-escapes", "parts-empty-and-zeros", "int-negative-and-big"),
+    )
+    def test_cell_edge_cases_equal_whole_table_encoding(self, columns, rows):
+        table = Table("edge", 3, columns, rows)
+        assert render(table, "json") == whole_table_json(table)
 
     def test_peak_memory_is_a_small_multiple_of_the_output(self):
         # encoding a whole-table payload peaks near 9x the output; row by
