@@ -50,7 +50,3 @@ def __getattr__(name):
     value = getattr(importlib.import_module("qderiv." + home), name)
     globals()[name] = value
     return value
-
-
-def __dir__():
-    return sorted(set(globals()) | set(_HOMES))
