@@ -19,12 +19,13 @@ once, stores it and writes it.
 
 The math modules are imported inside the commands that run them, so a
 cache hit imports none of them, and ``series`` imports no table code.
+``hashlib`` is imported only when the cache is used, and neither this
+module nor ``render`` imports ``dataclasses``.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
@@ -168,6 +169,8 @@ def build_oracle(family: str, n_max: int, brute_bound: Optional[int]) -> Table:
 @lru_cache(maxsize=None)
 def _source_fingerprint() -> bytes:
     """sha256 of the package's own modules, computed on first cache use."""
+    import hashlib
+
     package = os.path.dirname(os.path.abspath(__file__))
     digest = hashlib.sha256()
     for name in sorted(os.listdir(package)):
@@ -183,6 +186,8 @@ def _stamp(path: str, body: bytes) -> bytes:
     """sha256 over the source fingerprint, the entry's file name and its
     body, so an entry is valid under its own name only; the body is hashed
     where it lies, not copied into one buffer with the fingerprint."""
+    import hashlib
+
     digest = hashlib.sha256(_source_fingerprint())
     digest.update(b" %s\n" % os.path.basename(path).encode("utf-8"))
     digest.update(body)

@@ -599,16 +599,15 @@ def check_3_bijections(n_max: int) -> VerificationReport:
     T(n+1).  So the images are 2 * pairs distinct t-permutations of order
     n + 1, and they are all of T(n+1) exactly when |T(n+1)|, counted by
     enumeration, equals 2 * pairs.  Each order is counted by its own domain
-    walk; only order n_max + 1 is walked for its count alone.
+    walk; order n_max + 1 is counted from the valid cuts of each
+    permutation, without building its t-permutations.
     """
     with _Collector("3.bij", {"n_max": n_max}) as col:
         previous = 0  # the pairs of order n - 1
-        for n in range(n_max + 2):
+        for n in range(n_max + 1):
             count = pairs = 0
             for w in enumerate_t_permutations(n, bound=n):
                 count += 1
-                if n > n_max:
-                    continue
                 for i in range(1, w.mu + 1):
                     for name, kind, first, insert, invert in (
                         ("delta*", "first-kind", True, delta_star, delta_star_inv),
@@ -625,6 +624,9 @@ def check_3_bijections(n_max: int) -> VerificationReport:
             if n:
                 col.eq((n, "partition"), count, 2 * previous)
             previous = pairs
+        n = n_max + 1
+        count = sum(len(tcomb._valid_cuts(n, desc)) for _, desc, _, _, _ in permstats.walk(n))
+        col.eq((n, "partition"), count, 2 * previous)
     return col.report
 
 

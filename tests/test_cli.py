@@ -428,13 +428,14 @@ class TestClosedStdout:
 
 
 # runs one command like `python -m qderiv.cli`, then names on its last
-# stderr line every qderiv module it loaded
+# stderr line every qderiv module it loaded, and dataclasses and hashlib
+# if it loaded them
 _LOADED_MODULES = """
 import sys
 from qderiv import cli
 status = cli.main(sys.argv[1:])
 sys.stdout.flush()
-print(" ".join(sorted(m for m in sys.modules if m.startswith("qderiv"))), file=sys.stderr)
+print(" ".join(sorted(m for m in sys.modules if m.startswith("qderiv") or m in ("dataclasses", "hashlib"))), file=sys.stderr)
 sys.exit(status)
 """
 
@@ -470,12 +471,14 @@ class TestImportContract:
         assert "qderiv.tables" in miss_loaded
         math = {"qderiv." + m for m in ("verify", "special", "tables", "tcomb", "permstats", "series", "fixtures")}
         assert not hit_loaded & math
+        assert "dataclasses" not in hit_loaded
 
     def test_series_loads_no_table_code(self):
         out, loaded = self._run("series", "tan_q", "--order", "4")
         assert out.startswith(b"0: ")
         assert "qderiv.series" in loaded
         assert not loaded & {"qderiv." + m for m in ("verify", "special", "tables", "tcomb", "permstats")}
+        assert not loaded & {"dataclasses", "hashlib"}
 
     def test_public_names_are_their_home_modules_objects(self):
         check = """

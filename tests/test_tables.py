@@ -2,6 +2,7 @@ import itertools
 import json
 import tracemalloc
 from collections import Counter
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,8 +11,13 @@ from qderiv import permstats, tcomb
 from qderiv.cli import TABLE_FAMILIES, build_family, build_oracle
 from qderiv.render import Table, render
 from qderiv.ring import QPoly, XQPoly, q_pochhammer
+from qderiv import tables
 from qderiv.tables import (
+    _fill_comp_row,
     _fill_triple_row,
+    _pack,
+    _slot_bits,
+    _unpack,
     _insertion_tally,
     a_table,
     ac_table,
@@ -167,6 +173,120 @@ class TestTripleRowStep:
             actual = _fill_triple_row(rows[n], n, relaxed)
             assert list(actual.items()) == list(expected.items())
             assert list(rows[n + 1].items()) == list(expected.items())
+
+
+def qpoly_diagonal_sums(row, k, d, from_end):
+    """Partial sums of ``row`` along a + b = d at one k, as QPoly sums."""
+    acc = QPoly.zero()
+    out = [acc]
+    for a in range(d, -1, -1) if from_end else range(0, d + 1):
+        term = row.get((k, a, d - a))
+        if term:
+            acc = acc + term if acc else term
+        out.append(acc)
+    if from_end:
+        out.reverse()
+    return out
+
+
+def qpoly_triple_row(prev, n, relaxed_first_sum):
+    """Row n+1 of A or B from diagonal prefix sums added one coefficient
+    at a time by ``QPoly.__add__``."""
+    cur = {}
+    for kp in range(0, n + 1):
+        heads = {d: qpoly_diagonal_sums(prev, kp - 1, d, False) for d in range(-1, n + 4)}
+        tails = {d: qpoly_diagonal_sums(prev, kp, d, True) for d in range(-1, n + 4)}
+        for mp in range(0, n + 3):
+            below_head, below_tail = heads[mp - 1], tails[mp - 1]
+            above_head, above_tail = heads[mp + 1], tails[mp + 1]
+            for ap in range(0, mp + 1):
+                parts = [above_head[ap + 1], above_tail[ap + 1]]
+                if relaxed_first_sum or ap <= mp - 1:
+                    parts.append(below_head[ap])
+                if ap >= 1:
+                    parts.append(below_tail[ap])
+                acc = QPoly.zero()
+                for part in parts:
+                    if part:
+                        acc = acc + part if acc else part
+                if acc:
+                    cur[(kp, ap, mp - ap)] = acc.shift(kp)
+    return cur
+
+
+def qpoly_comp_row(row, n):
+    """Row n+1 of Ac, each source's coefficients added into one int list."""
+    width = (n + 1) * n // 2 + 1
+    cur = {}
+    for cp in enumerate_t_compositions(n + 1):
+        mp = len(cp) - 1
+        c0, rest = cp[0], cp[1:]
+        sources = [((2 * j, c0 - 2 * j - 1) + rest, 2 * j) for j in range(0, (c0 - 1) // 2 + 1)]
+        prefix = 0
+        for i in range(1, mp + 1):
+            prefix += cp[i - 1]
+            ci, head, tail = cp[i], cp[:i], cp[i + 1 :]
+            for j in range(1, ci // 2 + 1):
+                sources.append((head + (2 * j - 1, ci - 2 * j) + tail, prefix + 2 * j - 1))
+            if ci == 1 and i <= mp - 1:
+                sources.append((head + tail, prefix))
+        acc = [0] * width
+        for source, shift in sources:
+            val = row.get(source)
+            if val:
+                for d, c in enumerate(val.coeffs, shift):
+                    acc[d] += c
+        poly = QPoly(acc)
+        if poly:
+            cur[cp] = poly
+    return cur
+
+
+_PER_COEFFICIENT_STEPS = {
+    "A": (a_table, lambda row, n: qpoly_triple_row(row, n, False)),
+    "B": (b_table, lambda row, n: qpoly_triple_row(row, n, True)),
+    "Ac": (ac_table, qpoly_comp_row),
+}
+
+# nonnegative coefficients, small ones and ones that need a slot wider than 64 bits
+_COEFF = st.one_of(st.integers(0, 3), st.integers(0, 2**64 - 1), st.integers(2**64, 2**200))
+
+
+class TestPackedRowSteps:
+    @pytest.mark.parametrize("kind", ("A", "B", "Ac"))
+    def test_rows_equal_per_coefficient_sums(self, kind):
+        table, step = _PER_COEFFICIENT_STEPS[kind]
+        table(12)
+        rows = tables._ROWS[kind]
+        for n in range(12):
+            assert list(rows[n + 1].items()) == list(step(rows[n], n).items())
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.lists(_COEFF, max_size=6), st.integers(0, 5)), min_size=1, max_size=6))
+    def test_packed_sum_equals_per_coefficient_sum(self, terms):
+        slot = _slot_bits({i: QPoly(coeffs) for i, (coeffs, _) in enumerate(terms)}, len(terms))
+        bound = len(terms) * max((c for coeffs, _ in terms for c in coeffs), default=0)
+        assert slot % 64 == 0 and bound < 2**slot and (slot == 64 or bound >= 2 ** (slot - 64))
+        expected = [0] * (max(len(coeffs) + shift for coeffs, shift in terms))
+        packed = 0
+        for coeffs, shift in terms:
+            for d, c in enumerate(coeffs, shift):
+                expected[d] += c
+            packed += _pack(coeffs, slot) << (slot * shift)
+        assert _unpack(packed, slot) == QPoly(expected)
+
+    @pytest.mark.parametrize("kind", ("A", "B", "Ac"))
+    def test_wide_slots_give_the_scaled_row(self, kind):
+        # both steps are linear in row n, so a row scaled past 2^64 gives
+        # the scaled next row, through slots of 128 bits
+        step = _fill_comp_row if kind == "Ac" else partial(_fill_triple_row, relaxed_first_sum=kind == "B")
+        table = _PER_COEFFICIENT_STEPS[kind][0](6)
+        scale = 2**70
+        for n in range(6):
+            scaled = {key: poly * scale for key, poly in table.row(n).items()}
+            assert _slot_bits(scaled, 2 * n + 6) == 128
+            expected = {key: poly * scale for key, poly in table.row(n + 1).items()}
+            assert list(step(scaled, n).items()) == list(expected.items())
 
 
 def oracle_per_permutation(n):

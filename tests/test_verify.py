@@ -155,18 +155,25 @@ class TestIndividualChecks:
         assert report.first_discrepancy.index == (4, 3)
 
     def test_3_bij_walks_each_order_once(self, monkeypatch):
-        # |T(n)| is counted during the domain walk of order n; only order
-        # n_max + 1 is walked for its count alone
-        real = verify.enumerate_t_permutations
-        orders = []
+        # |T(n)| is counted during the domain walk of order n; order
+        # n_max + 1 is counted from its permutations' valid cuts, so its
+        # t-permutations are never built
+        real_enumerate, real_walk = verify.enumerate_t_permutations, permstats.walk
+        built, walked = [], []
 
-        def recording(n, bound=None):
-            orders.append(n)
-            return real(n, bound)
+        def recording_enumerate(n, bound=None):
+            built.append(n)
+            return real_enumerate(n, bound)
 
-        monkeypatch.setattr(verify, "enumerate_t_permutations", recording)
+        def recording_walk(n, rising=None):
+            walked.append(n)
+            return real_walk(n, rising)
+
+        monkeypatch.setattr(verify, "enumerate_t_permutations", recording_enumerate)
+        monkeypatch.setattr(permstats, "walk", recording_walk)
         assert verify.check_3_bijections(4).passed
-        assert orders == [0, 1, 2, 3, 4, 5]
+        assert built == [0, 1, 2, 3, 4]
+        assert walked == [0, 1, 2, 3, 4, 5]
 
 
 # -- fault injection into the bijection sweeps --------------------------------
