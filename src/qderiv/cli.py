@@ -19,8 +19,8 @@ once, stores it and writes it.
 
 The math modules are imported inside the commands that run them, so a
 cache hit imports none of them, and ``series`` imports no table code.
-``hashlib`` is imported only when the cache is used, and neither this
-module nor ``render`` imports ``dataclasses``.
+``hashlib`` is imported only when the cache is used.  Every record of the
+package is a named tuple, declared with ``typing`` or ``collections`` alone.
 """
 
 from __future__ import annotations
@@ -329,8 +329,6 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    from dataclasses import replace
-
     from qderiv import verify
 
     try:
@@ -340,7 +338,7 @@ def _cmd_verify(args) -> int:
         return 2
     bounds = verify.Bounds()
     if args.bound_bruteforce is not None:
-        bounds = replace(bounds, brute_n=args.bound_bruteforce)
+        bounds = bounds._replace(brute_n=args.bound_bruteforce)
     try:
         reports = verify.run_checks(specs, bounds, n=args.n, order=args.order)
     except verify.InvalidBoundsError as exc:

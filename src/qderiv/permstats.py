@@ -20,16 +20,14 @@ against, and compute the statistics of words the walk never visits.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Optional, Sequence, Tuple
+from typing import Iterator, NamedTuple, Optional, Sequence, Tuple
 
 Word = Tuple[int, ...]
 Row = Tuple[Word, Tuple[bool, ...], int, int, int]  # a permutation, its descent word, inv, ides, imaj
 
 
-@dataclass(frozen=True)
-class WordStats:
+class WordStats(NamedTuple):
     inv: int
     ligne: frozenset
     iligne: frozenset

@@ -27,44 +27,17 @@ from qderiv.ring import poly_str, xpoly_str
 FORMATS = ("json", "csv", "latex", "text")
 
 
-class Table:
+class Table(NamedTuple):
     """One rendered family: named typed ``columns`` and the ``rows`` of values.
 
-    Immutable; equal only to another ``Table`` with equal fields.  A plain
-    class, so rendering needs no ``dataclasses`` import.
+    An immutable record, like every record of the package.
     """
-
-    __slots__ = ("family", "n_max", "columns", "rows", "outer_var")
 
     family: str
     n_max: int
     columns: Tuple[Tuple[str, str], ...]
     rows: Tuple[tuple, ...]
-    outer_var: str
-
-    def __init__(self, family: str, n_max: int, columns, rows, outer_var: str = "t"):
-        for name, value in zip(self.__slots__, (family, n_max, columns, rows, outer_var)):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Table is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("Table is immutable")
-
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other):
-        if not isinstance(other, Table):
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
-
-    def __repr__(self) -> str:
-        return "Table(%s)" % ", ".join("%s=%r" % (name, getattr(self, name)) for name in self.__slots__)
+    outer_var: str = "t"
 
     def column_names(self) -> List[str]:
         return [name for name, _ in self.columns]

@@ -5,8 +5,7 @@ diagonal closed forms and the q-Springer polynomials.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, NamedTuple, Optional, Tuple
 
 from qderiv.ring import QPoly, XQPoly, q_bracket
 from qderiv.series import DividedSeries, classical_cos, classical_sin, one_series, tan_q
@@ -132,8 +131,7 @@ def carlitz_refined_table(n_max: int) -> Tuple[Dict[Tuple[int, int], QPoly], ...
 # -- diagonal closed forms ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DiagonalForms:
+class DiagonalForms(NamedTuple):
     super_a: QPoly
     sub_a: Optional[QPoly]
     sub_b: Optional[QPoly]

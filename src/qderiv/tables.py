@@ -22,9 +22,8 @@ import sys
 import threading
 from array import array
 from collections import Counter, defaultdict
-from dataclasses import dataclass
 from functools import lru_cache, partial
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Sequence, Tuple
 
 from qderiv import tcomb
 from qderiv.ring import QPoly, q_multinomial
@@ -40,8 +39,7 @@ _ONE = QPoly.one()
 _BIG_ENDIAN = sys.byteorder == "big"
 
 
-@dataclass(frozen=True)
-class PolyTable:
+class PolyTable(NamedTuple):
     """Rows 0..n_max of one family, shared with every other view of it.
 
     Row n maps (k, a, b) to a polynomial for the triple families and the

@@ -24,7 +24,7 @@ a sweep can do per-permutation work once for all of its cuts;
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from typing import Iterator, Optional, Sequence, Tuple
 
@@ -90,31 +90,30 @@ def enumerate_t_compositions(n: int) -> Tuple[Tuple[int, ...], ...]:
     return tuple(found)
 
 
-@dataclass(frozen=True, init=False)
-class TPermutation:
+class TPermutation(namedtuple("TPermutation", "word parts")):
     """A permutation ``word`` cut into blocks of lengths ``parts``."""
 
-    word: Word
-    parts: Tuple[int, ...]
+    __slots__ = ()
 
-    def __init__(self, components: Sequence[Sequence[int]]):
+    def __new__(cls, components: Sequence[Sequence[int]]) -> "TPermutation":
         comps = tuple(map(tuple, components))
-        object.__setattr__(self, "word", tuple(itertools.chain.from_iterable(comps)))
-        object.__setattr__(self, "parts", tuple(map(len, comps)))
-        self.__post_init__()
+        return cls._flat(tuple(itertools.chain.from_iterable(comps)), tuple(map(len, comps)))
+
+    def __getnewargs__(self):
+        # copy and pickle rebuild through the validating constructor
+        return (self.components,)
 
     @classmethod
     def _flat(cls, word: Word, parts: Tuple[int, ...], check: bool = True) -> "TPermutation":
         """Build from the flat pair; ``check=False`` only for cuts known valid."""
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "word", word)
-        object.__setattr__(obj, "parts", parts)
+        obj = tuple.__new__(cls, (word, parts))
         if check:
             obj.__post_init__()
         return obj
 
     def __post_init__(self):
-        # the one validation hook: both constructors call it
+        # the one validation hook: both constructors call it, and
+        # perfbench/tracer.py counts its calls under this name
         word, parts = self.word, self.parts
         if not parts:
             raise ValueError("a t-permutation has at least one component")

@@ -13,7 +13,6 @@ import itertools
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Callable, Dict, Iterable, List, Mapping, NamedTuple, Optional, Tuple
 
@@ -79,8 +78,7 @@ _ZP = QPoly.zero()
 _ONE = QPoly.one()
 
 
-@dataclass(frozen=True)
-class Discrepancy:
+class Discrepancy(NamedTuple):
     index: tuple
     expected: str
     actual: str
@@ -93,8 +91,7 @@ class Discrepancy:
         }
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     id: str
     params: dict
     status: str
@@ -118,8 +115,7 @@ class VerificationReport:
         return json.dumps(self.to_json(), sort_keys=True)
 
 
-@dataclass(frozen=True)
-class Bounds:
+class Bounds(NamedTuple):
     """Default sweep bounds; the full suite runs in well under a minute."""
 
     series_order: int = 10
@@ -1079,8 +1075,7 @@ def check_rowsums(n_max: int) -> VerificationReport:
 # -- registry -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CheckSpec:
+class CheckSpec(NamedTuple):
     id: str
     run: Callable
     n_field: Optional[str] = None
@@ -1163,7 +1158,6 @@ CHECKS: Tuple[CheckSpec, ...] = (
     CheckSpec("rowsums", _single(lambda b, f: check_rowsums(b.rowsums_n)), "rowsums_n"),
 )
 
-ALL_IDS: Tuple[str, ...] = tuple(spec.id for spec in CHECKS)
 _BY_ID: Dict[str, CheckSpec] = {spec.id: spec for spec in CHECKS}
 
 
@@ -1195,7 +1189,7 @@ def adjusted_bounds(
     if order is not None and spec.order_field is not None:
         updates[spec.order_field] = order
     if updates:
-        bounds = replace(bounds, **updates)
+        bounds = bounds._replace(**updates)
     if spec.id in _EXPANSIONS and bounds.series_order < bounds.series_n:
         raise InvalidBoundsError(
             "check %s needs order >= n, got n=%d, order=%d"

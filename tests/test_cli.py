@@ -428,14 +428,14 @@ class TestClosedStdout:
 
 
 # runs one command like `python -m qderiv.cli`, then names on its last
-# stderr line every qderiv module it loaded, and dataclasses and hashlib
-# if it loaded them
+# stderr line every qderiv module it loaded, and dataclasses, hashlib and
+# inspect if it loaded them
 _LOADED_MODULES = """
 import sys
 from qderiv import cli
 status = cli.main(sys.argv[1:])
 sys.stdout.flush()
-print(" ".join(sorted(m for m in sys.modules if m.startswith("qderiv") or m in ("dataclasses", "hashlib"))), file=sys.stderr)
+print(" ".join(sorted(m for m in sys.modules if m.startswith("qderiv") or m in ("dataclasses", "hashlib", "inspect"))), file=sys.stderr)
 sys.exit(status)
 """
 
@@ -479,6 +479,23 @@ class TestImportContract:
         assert "qderiv.series" in loaded
         assert not loaded & {"qderiv." + m for m in ("verify", "special", "tables", "tcomb", "permstats")}
         assert not loaded & {"dataclasses", "hashlib"}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("verify", "all", "--n", "2", "--order", "2", "--bound-bruteforce", "2"),
+            ("table", "Ac", "--n", "3", "--format", "json", "--cache-dir"),
+            ("oracle", "A", "--n", "3"),
+        ],
+        ids=["verify", "table-miss", "oracle"],
+    )
+    def test_command_loads_no_class_machinery(self, argv, tmp_path):
+        # every record is a NamedTuple, so no command needs these modules
+        if argv[-1] == "--cache-dir":
+            argv += (str(tmp_path),)
+        _, loaded = self._run(*argv)
+        assert "qderiv.tables" in loaded
+        assert not loaded & {"dataclasses", "inspect"}
 
     def test_public_names_are_their_home_modules_objects(self):
         check = """

@@ -1,8 +1,10 @@
+import copy
 import json
+import pickle
 
 import pytest
 
-from qderiv import permstats, special, tcomb, verify
+from qderiv import permstats, render, special, tables, tcomb, verify
 from qderiv.fixtures import DEFAULT_FIXTURES
 from qderiv.tcomb import TPermutation
 from qderiv.verify import Bounds
@@ -72,7 +74,10 @@ class TestReports:
 
 class TestRegistry:
     def test_all_ids_unique(self):
-        assert len(set(verify.ALL_IDS)) == len(verify.ALL_IDS)
+        ids = [spec.id for spec in verify.CHECKS]
+        assert len(set(ids)) == len(ids)
+        # a duplicate id would shadow another spec in the lookup
+        assert len(verify._BY_ID) == len(verify.CHECKS)
 
     def test_specs_for(self):
         assert verify.specs_for(["all"]) == verify.CHECKS
@@ -118,6 +123,43 @@ class TestRegistry:
         failed = [r for r in reports if not r.passed]
         assert [r.id for r in failed] == ["table3"]
         assert (0, 1, 2) in tuple(failed[0].first_discrepancy.index)
+
+
+# one instance of every record type the package declares
+_RECORDS = {
+    "Table": lambda: render.Table("A", 0, (("n", "int"),), ((0,),)),
+    "Discrepancy": lambda: verify.Discrepancy((1,), "0", "1"),
+    "VerificationReport": lambda: verify.VerificationReport("1.1", {}, "pass"),
+    "Bounds": Bounds,
+    "CheckSpec": lambda: verify.CheckSpec("1.1", len, "agg_n"),
+    "PolyTable": lambda: tables.a_table(2),
+    "DiagonalForms": lambda: special.diagonal_closed_forms(3),
+    "WordStats": lambda: permstats.statistics((2, 1, 3)),
+    "TPermutation": lambda: TPermutation(((1, 3, 2),)),
+}
+
+
+class TestRecords:
+    @pytest.mark.parametrize("name", sorted(_RECORDS))
+    def test_record_is_immutable(self, name):
+        record = _RECORDS[name]()
+        assert type(record).__name__ == name
+        for field in (record._fields[0], record._fields[-1], "extra"):
+            with pytest.raises(AttributeError):
+                setattr(record, field, None)
+        with pytest.raises(AttributeError):
+            delattr(record, record._fields[0])
+
+    def test_bounds_replace_changes_only_that_field(self):
+        base = Bounds()
+        changed = base._replace(brute_n=9)
+        assert changed.brute_n == 9 != base.brute_n
+        assert [f for f in Bounds._fields if getattr(changed, f) != getattr(base, f)] == ["brute_n"]
+
+    def test_t_permutation_copies_and_pickles_through_its_constructor(self):
+        w = TPermutation(((), (6,), (4,), (9, 2, 7), (5, 1, 8, 3)))
+        assert copy.copy(w) == w and pickle.loads(pickle.dumps(w)) == w
+        assert type(pickle.loads(pickle.dumps(w))) is TPermutation
 
 
 class TestIndividualChecks:
