@@ -13,9 +13,9 @@ named ``<family>_n<n>.<format>``: a stamp line, then the exact output of
 that command (about 2.8 MB for A at n = 14 in json).  The stamp is a
 sha256 over a fingerprint of the package's source, the entry's file name
 and those bytes, so an entry that is corrupt, in an older format, written
-by other code or copied under another entry's name is recomputed.  A hit
-writes the stored bytes as they are; a miss renders the requested format
-once, stores it and writes it.
+by other code or copied under another entry's name is recomputed.  The
+output is encoded once, on a miss; stdout, the entry and the ``export``
+file get those bytes, and a hit writes the entry's body undecoded.
 
 The math modules are imported inside the commands that run them, so a
 cache hit imports none of them, and ``series`` imports no table code.
@@ -198,8 +198,8 @@ def _cache_path(cache_dir: str, family: str, n_max: int, fmt: str) -> str:
     return os.path.join(cache_dir, "%s_n%d.%s" % (family, n_max, fmt))
 
 
-def cache_load(cache_dir: str, family: str, n_max: int, fmt: str) -> Optional[str]:
-    """The cached ``fmt`` rendering of (family, n_max), or None."""
+def cache_load(cache_dir: str, family: str, n_max: int, fmt: str) -> Optional[bytes]:
+    """The bytes of the cached ``fmt`` rendering of (family, n_max), or None."""
     path = _cache_path(cache_dir, family, n_max, fmt)
     try:
         with open(path, "rb") as handle:
@@ -210,13 +210,12 @@ def cache_load(cache_dir: str, family: str, n_max: int, fmt: str) -> Optional[st
     if stamp != _stamp(path, body):
         _log("cache entry %s failed validation; recomputing" % path)
         return None
-    return body.decode("utf-8")
+    return body
 
 
-def cache_store(cache_dir: str, family: str, n_max: int, fmt: str, text: str) -> None:
-    """Store ``text``, the ``fmt`` rendering of (family, n_max)."""
+def cache_store(cache_dir: str, family: str, n_max: int, fmt: str, body: bytes) -> None:
+    """Store ``body``, the bytes of the ``fmt`` rendering of (family, n_max)."""
     os.makedirs(cache_dir, exist_ok=True)
-    body = text.encode("utf-8")
     path = _cache_path(cache_dir, family, n_max, fmt)
     import tempfile
 
@@ -233,22 +232,22 @@ def cache_store(cache_dir: str, family: str, n_max: int, fmt: str, text: str) ->
             os.unlink(tmp)
 
 
-def _render_family(family: str, n_max: int, fmt: str, cache_dir: Optional[str]) -> str:
-    """The family rendered in ``fmt``: the cache entry of (family, n_max,
-    fmt) as stored when there is one, else rendered once (and stored)."""
-    text = cache_load(cache_dir, family, n_max, fmt) if cache_dir else None
-    if text is not None:
-        return text
-    text = render(build_family(family, n_max), fmt)
+def _render_family(family: str, n_max: int, fmt: str, cache_dir: Optional[str]) -> bytes:
+    """The bytes of the family rendered in ``fmt``: the body of its cache
+    entry when there is one, else rendered and encoded once (and stored)."""
+    body = cache_load(cache_dir, family, n_max, fmt) if cache_dir else None
+    if body is not None:
+        return body
+    body = render(build_family(family, n_max), fmt).encode("utf-8")
     if cache_dir:
         # the table is already rendered: a cache that cannot take it costs
         # the next run, not this one
         try:
-            cache_store(cache_dir, family, n_max, fmt, text)
+            cache_store(cache_dir, family, n_max, fmt, body)
         except OSError as exc:
             _log("warning: cache entry %s not written: %s"
                  % (_cache_path(cache_dir, family, n_max, fmt), exc.strerror or exc))
-    return text
+    return body
 
 
 # -- argument parsing -------------------------------------------------------
@@ -312,7 +311,7 @@ def _resolve_cache_dir(flag_value: Optional[str]) -> Optional[str]:
 
 
 def _cmd_table(args) -> int:
-    sys.stdout.write(_render_family(args.family, args.n_max, args.format, args.cache_dir))
+    sys.stdout.buffer.write(_render_family(args.family, args.n_max, args.format, args.cache_dir))
     return 0
 
 
@@ -335,6 +334,9 @@ def _cmd_verify(args) -> int:
         specs = verify.specs_for(args.ids)
     except KeyError as exc:
         _log("error: unknown check id %s" % exc)
+        return 2
+    except ValueError as exc:
+        _log("error: %s" % exc)
         return 2
     bounds = verify.Bounds()
     if args.bound_bruteforce is not None:
@@ -380,7 +382,7 @@ def _cmd_export(args) -> int:
     # opened before the table is computed, so a path that cannot be
     # written is a usage error that costs no table work
     try:
-        handle = open(args.out, "w", encoding="utf-8")
+        handle = open(args.out, "wb")
     except OSError as exc:
         _log("error: cannot write %s: %s" % (args.out, exc.strerror or exc))
         return 2

@@ -1091,79 +1091,75 @@ def _series_sweep(check_id: str) -> Callable:
     return run
 
 
-def _single(factory) -> Callable:
-    def run(bounds: Bounds, fixtures) -> List[VerificationReport]:
-        return [factory(bounds, fixtures)]
-
-    return run
-
-
 CHECKS: Tuple[CheckSpec, ...] = (
-    CheckSpec("table1", _single(lambda b, f: check_table1(f))),
-    CheckSpec("table2", _single(lambda b, f: check_table2(f))),
-    CheckSpec("table3", _single(lambda b, f: check_table3(f))),
-    CheckSpec("table4", _single(lambda b, f: check_table4(f))),
-    CheckSpec("fig10.1", _single(lambda b, f: check_fig101(f))),
-    CheckSpec("sec7.values", _single(lambda b, f: check_sec7_values(f))),
-    CheckSpec("1.1", _single(lambda b, f: check_classical_tan(f))),
-    CheckSpec("1.2", _single(lambda b, f: check_classical_sec(f))),
-    CheckSpec("1.3", _single(lambda b, f: check_1_3(min(b.brute_n, 7))), "brute_n"),
-    CheckSpec("1.6", _single(lambda b, f: check_hoffman("1.6", b.gf_order)), order_field="gf_order"),
-    CheckSpec("1.7", _single(lambda b, f: check_hoffman("1.7", b.gf_order)), order_field="gf_order"),
+    CheckSpec("table1", lambda b, f: [check_table1(f)]),
+    CheckSpec("table2", lambda b, f: [check_table2(f)]),
+    CheckSpec("table3", lambda b, f: [check_table3(f)]),
+    CheckSpec("table4", lambda b, f: [check_table4(f)]),
+    CheckSpec("fig10.1", lambda b, f: [check_fig101(f)]),
+    CheckSpec("sec7.values", lambda b, f: [check_sec7_values(f)]),
+    CheckSpec("1.1", lambda b, f: [check_classical_tan(f)]),
+    CheckSpec("1.2", lambda b, f: [check_classical_sec(f)]),
+    CheckSpec("1.3", lambda b, f: [check_1_3(min(b.brute_n, 7))], "brute_n"),
+    CheckSpec("1.6", lambda b, f: [check_hoffman("1.6", b.gf_order)], order_field="gf_order"),
+    CheckSpec("1.7", lambda b, f: [check_hoffman("1.7", b.gf_order)], order_field="gf_order"),
     CheckSpec("1.9", _series_sweep("1.9"), "series_n", "series_order"),
     CheckSpec("1.11", _series_sweep("1.11"), "series_n", "series_order"),
     CheckSpec("1.12", _series_sweep("1.12"), "series_n", "series_order"),
     CheckSpec("1.14", _series_sweep("1.14"), "series_n", "series_order"),
     CheckSpec("1.15", _series_sweep("1.15"), "series_n", "series_order"),
     CheckSpec("1.16", _series_sweep("1.16"), "series_n", "series_order"),
-    CheckSpec("1.17", _single(lambda b, f: check_eq_1_17(b.agg_n)), "agg_n"),
-    CheckSpec("1.18", _single(lambda b, f: check_eq_1_18(b.agg_n)), "agg_n"),
-    CheckSpec("1.19", _single(lambda b, f: check_bivariate("1.19", b.gf_order)), order_field="gf_order"),
-    CheckSpec("1.20", _single(lambda b, f: check_bivariate("1.20", b.gf_order)), order_field="gf_order"),
-    CheckSpec("2.3", _single(lambda b, f: check_eq_2_3(b.series_order + 1)), order_field="series_order"),
-    CheckSpec("2.4", _single(lambda b, f: check_eq_2_4(b.series_order + 1)), order_field="series_order"),
-    CheckSpec("2.5", _single(lambda b, f: check_eq_2_5(b.series_order + 1)), order_field="series_order"),
-    CheckSpec("2.tan", _single(lambda b, f: check_tan_unique(b.series_order + 1)), order_field="series_order"),
-    CheckSpec("3.1", _single(lambda b, f: check_3_1(b.sweep_n)), "sweep_n"),
-    CheckSpec("3.bij", _single(lambda b, f: check_3_bijections(b.sweep_n)), "sweep_n"),
-    CheckSpec("4.sym", _single(lambda b, f: check_symmetry(b.sym_n)), "sym_n"),
-    CheckSpec("7.1", _single(lambda b, f: check_alternating("7.1", b.alt_inv_n)), "alt_inv_n"),
-    CheckSpec("7.imaj", _single(lambda b, f: check_alternating("7.imaj", b.alt_imaj_n)), "alt_imaj_n"),
-    CheckSpec("7.4", _single(lambda b, f: check_convolution("7.4", b.reciprocity_n)), "reciprocity_n"),
-    CheckSpec("7.5", _single(lambda b, f: check_convolution("7.5", b.reciprocity_n)), "reciprocity_n"),
-    CheckSpec("7.6", _single(lambda b, f: check_convolution("7.6", b.reciprocity_n)), "reciprocity_n"),
-    CheckSpec("7.comb", _single(lambda b, f: check_7_combined(b.reciprocity_n)), "reciprocity_n"),
-    CheckSpec("7.rhogamma", _single(lambda b, f: check_rho_gamma(b.perm_sweep_n)), "perm_sweep_n"),
-    CheckSpec("7.11", _single(lambda b, f: check_reversal("7.11", b.reciprocity_n)), "reciprocity_n"),
-    CheckSpec("7.12", _single(lambda b, f: check_reversal("7.12", b.reciprocity_n)), "reciprocity_n"),
-    CheckSpec("8.phi", _single(lambda b, f: check_phi(b.perm_sweep_n)), "perm_sweep_n"),
-    CheckSpec("8.1", _single(lambda b, f: check_psi(b.perm_sweep_n)), "perm_sweep_n"),
-    CheckSpec("8.2", _single(lambda b, f: check_psi_on_t(b.perm_sweep_n)), "perm_sweep_n"),
-    CheckSpec("9.1", _single(lambda b, f: check_9_1(b.product_n)), "product_n"),
-    CheckSpec("triple.A", _single(lambda b, f: check_triple(KIND_A, b.rewrite_n, b.brute_n)), "rewrite_n"),
-    CheckSpec("triple.B", _single(lambda b, f: check_triple(KIND_B, b.rewrite_n, b.brute_n)), "rewrite_n"),
-    CheckSpec("triple.Ac", _single(lambda b, f: check_triple(KIND_AC, b.rewrite_n, b.brute_n)), "rewrite_n"),
-    CheckSpec("tables.bounds", _single(lambda b, f: check_table_bounds(b.table_n)), "table_n"),
-    CheckSpec("q1.bridge", _single(lambda b, f: check_q1_bridge(b.agg_n)), "agg_n"),
-    CheckSpec("10.2", _single(lambda b, f: check_carlitz(f, b.carlitz_n)), "carlitz_n"),
-    CheckSpec("10.5", _single(lambda b, f: check_10_5(b.refine_n)), "refine_n"),
-    CheckSpec("10.7", _single(lambda b, f: check_10_7(b.refine_n)), "refine_n"),
-    CheckSpec("10.8", _single(lambda b, f: check_10_8(b.diag_n, b.perm_sweep_n)), "diag_n"),
-    CheckSpec("10.3", _single(lambda b, f: check_subdiagonal("10.3", b.diag_n)), "diag_n"),
-    CheckSpec("10.4", _single(lambda b, f: check_subdiagonal("10.4", b.diag_n)), "diag_n"),
-    CheckSpec("10.tq", _single(lambda b, f: check_tq(b.tq_n)), "tq_n"),
-    CheckSpec("springer", _single(lambda b, f: check_springer(f, b.springer_n)), "springer_n"),
-    CheckSpec("10.6.alpha", _single(lambda b, f: check_alpha_counts(b.alpha_n)), "alpha_n"),
-    CheckSpec("10.6.gf", _single(lambda b, f: check_fib_gf(b.fib_gf_order)), order_field="fib_gf_order"),
-    CheckSpec("rowsums", _single(lambda b, f: check_rowsums(b.rowsums_n)), "rowsums_n"),
+    CheckSpec("1.17", lambda b, f: [check_eq_1_17(b.agg_n)], "agg_n"),
+    CheckSpec("1.18", lambda b, f: [check_eq_1_18(b.agg_n)], "agg_n"),
+    CheckSpec("1.19", lambda b, f: [check_bivariate("1.19", b.gf_order)], order_field="gf_order"),
+    CheckSpec("1.20", lambda b, f: [check_bivariate("1.20", b.gf_order)], order_field="gf_order"),
+    CheckSpec("2.3", lambda b, f: [check_eq_2_3(b.series_order + 1)], order_field="series_order"),
+    CheckSpec("2.4", lambda b, f: [check_eq_2_4(b.series_order + 1)], order_field="series_order"),
+    CheckSpec("2.5", lambda b, f: [check_eq_2_5(b.series_order + 1)], order_field="series_order"),
+    CheckSpec("2.tan", lambda b, f: [check_tan_unique(b.series_order + 1)], order_field="series_order"),
+    CheckSpec("3.1", lambda b, f: [check_3_1(b.sweep_n)], "sweep_n"),
+    CheckSpec("3.bij", lambda b, f: [check_3_bijections(b.sweep_n)], "sweep_n"),
+    CheckSpec("4.sym", lambda b, f: [check_symmetry(b.sym_n)], "sym_n"),
+    CheckSpec("7.1", lambda b, f: [check_alternating("7.1", b.alt_inv_n)], "alt_inv_n"),
+    CheckSpec("7.imaj", lambda b, f: [check_alternating("7.imaj", b.alt_imaj_n)], "alt_imaj_n"),
+    CheckSpec("7.4", lambda b, f: [check_convolution("7.4", b.reciprocity_n)], "reciprocity_n"),
+    CheckSpec("7.5", lambda b, f: [check_convolution("7.5", b.reciprocity_n)], "reciprocity_n"),
+    CheckSpec("7.6", lambda b, f: [check_convolution("7.6", b.reciprocity_n)], "reciprocity_n"),
+    CheckSpec("7.comb", lambda b, f: [check_7_combined(b.reciprocity_n)], "reciprocity_n"),
+    CheckSpec("7.rhogamma", lambda b, f: [check_rho_gamma(b.perm_sweep_n)], "perm_sweep_n"),
+    CheckSpec("7.11", lambda b, f: [check_reversal("7.11", b.reciprocity_n)], "reciprocity_n"),
+    CheckSpec("7.12", lambda b, f: [check_reversal("7.12", b.reciprocity_n)], "reciprocity_n"),
+    CheckSpec("8.phi", lambda b, f: [check_phi(b.perm_sweep_n)], "perm_sweep_n"),
+    CheckSpec("8.1", lambda b, f: [check_psi(b.perm_sweep_n)], "perm_sweep_n"),
+    CheckSpec("8.2", lambda b, f: [check_psi_on_t(b.perm_sweep_n)], "perm_sweep_n"),
+    CheckSpec("9.1", lambda b, f: [check_9_1(b.product_n)], "product_n"),
+    CheckSpec("triple.A", lambda b, f: [check_triple(KIND_A, b.rewrite_n, b.brute_n)], "rewrite_n"),
+    CheckSpec("triple.B", lambda b, f: [check_triple(KIND_B, b.rewrite_n, b.brute_n)], "rewrite_n"),
+    CheckSpec("triple.Ac", lambda b, f: [check_triple(KIND_AC, b.rewrite_n, b.brute_n)], "rewrite_n"),
+    CheckSpec("tables.bounds", lambda b, f: [check_table_bounds(b.table_n)], "table_n"),
+    CheckSpec("q1.bridge", lambda b, f: [check_q1_bridge(b.agg_n)], "agg_n"),
+    CheckSpec("10.2", lambda b, f: [check_carlitz(f, b.carlitz_n)], "carlitz_n"),
+    CheckSpec("10.5", lambda b, f: [check_10_5(b.refine_n)], "refine_n"),
+    CheckSpec("10.7", lambda b, f: [check_10_7(b.refine_n)], "refine_n"),
+    CheckSpec("10.8", lambda b, f: [check_10_8(b.diag_n, b.perm_sweep_n)], "diag_n"),
+    CheckSpec("10.3", lambda b, f: [check_subdiagonal("10.3", b.diag_n)], "diag_n"),
+    CheckSpec("10.4", lambda b, f: [check_subdiagonal("10.4", b.diag_n)], "diag_n"),
+    CheckSpec("10.tq", lambda b, f: [check_tq(b.tq_n)], "tq_n"),
+    CheckSpec("springer", lambda b, f: [check_springer(f, b.springer_n)], "springer_n"),
+    CheckSpec("10.6.alpha", lambda b, f: [check_alpha_counts(b.alpha_n)], "alpha_n"),
+    CheckSpec("10.6.gf", lambda b, f: [check_fib_gf(b.fib_gf_order)], order_field="fib_gf_order"),
+    CheckSpec("rowsums", lambda b, f: [check_rowsums(b.rowsums_n)], "rowsums_n"),
 )
 
 _BY_ID: Dict[str, CheckSpec] = {spec.id: spec for spec in CHECKS}
 
 
 def specs_for(ids) -> Tuple[CheckSpec, ...]:
+    """The specs of ``ids`` in order; ``all`` alone (never among other ids) is every spec."""
     if ids in (None, "all") or list(ids) == ["all"]:
         return CHECKS
+    if "all" in ids:
+        raise ValueError("check id 'all' cannot be combined with other check ids")
     out = []
     for check_id in ids:
         if check_id not in _BY_ID:

@@ -119,6 +119,12 @@ class TestVerifyCommand:
         code, _, err = run_cli(capsys, "verify", "bogus.id")
         assert code == 2 and "unknown check id" in err
 
+    @pytest.mark.parametrize("ids", [("all", "1.9"), ("1.9", "all")])
+    def test_all_with_other_ids_exit_2(self, capsys, ids):
+        code, out, err = run_cli(capsys, "verify", *ids)
+        assert code == 2 and out == ""
+        assert err == "error: check id 'all' cannot be combined with other check ids\n"
+
     def test_failure_exit_1(self, capsys, monkeypatch):
         fixtures = dict(verify.DEFAULT_FIXTURES)
         table = dict(fixtures["table1.a"])
@@ -232,25 +238,25 @@ class TestExportAndCache:
         def failing_rename(src, dst):
             raise OSError("rename failed")
 
-        text = render(cli.build_family("A", 2), "json")
+        body = render(cli.build_family("A", 2), "json").encode("utf-8")
         # the temp file's write fails part way, or its rename into place
         for owner, name, failing in ((cli, "open", failing_write), (os, "replace", failing_rename)):
             # no entry yet: a failed write leaves neither an entry nor a temp file
             with monkeypatch.context() as patch:
                 patch.setattr(owner, name, failing, raising=False)
                 with pytest.raises(OSError):
-                    cli.cache_store(str(cache), "A", 2, "json", text)
+                    cli.cache_store(str(cache), "A", 2, "json", body)
             assert list(cache.iterdir()) == []
             # an existing entry survives a failed rewrite byte for byte
-            cli.cache_store(str(cache), "A", 2, "json", text)
+            cli.cache_store(str(cache), "A", 2, "json", body)
             before = entry.read_bytes()
             with monkeypatch.context() as patch:
                 patch.setattr(owner, name, failing, raising=False)
                 with pytest.raises(OSError):
-                    cli.cache_store(str(cache), "A", 2, "json", text)
+                    cli.cache_store(str(cache), "A", 2, "json", body)
             assert entry.read_bytes() == before
             assert [p.name for p in cache.iterdir()] == ["A_n2.json"]
-            assert cli.cache_load(str(cache), "A", 2, "json") == text
+            assert cli.cache_load(str(cache), "A", 2, "json") == body
             entry.unlink()
 
     def test_cache_stale_entries_recomputed(self, capsys, tmp_path, monkeypatch):
@@ -350,22 +356,30 @@ class TestExportAndCache:
     @settings(max_examples=20, deadline=None)
     @given(st.sampled_from(cli.TABLE_FAMILIES), st.integers(0, 6), st.sampled_from(FORMATS))
     def test_cache_store_then_load_roundtrips(self, family, n, fmt):
-        text = render(cli.build_family(family, n), fmt)
+        body = render(cli.build_family(family, n), fmt).encode("utf-8")
         with tempfile.TemporaryDirectory() as cache:
-            cli.cache_store(cache, family, n, fmt, text)
+            cli.cache_store(cache, family, n, fmt, body)
             entry = os.path.join(cache, "%s_n%d.%s" % (family, n, fmt))
             with open(entry, "rb") as handle:
                 first = handle.read()
-            assert cli.cache_load(cache, family, n, fmt) == text
-            cli.cache_store(cache, family, n, fmt, text)
+            assert cli.cache_load(cache, family, n, fmt) == body
+            cli.cache_store(cache, family, n, fmt, body)
             with open(entry, "rb") as handle:
                 assert handle.read() == first
 
     @pytest.mark.parametrize("family", cli.TABLE_FAMILIES)
-    def test_cache_serves_every_format(self, capsys, tmp_path, monkeypatch, family):
+    def test_cache_serves_every_format(self, capsysbinary, tmp_path, monkeypatch, family):
+        # stdout is captured as bytes, so stdout, the entry body and the
+        # exported file are compared byte for byte, newlines included
         plain = {
-            fmt: run_cli(capsys, "table", family, "--n", "6", "--format", fmt)[1] for fmt in FORMATS
+            fmt: run_cli(capsysbinary, "table", family, "--n", "6", "--format", fmt)[1] for fmt in FORMATS
         }
+        for fmt in FORMATS:
+            out_path = tmp_path / ("plain." + fmt)
+            code, _, _ = run_cli(
+                capsysbinary, "export", family, "--n", "6", "--format", fmt, "--out", str(out_path)
+            )
+            assert code == 0 and out_path.read_bytes() == plain[fmt]
         cache = tmp_path / "cache"
         argv = ("table", family, "--n", "6", "--cache-dir", str(cache))
         real, built = cli.build_family, []
@@ -373,25 +387,25 @@ class TestExportAndCache:
         # json comes first: the later misses build the table again rather
         # than read the entries of the formats before them
         for fmt in FORMATS:
-            code, out, err = run_cli(capsys, *argv, "--format", fmt)
-            assert code == 0 and out == plain[fmt] and err == ""
+            code, out, err = run_cli(capsysbinary, *argv, "--format", fmt)
+            assert code == 0 and out == plain[fmt] and err == b""
             assert built == [(family, 6)]
             built.clear()
             entry = cache / ("%s_n6.%s" % (family, fmt))
-            assert entry.read_bytes().partition(b"\n")[2] == out.encode("utf-8")
+            assert entry.read_bytes().partition(b"\n")[2] == out
         names = sorted(p.name for p in cache.iterdir())
         assert names == sorted("%s_n6.%s" % (family, fmt) for fmt in FORMATS)
-        # every hit, from table or export, is the stored text with no table built
+        # every hit, from table or export, is the stored bytes with no table built
         monkeypatch.setattr(cli, "build_family", lambda *args: pytest.fail("table computed"))
         for fmt in FORMATS:
-            code, out, err = run_cli(capsys, *argv, "--format", fmt)
-            assert code == 0 and out == plain[fmt] and err == ""
+            code, out, err = run_cli(capsysbinary, *argv, "--format", fmt)
+            assert code == 0 and out == plain[fmt] and err == b""
             out_path = tmp_path / ("out." + fmt)
             code, _, _ = run_cli(
-                capsys, "export", family, "--n", "6", "--format", fmt, "--out", str(out_path),
+                capsysbinary, "export", family, "--n", "6", "--format", fmt, "--out", str(out_path),
                 "--cache-dir", str(cache),
             )
-            assert code == 0 and out_path.read_text() == plain[fmt]
+            assert code == 0 and out_path.read_bytes() == plain[fmt]
 
     def test_deterministic_output(self, capsys):
         _, one, _ = run_cli(capsys, "table", "tq", "--n", "5", "--format", "json")
@@ -496,6 +510,24 @@ class TestImportContract:
         _, loaded = self._run(*argv)
         assert "qderiv.tables" in loaded
         assert not loaded & {"dataclasses", "inspect"}
+
+    def test_cli_import_loads_only_render_and_ring(self):
+        # `import qderiv.cli` is what perfbench's setup_s times; the modules
+        # loaded before it are subtracted, because `site` may load some of
+        # the heavy ones on its own
+        check = """
+import sys
+before = set(sys.modules)
+import qderiv.cli
+print(" ".join(sorted(set(sys.modules) - before)))
+"""
+        added = set(_python("-c", check).stdout.decode().split())
+        assert sorted(m for m in added if m.startswith("qderiv")) == [
+            "qderiv", "qderiv.cli", "qderiv.render", "qderiv.ring"
+        ]
+        heavy = {"multiprocessing", "concurrent.futures", "hashlib", "dataclasses", "inspect",
+                 "subprocess", "threading"}
+        assert not added & heavy
 
     def test_public_names_are_their_home_modules_objects(self):
         check = """

@@ -84,6 +84,8 @@ class TestRegistry:
         assert [s.id for s in verify.specs_for(["1.9", "table1"])] == ["1.9", "table1"]
         with pytest.raises(KeyError):
             verify.specs_for(["bogus.id"])
+        with pytest.raises(ValueError):
+            verify.specs_for(["1.9", "all"])
 
     def test_run_suite_small_bounds(self):
         reports = verify.run_suite(SMALL)
