@@ -5,6 +5,15 @@ the first discrepancy (smallest index in a fixed scan order) with the
 expected and actual values.  Checks are pure functions of their bounds
 and re-runnable in any order; ``run_suite`` executes the full registry
 deterministically.
+
+``run_checks`` runs in two lanes when it can: a forked child runs the
+checks named in ``_FORKED`` (the t-permutation sweeps 3.1 and 3.bij)
+while the calling process runs every other check, and the reports come
+back in the order of the serial run.  With one CPU, no ``os.fork``, a
+second thread, or no work for one of the lanes, every check runs in the
+calling process, and that serial path is the reference.  A child that
+dies or sends no complete reports fails each of its checks; it is never
+a hang or a traceback.
 """
 
 from __future__ import annotations
@@ -12,6 +21,8 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import os
+import sys
 from collections import Counter
 from functools import lru_cache
 from typing import Callable, Dict, Iterable, List, Mapping, NamedTuple, Optional, Tuple
@@ -1153,10 +1164,18 @@ CHECKS: Tuple[CheckSpec, ...] = (
 
 _BY_ID: Dict[str, CheckSpec] = {spec.id: spec for spec in CHECKS}
 
+# the checks run_checks sends to a forked child: the two t-permutation
+# sweeps, which share no cache with the checks the calling process runs
+_FORKED: Tuple[str, ...] = ("3.1", "3.bij")
+
 
 def specs_for(ids) -> Tuple[CheckSpec, ...]:
-    """The specs of ``ids`` in order; ``all`` alone (never among other ids) is every spec."""
-    if ids in (None, "all") or list(ids) == ["all"]:
+    """The specs of ``ids`` in order; ``all`` alone (never among other ids) is every spec.
+
+    A string is one id."""
+    if isinstance(ids, str):
+        ids = [ids]
+    if ids is None or list(ids) == ["all"]:
         return CHECKS
     if "all" in ids:
         raise ValueError("check id 'all' cannot be combined with other check ids")
@@ -1202,19 +1221,79 @@ def adjusted_bounds(
     return bounds
 
 
+def _failure(spec: CheckSpec, bounds: Bounds, actual: str) -> VerificationReport:
+    return VerificationReport(
+        spec.id,
+        {f: getattr(bounds, f) for f in (spec.n_field, spec.order_field) if f},
+        "fail",
+        Discrepancy(("exception",), "no exception", actual),
+    )
+
+
 def _run_guarded(spec: CheckSpec, bounds: Bounds, fixtures) -> List[VerificationReport]:
     # failures are data: a check that raises becomes a failing report
     try:
         return spec.run(bounds, fixtures)
     except Exception as exc:  # noqa: BLE001 - deliberate catch-all boundary
-        return [
-            VerificationReport(
-                spec.id,
-                {f: getattr(bounds, f) for f in (spec.n_field, spec.order_field) if f},
-                "fail",
-                Discrepancy(("exception",), "no exception", repr(exc)),
-            )
-        ]
+        return [_failure(spec, bounds, repr(exc))]
+
+
+def _lanes() -> int:
+    """The number of CPUs this process may run on."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
+
+
+def _run_two_lanes(tasks, fixtures) -> Optional[List[List[VerificationReport]]]:
+    """Each task's reports, in task order: a forked child runs the tasks
+    whose check is in ``_FORKED`` while this process runs the others.
+
+    The child never returns into its caller: it sends its reports as one
+    pickle over a pipe and leaves by ``os._exit``, so it runs no exit
+    handler and flushes none of the buffers it inherited.  If it dies or
+    sends no complete pickle, each of its checks gets a failing report.
+    Whatever this process raises, the child is killed and reaped first.
+    None, with no check run, when the fork fails.
+    """
+    import pickle
+    import signal
+
+    forked = [(spec, bnd) for spec, bnd in tasks if spec.id in _FORKED]
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        return None
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_fd)
+            reports = [_run_guarded(spec, bnd, fixtures) for spec, bnd in forked]
+            with open(write_fd, "wb") as pipe:
+                pipe.write(pickle.dumps(reports))
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    try:
+        with open(read_fd, "rb") as pipe:
+            here = [_run_guarded(spec, bnd, fixtures) for spec, bnd in tasks if spec.id not in _FORKED]
+            data = pipe.read()
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        pid = 0  # reaped
+    finally:
+        if pid:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    try:
+        there = pickle.loads(data)
+    except Exception:  # noqa: BLE001 - a truncated pickle raises any of several types
+        lost = repr(ChildProcessError("check process exited with code %d without its reports" % code))
+        there = [[_failure(spec, bnd, lost)] for spec, bnd in forked]
+    here, there = iter(here), iter(there)
+    return [next(there if spec.id in _FORKED else here) for spec, _ in tasks]
 
 
 def run_checks(
@@ -1224,11 +1303,33 @@ def run_checks(
     n: Optional[int] = None,
     order: Optional[int] = None,
 ) -> List[VerificationReport]:
-    """Run ``specs`` in order.  Bounds are checked for every spec before any
-    check runs, so invalid overrides raise InvalidBoundsError up front."""
+    """Run ``specs``; the reports come in the order of ``specs``.  Bounds
+    are checked for every spec before any check runs, so invalid overrides
+    raise InvalidBoundsError up front.
+
+    The checks in ``_FORKED`` run in a forked child, in parallel with the
+    rest (``_run_two_lanes``), when all of these hold: the process may run
+    on at least two CPUs, ``os.fork`` exists, it runs one thread (a fork
+    copies no other thread, so a lock another thread holds would stay
+    held in the child), and both lanes have a check.  Otherwise, or if
+    the fork fails, every check runs here, one after another; the reports
+    are the same.
+    """
     bounds = bounds or Bounds()
     tasks = [(spec, adjusted_bounds(bounds, spec, n, order, fixtures)) for spec in specs]
-    return [report for spec, bnd in tasks for report in _run_guarded(spec, bnd, fixtures)]
+    forked = sum(spec.id in _FORKED for spec, _ in tasks)
+    threading = sys.modules.get("threading")
+    results = None
+    if (
+        0 < forked < len(tasks)
+        and _lanes() >= 2
+        and hasattr(os, "fork")
+        and (threading is None or threading.active_count() == 1)
+    ):
+        results = _run_two_lanes(tasks, fixtures)
+    if results is None:
+        results = [_run_guarded(spec, bnd, fixtures) for spec, bnd in tasks]
+    return [report for result in results for report in result]
 
 
 def run_suite(bounds: Optional[Bounds] = None, fixtures=None) -> List[VerificationReport]:

@@ -442,14 +442,14 @@ class TestClosedStdout:
 
 
 # runs one command like `python -m qderiv.cli`, then names on its last
-# stderr line every qderiv module it loaded, and dataclasses, hashlib and
-# inspect if it loaded them
+# stderr line every qderiv module it loaded, and dataclasses, hashlib,
+# inspect, multiprocessing and concurrent.futures if it loaded them
 _LOADED_MODULES = """
 import sys
 from qderiv import cli
 status = cli.main(sys.argv[1:])
 sys.stdout.flush()
-print(" ".join(sorted(m for m in sys.modules if m.startswith("qderiv") or m in ("dataclasses", "hashlib", "inspect"))), file=sys.stderr)
+print(" ".join(sorted(m for m in sys.modules if m.startswith("qderiv") or m in ("dataclasses", "hashlib", "inspect", "multiprocessing", "concurrent.futures"))), file=sys.stderr)
 sys.exit(status)
 """
 
@@ -510,6 +510,12 @@ class TestImportContract:
         _, loaded = self._run(*argv)
         assert "qderiv.tables" in loaded
         assert not loaded & {"dataclasses", "inspect"}
+
+    def test_verify_loads_no_process_pool(self):
+        # run_checks's second lane is one os.fork and a pipe
+        _, loaded = self._run("verify", "all", "--n", "2", "--order", "2", "--bound-bruteforce", "2")
+        assert "qderiv.verify" in loaded
+        assert not loaded & {"multiprocessing", "concurrent.futures"}
 
     def test_cli_import_loads_only_render_and_ring(self):
         # `import qderiv.cli` is what perfbench's setup_s times; the modules

@@ -1,6 +1,10 @@
 import copy
 import json
+import os
 import pickle
+import subprocess
+import sys
+import time
 
 import pytest
 
@@ -86,6 +90,12 @@ class TestRegistry:
             verify.specs_for(["bogus.id"])
         with pytest.raises(ValueError):
             verify.specs_for(["1.9", "all"])
+
+    def test_specs_for_a_bare_string_is_one_id(self):
+        assert verify.specs_for("1.9") == (verify._BY_ID["1.9"],)
+        assert verify.specs_for("all") == verify.CHECKS
+        with pytest.raises(KeyError):
+            verify.specs_for("bogus.id")
 
     def test_run_suite_small_bounds(self):
         reports = verify.run_suite(SMALL)
@@ -401,3 +411,158 @@ class TestCountingArguments:
         report = verify.check_psi_on_t(5)
         assert report.status == "fail"
         assert report.first_discrepancy.index == (4, "bijective")
+
+
+def _use_lanes(monkeypatch, lanes):
+    """Make run_checks see ``lanes`` CPUs; the list returned collects the
+    pid of each child forked."""
+    real_fork, pids = os.fork, []
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(verify, "_lanes", lambda: lanes)
+    monkeypatch.setattr(os, "fork", fork)
+    return pids
+
+
+def _reaped(pid):
+    try:
+        os.waitpid(pid, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+@pytest.mark.filterwarnings("error::DeprecationWarning")
+class TestTwoLanes:
+    """With two CPUs, run_checks forks one child for the checks in _FORKED;
+    with one it runs every check here.  Both give the same reports."""
+
+    def both(self, monkeypatch, run):
+        results = []
+        for lanes in (1, 2):
+            pids = _use_lanes(monkeypatch, lanes)
+            results.append(run())
+            assert len(pids) == lanes - 1 and all(map(_reaped, pids))
+        assert results[0] == results[1]
+        return results[0]
+
+    def test_run_suite_small_bounds(self, monkeypatch):
+        reports = self.both(monkeypatch, lambda: verify.run_suite(SMALL))
+        assert all(r.passed for r in reports)
+
+    def test_verify_all_json_stdout(self, monkeypatch, capsys):
+        from qderiv import cli
+
+        def run():
+            code = cli.main(["verify", "all", "--format", "json"])
+            return code, capsys.readouterr().out
+
+        code, out = self.both(monkeypatch, run)
+        assert code == 0 and len(out.splitlines()) == 93
+
+    def test_mutated_fixture_fails_exactly_one_check(self, monkeypatch):
+        fixtures = mutate_poly_fixture("table3", (3, (0, 1, 2)))
+        reports = self.both(monkeypatch, lambda: verify.run_suite(SMALL, fixtures=fixtures))
+        assert [r.id for r in reports if not r.passed] == ["table3"]
+
+    def test_one_lane_with_work_runs_here(self, monkeypatch):
+        for ids in (["3.1", "3.bij"], ["1.9"]):
+            pids = _use_lanes(monkeypatch, 2)
+            assert all(r.passed for r in verify.run_checks(verify.specs_for(ids), SMALL))
+            assert pids == []
+
+    def test_a_failed_fork_runs_every_check_here(self, monkeypatch):
+        def fork():
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+
+        ids = ["1.9", "3.1", "3.bij"]
+        _use_lanes(monkeypatch, 1)
+        serial = verify.run_checks(verify.specs_for(ids), SMALL)
+        _use_lanes(monkeypatch, 2)
+        monkeypatch.setattr(os, "fork", fork)
+        assert verify.run_checks(verify.specs_for(ids), SMALL) == serial
+
+    def test_an_interrupt_here_kills_and_reaps_the_child(self, monkeypatch):
+        pids = _use_lanes(monkeypatch, 2)
+
+        def interrupt(fixtures):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(verify, "check_3_1", lambda n: time.sleep(60))
+        monkeypatch.setattr(verify, "check_table1", interrupt)
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            verify.run_checks(verify.specs_for(["table1", "3.1"]))
+        assert time.monotonic() - start < 30
+        assert len(pids) == 1 and _reaped(pids[0])
+
+
+# runs `python -m qderiv.cli verify ...` with two lanes, the fault named in
+# argv[1] (3.1 kills its process, raises SystemExit or KeyboardInterrupt,
+# or the reports' pickle loses its end) and a line left in the stdout
+# buffer that the fork copies, then names on its last stderr line each
+# forked pid not reaped
+_FAULTY_CHILD = """
+import os, pickle, signal, sys
+from qderiv import cli, verify
+real_fork, real_dumps, pids = os.fork, pickle.dumps, []
+def fork():
+    pid = real_fork()
+    pids.append(pid)
+    return pid
+def fault(n):
+    if sys.argv[1] == "kill":
+        os.kill(os.getpid(), signal.SIGKILL)
+    raise SystemExit(3) if sys.argv[1] == "exit" else KeyboardInterrupt()
+os.fork, verify._lanes = fork, lambda: 2
+if sys.argv[1] == "truncate":
+    pickle.dumps = lambda obj: real_dumps(obj)[:-3]
+else:
+    verify.check_3_1 = fault
+sys.stdout.write("before the fork\\n")
+try:
+    status = cli.main(sys.argv[2:])
+finally:
+    sys.stdout.flush()
+    left = []
+    for pid in pids:
+        try:
+            os.waitpid(pid, os.WNOHANG)
+            left.append(pid)
+        except ChildProcessError:
+            pass
+    print("forked %d, left %r" % (len(pids), left), file=sys.stderr)
+sys.exit(status)
+"""
+
+
+class TestForkedChildFaults:
+    @pytest.mark.parametrize("fault, code", [("kill", -9), ("exit", 1), ("interrupt", 1), ("truncate", 0)])
+    def test_a_dead_child_fails_its_checks(self, fault, code):
+        # buffered, so the line written before the fork is still in the buffer
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(verify.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-c", _FAULTY_CHILD, fault, "verify", "1.1", "3.1", "3.bij", "--n", "3"],
+            capture_output=True, env=env, timeout=60,
+        )
+        lost = {
+            "actual": "ChildProcessError('check process exited with code %d without its reports')" % code,
+            "expected": "no exception",
+            "index": ["exception"],
+        }
+        first, *lines = proc.stdout.splitlines()
+        assert first == b"before the fork"
+        assert [json.loads(line) for line in lines] == [
+            {"id": "1.1", "params": {"order": 9}, "status": "pass", "first_discrepancy": None},
+            {"id": "3.1", "params": {"sweep_n": 3}, "status": "fail", "first_discrepancy": lost},
+            {"id": "3.bij", "params": {"sweep_n": 3}, "status": "fail", "first_discrepancy": lost},
+        ]
+        assert proc.returncode == 1
+        assert b"Traceback" not in proc.stderr
+        assert proc.stderr.decode().splitlines() == ["forked 1, left []"]
