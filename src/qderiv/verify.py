@@ -7,13 +7,11 @@ and re-runnable in any order; ``run_suite`` executes the full registry
 deterministically.
 
 ``run_checks`` runs in two lanes when it can: a forked child runs the
-checks named in ``_FORKED`` (the t-permutation sweeps 3.1 and 3.bij)
-while the calling process runs every other check, and the reports come
-back in the order of the serial run.  With one CPU, no ``os.fork``, a
-second thread, or no work for one of the lanes, every check runs in the
-calling process, and that serial path is the reference.  A child that
-dies or sends no complete reports fails each of its checks; it is never
-a hang or a traceback.
+checks in ``_FORKED`` (the sweeps 3.1 and 3.bij) while the calling
+process runs the rest, and the reports keep the serial order.  Otherwise
+every check runs in the calling process; that serial path is the
+reference.  A child that dies fails each of its checks, and is never a
+hang or a traceback.
 """
 
 from __future__ import annotations
