@@ -137,17 +137,9 @@ class TPermutation(namedtuple("TPermutation", "word parts")):
     def mu(self) -> int:
         return len(self.parts) - 1
 
-    def _one(self) -> Tuple[int, int]:
-        """The block holding the letter 1 and its offset there; n > 0."""
-        offset = self.word.index(1)
-        for block, length in enumerate(self.parts):
-            if offset < length:
-                return block, offset
-            offset -= length
-
     def min_component(self) -> Optional[int]:
         """Index of the component containing the letter 1; None when n = 0."""
-        return self._one()[0] if self.word else None
+        return _one_at(self.word, self.parts)[0] if self.word else None
 
     def is_first_kind(self) -> bool:
         """True when 1 occurs as a one-letter component that can be deleted.
@@ -156,7 +148,7 @@ class TPermutation(namedtuple("TPermutation", "word parts")):
         only component would not leave a t-permutation, and the insertion
         bijections classify it as a gluing image.
         """
-        return self.mu >= 1 and self.n > 0 and self.parts[self._one()[0]] == 1
+        return self.mu >= 1 and self.n > 0 and self.parts[_one_at(self.word, self.parts)[0]] == 1
 
 
 # -- enumeration by cutting permutations --------------------------------
@@ -230,52 +222,77 @@ def cut_by_lambda(sigma: Word, parts: Tuple[int, ...]) -> TPermutation:
 
 
 # -- the two insertion bijections ---------------------------------------
+#
+# Each step works on the flat pair (word, parts); the public maps wrap it in
+# validated TPermutations, and a sweep can call it on pairs it validates itself.
 
 
-def _insert_one(i: int, w: TPermutation, glue: bool) -> TPermutation:
-    """Shift w up and put the letter 1 at the start of block i; it becomes a
-    block of its own, or with ``glue`` joins blocks i-1 and i."""
-    if not 1 <= i <= w.mu:
-        raise ValueError("index %d out of range 1..%d" % (i, w.mu))
-    parts = w.parts
+def _insert_one(
+    i: int, shifted: Word, parts: Tuple[int, ...]
+) -> Tuple[Word, Tuple[int, ...], Tuple[int, ...]]:
+    """Put the letter 1 at the start of block i of ``shifted``, a word cut
+    by ``parts`` whose letters are all above 1: the image word, then its
+    parts with 1 a block of its own (delta*) and with 1 gluing blocks i-1
+    and i (*delta).  The word depends only on where 1 lands,
+    parts[0] + ... + parts[i-1]."""
+    if not 1 <= i < len(parts):
+        raise ValueError("index %d out of range 1..%d" % (i, len(parts) - 1))
     p = sum(parts[:i])
-    word = tuple(y + 1 for y in w.word)
-    middle = (parts[i - 1] + 1 + parts[i],) if glue else (parts[i - 1], 1, parts[i])
-    return TPermutation._flat(word[:p] + (1,) + word[p:], parts[: i - 1] + middle + parts[i + 1 :])
+    head, left, right, tail = parts[: i - 1], parts[i - 1], parts[i], parts[i + 1 :]
+    return (
+        shifted[:p] + (1,) + shifted[p:],
+        head + (left, 1, right) + tail,
+        head + (left + 1 + right,) + tail,
+    )
 
 
 def delta_star(i: int, w: TPermutation) -> TPermutation:
     """Insert the one-letter word 1 before component i of the shifted word."""
-    return _insert_one(i, w, glue=False)
+    word, parts, _ = _insert_one(i, tuple(y + 1 for y in w.word), w.parts)
+    return TPermutation._flat(word, parts)
 
 
 def star_delta(i: int, w: TPermutation) -> TPermutation:
     """Glue components i-1 and i of the shifted word around the letter 1."""
-    return _insert_one(i, w, glue=True)
+    word, _, parts = _insert_one(i, tuple(y + 1 for y in w.word), w.parts)
+    return TPermutation._flat(word, parts)
 
 
-def _remove_one(w: TPermutation, first_kind: bool) -> Tuple[int, TPermutation]:
+def _one_at(word: Word, parts: Tuple[int, ...]) -> Tuple[int, int]:
+    """The block of ``word`` cut by ``parts`` that holds the letter 1, and
+    its offset there."""
+    offset = word.index(1)
+    for block, length in enumerate(parts):
+        if offset < length:
+            return block, offset
+        offset -= length
+
+
+def _remove_one(
+    word: Word, parts: Tuple[int, ...], first_kind: bool
+) -> Tuple[int, Word, Tuple[int, ...]]:
     """Delete the letter 1 and shift down.  Its block a goes (first kind,
-    giving back a) or is split at the 1 (second kind, giving back a + 1)."""
-    a, j = w._one() if w.n else (0, 0)
+    giving back a) or is split at the 1 (second kind, giving back a + 1):
+    that index, then the flat pair left."""
+    a, j = _one_at(word, parts) if word else (0, 0)
     # the rule of is_first_kind, on the same lookup
-    if w.n == 0 or (w.mu >= 1 and w.parts[a] == 1) != first_kind:
+    if not word or (len(parts) >= 2 and parts[a] == 1) != first_kind:
         raise ValueError("not of the %s kind" % ("first" if first_kind else "second"))
-    parts = w.parts
     middle = () if first_kind else (j, parts[a] - 1 - j)
-    word = tuple(y - 1 for y in w.word if y != 1)
-    back = TPermutation._flat(word, parts[:a] + middle + parts[a + 1 :])
-    return (a if first_kind else a + 1), back
+    back = tuple([y - 1 for y in word if y != 1])
+    return (a if first_kind else a + 1), back, parts[:a] + middle + parts[a + 1 :]
 
 
 def delta_star_inv(w: TPermutation) -> Tuple[int, TPermutation]:
     """Inverse of ``delta_star``: delete the one-letter 1 and shift down."""
-    return _remove_one(w, first_kind=True)
+    i, word, parts = _remove_one(w.word, w.parts, first_kind=True)
+    return i, TPermutation._flat(word, parts)
 
 
 def star_delta_inv(w: TPermutation) -> Tuple[int, TPermutation]:
     """Inverse of ``star_delta``: split the component carrying 1."""
-    return _remove_one(w, first_kind=False)
+    i, word, parts = _remove_one(w.word, w.parts, first_kind=False)
+    return i, TPermutation._flat(word, parts)
 
 
 def psi_on_t(w: TPermutation) -> TPermutation:

@@ -7,8 +7,9 @@ and re-runnable in any order; ``run_suite`` executes the full registry
 deterministically.
 
 ``run_checks`` runs in two lanes when it can: a forked child runs the
-checks in ``_FORKED`` (the sweeps 3.1 and 3.bij) while the calling
-process runs the rest, and the reports keep the serial order.  Otherwise
+checks in ``_FORKED`` (the sweeps 3.1, 3.bij, 8.phi, 8.1 and 8.2) while
+the calling process runs the rest, and the reports keep the serial
+order.  Otherwise
 every check runs in the calling process; that serial path is the
 reference.  A child that dies fails each of its checks, and is never a
 hang or a traceback.
@@ -75,7 +76,6 @@ from qderiv.tcomb import (
     delta_star,
     delta_star_inv,
     enumerate_t_compositions,
-    enumerate_t_permutations,
     fibonacci_poly,
     psi_on_t,
     star_delta,
@@ -536,11 +536,9 @@ _STAR_DELTA_EXPECT = {
 }
 
 
-def _check_31_images(col: _Collector, tag, w: TPermutation, st, image_stats: dict) -> None:
-    """The statistics of every delta* and *delta image of ``w``, whose own
-    statistics are ``st``.  ``image_stats`` maps words to their statistics:
-    the two images of one (w, i) share a word, and so do the images of cuts
-    of one permutation at the same prefix."""
+def _31_expected(w: TPermutation, st):
+    """i and the (iligne, ides, imaj, inv) of the images of (w, i), for
+    i = 1..mu(w), from ``w``'s own statistics ``st``."""
     min_comp = w.min_component()
     shifted = frozenset(j + 1 for j in st.iligne)
     prefix = 0
@@ -548,18 +546,20 @@ def _check_31_images(col: _Collector, tag, w: TPermutation, st, image_stats: dic
         prefix += w.parts[i - 1]
         # the new 1 is an inverse descent exactly when it lands after 2
         new = 0 if min_comp is not None and i <= min_comp else 1
-        exp_ilg = shifted | {1} if new else shifted
-        exp_ides = st.ides + new
-        exp_imaj = new + st.ides + st.imaj
-        exp_inv = st.inv + prefix
+        ilg = shifted | {1} if new else shifted
+        yield i, (ilg, st.ides + new, new + st.ides + st.imaj, st.inv + prefix)
+
+
+def _check_31_images(col: _Collector, tag, w: TPermutation, st) -> None:
+    """3.1 on the images of ``w`` by the validating constructor: the replay
+    that names the first discrepancy."""
+    for i, stats in _31_expected(w, st):
         for name, image, exp_min in (
             ("delta*", delta_star(i, w), i),
             ("*delta", star_delta(i, w), i - 1),
         ):
-            ist = image_stats.get(image.word)
-            if ist is None:
-                ist = image_stats[image.word] = permstats.statistics(image.word)
-            expected = (exp_ilg, exp_ides, exp_imaj, exp_inv, exp_min)
+            ist = permstats.statistics(image.word)
+            expected = stats + (exp_min,)
             actual = (ist.iligne, ist.ides, ist.imaj, ist.inv, image.min_component())
             if expected != actual:
                 # report indices name components, built only on failure
@@ -568,7 +568,64 @@ def _check_31_images(col: _Collector, tag, w: TPermutation, st, image_stats: dic
                     col.eq(idx + (stat,), exp, act)
 
 
+def _images(w: TPermutation, shifted: tuple, words: dict, with_stats: bool):
+    """(word, delta* parts, *delta parts, the word's iligne, ides, imaj
+    and inv ``with_stats``) for each (w, i), by the flat insertion step;
+    None, and no more, at the first pair the validating constructor
+    rejects.  ``shifted`` is w's word raised by one.  The word depends only
+    on sigma and where the 1 lands, so ``words`` keeps, per word, () when
+    it is not a permutation, else its descent word and statistics."""
+    for i in range(1, w.mu + 1):
+        word, first, second = tcomb._insert_one(i, shifted, w.parts)
+        seen = words.get(word)
+        if seen is None:
+            seen = ()
+            if sorted(word) == list(range(1, len(word) + 1)):
+                ilg = permstats.iligne(word) if with_stats else None
+                stats = with_stats and (ilg, len(ilg), sum(ilg), permstats.inv(word))
+                seen = (permstats.descent_word(word), stats)
+            words[word] = seen
+        if not (
+            seen
+            and sum(first) == sum(second) == len(word)
+            and tcomb._is_valid_cut(first, seen[0])
+            and tcomb._is_valid_cut(second, seen[0])
+        ):
+            yield None
+            return
+        yield word, first, second, seen[1]
+
+
+def _passes(fast: Callable, *args) -> bool:
+    """``fast(*args)``, False when it raises: a fast test that fails in any
+    way leaves the report to the validating replay."""
+    try:
+        return fast(*args)
+    except Exception:  # noqa: BLE001 - the replay raises or reports it
+        return False
+
+
+def _31_images_pass(w: TPermutation, shifted: tuple, st, words: dict) -> bool:
+    for (i, stats), image in zip(_31_expected(w, st), _images(w, shifted, words, True)):
+        if image is None:
+            return False
+        word, first, second, actual = image
+        if actual != stats or (tcomb._one_at(word, first)[0], tcomb._one_at(word, second)[0]) != (i, i - 1):
+            return False
+    return True
+
+
 def check_3_1(n_max: int) -> VerificationReport:
+    """The statistics of every delta* and *delta image of T(n), n <= n_max.
+
+    Each image comes from the flat insertion step ``tcomb._insert_one``.
+    Its word depends only on sigma and where the 1 lands, so each word is
+    checked to be a permutation, and its statistics computed, once; each
+    image's parts need only the cached cut test against that word's
+    descent word.  A t-permutation with any failing image is replayed
+    through the validating constructor, so the report is the one that path
+    gives.
+    """
     w0 = TPermutation(_W_EXAMPLE)
     with _Collector("3.1", {"n_max": n_max}) as col:
         st = permstats.statistics(w0.word)
@@ -588,10 +645,42 @@ def check_3_1(n_max: int) -> VerificationReport:
         for n in range(1, n_max + 1):
             for sigma, cuts in t_permutation_cuts(n, bound=n):
                 st = permstats.statistics(sigma)
-                image_stats: dict = {}
+                shifted = tuple(y + 1 for y in sigma)
+                words: dict = {}
                 for w in cuts:
-                    _check_31_images(col, ("sweep", n), w, st, image_stats)
+                    if not _passes(_31_images_pass, w, shifted, st, words):
+                        _check_31_images(col, ("sweep", n), w, st)
     return col.report
+
+
+def _check_bij_pairs(col: _Collector, n: int, w: TPermutation) -> None:
+    """3.bij on the pairs (w, i) by the validating constructor: the replay
+    that names the first discrepancy."""
+    for i in range(1, w.mu + 1):
+        for name, kind, first, insert, invert in (
+            ("delta*", "first-kind", True, delta_star, delta_star_inv),
+            ("*delta", "second-kind", False, star_delta, star_delta_inv),
+        ):
+            # report indices name components, built only on failure
+            image = insert(i, w)
+            if image.is_first_kind() != first:
+                col.require((n, kind, image.components), False)
+            back_i, back = invert(image)
+            if (back_i, back) != (i, w):
+                col.eq((n, name + "-roundtrip", i), (i, w.components), (back_i, back.components))
+
+
+def _bij_pairs_pass(sigma: tuple, w: TPermutation, shifted: tuple, words: dict) -> bool:
+    # the removal step raises on an image of the wrong kind, by the rule of
+    # is_first_kind; what comes back is w, valid when its delta* image is
+    for i, image in enumerate(_images(w, shifted, words, False), 1):
+        if image is None:
+            return False
+        word, first, second, _ = image
+        back = (i, sigma, w.parts)
+        if back != tcomb._remove_one(word, first, True) or back != tcomb._remove_one(word, second, False):
+            return False
+    return True
 
 
 def check_3_bijections(n_max: int) -> VerificationReport:
@@ -606,26 +695,24 @@ def check_3_bijections(n_max: int) -> VerificationReport:
     enumeration, equals 2 * pairs.  Each order is counted by its own domain
     walk; order n_max + 1 is counted from the valid cuts of each
     permutation, without building its t-permutations.
+
+    The pairs are checked flat, by the insertion and removal steps of
+    ``tcomb``, with each image word validated once, as in 3.1; a
+    t-permutation with a failing pair is replayed through the validating
+    constructor.
     """
     with _Collector("3.bij", {"n_max": n_max}) as col:
         previous = 0  # the pairs of order n - 1
         for n in range(n_max + 1):
             count = pairs = 0
-            for w in enumerate_t_permutations(n, bound=n):
-                count += 1
-                for i in range(1, w.mu + 1):
-                    for name, kind, first, insert, invert in (
-                        ("delta*", "first-kind", True, delta_star, delta_star_inv),
-                        ("*delta", "second-kind", False, star_delta, star_delta_inv),
-                    ):
-                        # report indices name components, built only on failure
-                        image = insert(i, w)
-                        if image.is_first_kind() != first:
-                            col.require((n, kind, image.components), False)
-                        back_i, back = invert(image)
-                        if (back_i, back) != (i, w):
-                            col.eq((n, name + "-roundtrip", i), (i, w.components), (back_i, back.components))
-                    pairs += 1
+            for sigma, cuts in t_permutation_cuts(n, bound=n):
+                shifted = tuple(y + 1 for y in sigma)
+                words: dict = {}
+                count += len(cuts)
+                for w in cuts:
+                    if not _passes(_bij_pairs_pass, sigma, w, shifted, words):
+                        _check_bij_pairs(col, n, w)
+                    pairs += w.mu
             if n:
                 col.eq((n, "partition"), count, 2 * previous)
             previous = pairs
@@ -806,14 +893,23 @@ def _stat_poly(values: Iterable[int]) -> QPoly:
     return QPoly(counts[e] for e in range(max(counts) + 1))
 
 
+@lru_cache(maxsize=None)
+def _alternating_polys(n: int, rising: bool) -> Tuple[QPoly, QPoly]:
+    """The inv and the imaj generating polynomials of the rising (or
+    falling) alternating permutations of 1..n, tallied in one walk, which
+    7.1 and 7.imaj share."""
+    rows = [(inv, imaj) for _, _, inv, _, imaj in permstats.walk(n, rising)]
+    return tuple(map(_stat_poly, zip(*rows)))
+
+
 def check_alternating(check_id: str, n_max: int) -> VerificationReport:
     """7.1 (by inv) and 7.imaj (by imaj): alternating permutations are
     counted by the q-tangent and q-secant numbers."""
-    stat = {"7.1": 2, "7.imaj": 4}[check_id]  # its place in a walk row
+    stat = {"7.1": 0, "7.imaj": 1}[check_id]  # its place in _alternating_polys
     with _Collector(check_id, {"n_max": n_max}) as col:
         for n in range(n_max + 1):
-            rising = _stat_poly(row[stat] for row in permstats.walk(n, True))
-            falling = _stat_poly(row[stat] for row in permstats.walk(n, False))
+            rising = _alternating_polys(n, True)[stat]
+            falling = _alternating_polys(n, False)[stat]
             if n % 2:
                 col.eq((n, "RA"), q_tangent_number(n), rising)
                 col.eq((n, "FA"), q_tangent_number(n), falling)
@@ -1162,9 +1258,10 @@ CHECKS: Tuple[CheckSpec, ...] = (
 
 _BY_ID: Dict[str, CheckSpec] = {spec.id: spec for spec in CHECKS}
 
-# the checks run_checks sends to a forked child: the two t-permutation
-# sweeps, which share no cache with the checks the calling process runs
-_FORKED: Tuple[str, ...] = ("3.1", "3.bij")
+# the checks run_checks sends to a forked child: the sweeps over T(n) and
+# S_n; the one cache they share with the other checks, tcomb._valid_cuts
+# (the oracle reads it, a passing 8.2 does not), is filled in each process
+_FORKED: Tuple[str, ...] = ("3.1", "3.bij", "8.phi", "8.1", "8.2")
 
 
 def specs_for(ids) -> Tuple[CheckSpec, ...]:

@@ -1,4 +1,5 @@
 import copy
+import itertools
 import json
 import os
 import pickle
@@ -208,22 +209,39 @@ class TestIndividualChecks:
         assert report.status == "fail"
         assert report.first_discrepancy.index == (4, 3)
 
+    def test_7_1_and_7_imaj_share_one_walk(self, monkeypatch):
+        # one walk per (n, rising) tallies inv and imaj for both checks
+        real_walk, walked = permstats.walk, []
+
+        def recording_walk(n, rising=None):
+            walked.append((n, rising))
+            return real_walk(n, rising)
+
+        monkeypatch.setattr(permstats, "walk", recording_walk)
+        verify._alternating_polys.cache_clear()
+        try:
+            assert verify.check_alternating("7.1", 6).passed
+            assert verify.check_alternating("7.imaj", 5).passed
+        finally:
+            verify._alternating_polys.cache_clear()
+        assert walked == [(n, rising) for n in range(7) for rising in (True, False)]
+
     def test_3_bij_walks_each_order_once(self, monkeypatch):
         # |T(n)| is counted during the domain walk of order n; order
         # n_max + 1 is counted from its permutations' valid cuts, so its
         # t-permutations are never built
-        real_enumerate, real_walk = verify.enumerate_t_permutations, permstats.walk
+        real_cuts, real_walk = verify.t_permutation_cuts, permstats.walk
         built, walked = [], []
 
-        def recording_enumerate(n, bound=None):
+        def recording_cuts(n, bound=None):
             built.append(n)
-            return real_enumerate(n, bound)
+            return real_cuts(n, bound)
 
         def recording_walk(n, rising=None):
             walked.append(n)
             return real_walk(n, rising)
 
-        monkeypatch.setattr(verify, "enumerate_t_permutations", recording_enumerate)
+        monkeypatch.setattr(verify, "t_permutation_cuts", recording_cuts)
         monkeypatch.setattr(permstats, "walk", recording_walk)
         assert verify.check_3_bijections(4).passed
         assert built == [0, 1, 2, 3, 4]
@@ -239,11 +257,16 @@ class TestIndividualChecks:
 # report indices and the exception texts.
 
 _real_psi = permstats.psi
-_real_star_delta_inv = tcomb.star_delta_inv
+_real_insert_one, _real_remove_one = tcomb._insert_one, tcomb._remove_one
 
 
 def _fires(word, n):
     return len(word) == n and tuple(word[:1]) == (3,)
+
+
+def _fires_shifted(shifted, n):
+    # the insertion step gets w's word with every letter raised by one
+    return _fires(tuple(y - 1 for y in shifted), n)
 
 
 def _psi_identity(sigma):
@@ -257,16 +280,15 @@ def _psi_reversed(sigma):
     return image[::-1] if _fires(sigma, 5) else image
 
 
-def _delta_star_late(i, w):
-    # inserts the letter 1 before component i + 1 instead of i
-    shifted = [tuple(y + 1 for y in c) for c in w.components]
-    j = i + 1 if _fires(w.word, 4) else i
-    return TPermutation(tuple(shifted[:j] + [(1,)] + shifted[j:]))
+def _insert_late(i, shifted, parts):
+    # inserts the letter 1 at component i + 1 instead of i
+    return _real_insert_one(i + 1 if _fires_shifted(shifted, 4) else i, shifted, parts)
 
 
-def _star_delta_inv_off(w):
-    i, back = _real_star_delta_inv(w)
-    return (i + 1 if _fires(w.word, 5) else i), back
+def _remove_second_off(word, parts, first_kind):
+    # the second-kind removal gives back the wrong index
+    i, back, back_parts = _real_remove_one(word, parts, first_kind)
+    return (i + 1 if not first_kind and _fires(word, 5) else i), back, back_parts
 
 
 SWEEP_FAULTS = {
@@ -280,7 +302,7 @@ SWEEP_FAULTS = {
         'alternation rules: ((), (5, 4, 2), (1,), (3,), ())\')", "expected": "no exception", '
         '"index": ["exception"]}, "id": "8.2", "params": {"perm_sweep_n": 5}, "status": "fail"}',
     }),
-    "delta-star-late": (verify, "delta_star", _delta_star_late, {
+    "delta-star-late": (tcomb, "_insert_one", _insert_late, {
         "3.1": '{"first_discrepancy": {"actual": "frozenset({1, 3})", "expected": '
         '"frozenset({3})", "index": ["sweep", 4, [[], [3, 1, 2], [4], []], 1, "delta*", '
         '"iligne"]}, "id": "3.1", "params": {"n_max": 4}, "status": "fail"}',
@@ -288,7 +310,7 @@ SWEEP_FAULTS = {
         '"expected": "(1, ((), (3, 1, 2), (4,), ()))", "index": [4, "delta*-roundtrip", 1]}, '
         '"id": "3.bij", "params": {"n_max": 4}, "status": "fail"}',
     }),
-    "star-delta-inv-off": (verify, "star_delta_inv", _star_delta_inv_off, {
+    "star-delta-inv-off": (tcomb, "_remove_one", _remove_second_off, {
         "3.bij": '{"first_discrepancy": {"actual": "(3, ((), (2, 1, 3), (4,), ()))", '
         '"expected": "(2, ((), (2, 1, 3), (4,), ()))", "index": [4, "*delta-roundtrip", 2]}, '
         '"id": "3.bij", "params": {"n_max": 4}, "status": "fail"}',
@@ -369,11 +391,11 @@ class TestFastPathFaults:
     def test_3_1_replays_the_component_of_1(self, monkeypatch):
         # gluing instead of inserting keeps the image word, so only the
         # component holding 1 differs
-        monkeypatch.setattr(
-            verify,
-            "delta_star",
-            lambda i, w: tcomb.star_delta(i, w) if _fires(w.word, 4) else tcomb.delta_star(i, w),
-        )
+        def glue_for_delta_star(i, shifted, parts):
+            word, first, second = _real_insert_one(i, shifted, parts)
+            return word, (second if _fires_shifted(shifted, 4) else first), second
+
+        monkeypatch.setattr(tcomb, "_insert_one", glue_for_delta_star)
         (report,) = verify.run_checks(verify.specs_for(["3.1"]), Bounds(sweep_n=4))
         assert report.to_json_line() == (
             '{"first_discrepancy": {"actual": "0", "expected": "1", "index": ["sweep", 4, '
@@ -382,20 +404,252 @@ class TestFastPathFaults:
         )
 
 
+def _insert_two(i, shifted, parts):
+    # the inserted letter is 2, not 1: the image word is not a permutation
+    word, first, second = _real_insert_one(i, shifted, parts)
+    if _fires_shifted(shifted, 4):
+        word = tuple(2 if y == 1 else y for y in word)
+    return word, first, second
+
+
+def _insert_long(i, shifted, parts):
+    # delta*: the block after the 1 grows by one, so the parts overrun the word
+    word, first, second = _real_insert_one(i, shifted, parts)
+    if _fires_shifted(shifted, 4):
+        first = first[: i + 1] + (first[i + 1] + 1,) + first[i + 2 :]
+    return word, first, second
+
+
+def _insert_trailing(i, shifted, parts):
+    # delta*: a one-letter block past the word's end, which only the
+    # length test sees
+    word, first, second = _real_insert_one(i, shifted, parts)
+    if _fires_shifted(shifted, 4):
+        first = first[:-1] + (1, first[-1])
+    return word, first, second
+
+
+def _insert_front(i, shifted, parts):
+    # delta*: the one-letter block 1 is cut before block i - 1, not after it
+    word, first, second = _real_insert_one(i, shifted, parts)
+    if _fires_shifted(shifted, 4):
+        first = first[: i - 1] + (1, first[i - 1]) + first[i + 1 :]
+    return word, first, second
+
+
+def _insert_for_glue(i, shifted, parts):
+    # *delta inserts instead of gluing: a first-kind image, 1 in block i
+    word, first, second = _real_insert_one(i, shifted, parts)
+    return word, first, (first if _fires_shifted(shifted, 4) else second)
+
+
+def _insert_raises(i, shifted, parts):
+    if _fires_shifted(shifted, 4):
+        raise ArithmeticError("insertion failed")
+    return _real_insert_one(i, shifted, parts)
+
+
+def _remove_late(word, parts, first_kind):
+    # second kind: the block of 1 is split one letter late
+    if first_kind or not _fires(word, 5):
+        return _real_remove_one(word, parts, first_kind)
+    a, j = tcomb._one_at(word, parts)
+    back = tuple(y - 1 for y in word if y != 1)
+    return a + 1, back, parts[:a] + (j + 1, parts[a] - 2 - j) + parts[a + 1 :]
+
+
+def _remove_first_off(word, parts, first_kind):
+    # the first-kind removal gives back the wrong index
+    i, back, back_parts = _real_remove_one(word, parts, first_kind)
+    return (i + 1 if first_kind and _fires(word, 5) else i), back, back_parts
+
+
+def _inv_off(word):
+    return _real_inv(word) + _fires(word, 5)
+
+
+_real_inv, _real_cuts, _real_is_t = permstats.inv, verify.t_permutation_cuts, tcomb.is_t_composition
+
+
+def _walk_fault(change):
+    """t_permutation_cuts with ``change(sigma, parts list)`` applied to the
+    permutations of order 4."""
+
+    def cuts(n, bound=None):
+        for sigma, ws in _real_cuts(n, bound):
+            if n == 4:
+                sigma, parts = change(sigma, [w.parts for w in ws])
+                ws = tuple(TPermutation._flat(sigma, p, check=False) for p in parts)
+            yield sigma, ws
+
+    return cuts
+
+
+def _raise_top(sigma, parts):
+    # the largest letter raised by one: not a permutation
+    if not _fires(sigma, 4):
+        return sigma, parts
+    return tuple(y + 1 if y == len(sigma) else y for y in sigma), parts
+
+
+def _overrun(sigma, parts):
+    # the first cut ending in 0 gains a one-letter block past the word
+    if not _fires(sigma, 4):
+        return sigma, parts
+    k = next(k for k, p in enumerate(parts) if p[-1] == 0 and len(p) > 1)
+    return sigma, parts[:k] + [parts[k][:-1] + (1, 0)] + parts[k + 1 :]
+
+
+def _underrun(sigma, parts):
+    # a last block of two letters or more loses two, so the cut is short
+    k = next((k for k, p in enumerate(parts) if p[-1] >= 2 and len(p) > 1), None)
+    if k is None:
+        return sigma, parts
+    return sigma, parts[:k] + [parts[k][:-1] + (parts[k][-1] - 2,)] + parts[k + 1 :]
+
+
+def _bad_shape(sigma, parts):
+    # the first cut becomes (n, 0), not alternating on these permutations
+    if not _fires(sigma, 4):
+        return sigma, parts
+    return sigma, [(len(sigma), 0)] + parts[1:]
+
+
+def _raised(check_id, exception):
+    return (
+        '{"first_discrepancy": {"actual": %s, "expected": "no exception", '
+        '"index": ["exception"]}, "id": "%s", "params": {"sweep_n": 4}, "status": "fail"}'
+        % (json.dumps(exception), check_id)
+    )
+
+
+def _both_raise(exception):
+    return [_raised(check_id, exception) for check_id in ("3.1", "3.bij")]
+
+
+_OVERRUN = "ValueError('block lengths (0, 1, 3, 1, 1, 0) do not cut a word of length 5')"
+
+# Faults in the insertion and removal steps, in the t-permutation walk, in
+# the statistics and in the t-composition test, each with the 3.1 and 3.bij
+# reports that the validating path gives under the same fault: each fast
+# test on its own is the first to see one of them.
+_FLAT_STEP_FAULTS = {
+    "word-not-a-permutation": ([(tcomb, "_insert_one", _insert_two)], _both_raise(
+        "ValueError('concatenation is not a permutation: ((), (2,), (4, 2, 3), (5,), ())')"
+    )),
+    "cut-overruns-the-word": ([(tcomb, "_insert_one", _insert_long)], _both_raise(
+        "ValueError('block lengths (0, 1, 4, 1, 0) do not cut a word of length 5')"
+    )),
+    "cut-past-the-word": ([(tcomb, "_insert_one", _insert_trailing)], _both_raise(_OVERRUN)),
+    "cut-not-alternating": ([(tcomb, "_insert_one", _insert_front)], _both_raise(
+        "ValueError('component shapes violate the alternation rules: ((1,), (), (4, 2, 3), (5,), ())')"
+    )),
+    "glue-inserts": ([(tcomb, "_insert_one", _insert_for_glue)], [
+        '{"first_discrepancy": {"actual": "1", "expected": "0", "index": ["sweep", 4, '
+        '[[], [3, 1, 2], [4], []], 1, "*delta", "min"]}, "id": "3.1", "params": {"n_max": 4}, '
+        '"status": "fail"}',
+        '{"first_discrepancy": {"actual": "violated", "expected": "condition", "index": '
+        '[4, "second-kind", [[], [1], [4, 2, 3], [5], []]]}, "id": "3.bij", "params": {"n_max": 4}, '
+        '"status": "fail"}',
+    ]),
+    "insertion-raises": ([(tcomb, "_insert_one", _insert_raises)], _both_raise(
+        "ArithmeticError('insertion failed')"
+    )),
+    "removal-splits-late": ([(tcomb, "_remove_one", _remove_late)], [
+        '{"first_discrepancy": null, "id": "3.1", "params": {"n_max": 4}, "status": "pass"}',
+        _raised("3.bij", "ValueError('component shapes violate the alternation rules: ((), (2, 1, 3, 4), (), ())')"),
+    ]),
+    "removal-first-kind-off": ([(tcomb, "_remove_one", _remove_first_off)], [
+        '{"first_discrepancy": null, "id": "3.1", "params": {"n_max": 4}, "status": "pass"}',
+        '{"first_discrepancy": {"actual": "(3, ((), (2, 1, 3), (4,), ()))", "expected": '
+        '"(2, ((), (2, 1, 3), (4,), ()))", "index": [4, "delta*-roundtrip", 2]}, "id": "3.bij", '
+        '"params": {"n_max": 4}, "status": "fail"}',
+    ]),
+    "image-inv-off": ([(permstats, "inv", _inv_off)], [
+        '{"first_discrepancy": {"actual": "5", "expected": "4", "index": ["sweep", 4, '
+        '[[], [2, 1, 3], [4], []], 2, "delta*", "inv"]}, "id": "3.1", "params": {"n_max": 4}, '
+        '"status": "fail"}',
+        '{"first_discrepancy": null, "id": "3.bij", "params": {"n_max": 4}, "status": "pass"}',
+    ]),
+    "walk-not-a-permutation": ([(verify, "t_permutation_cuts", _walk_fault(_raise_top))], _both_raise(
+        "ValueError('concatenation is not a permutation: ((), (1,), (4, 2, 3), (6,), ())')"
+    )),
+    "walk-past-the-word": ([(verify, "t_permutation_cuts", _walk_fault(_overrun))], _both_raise(_OVERRUN)),
+    "walk-short-of-the-word": ([(verify, "t_permutation_cuts", _walk_fault(_underrun))], _both_raise(
+        "ValueError('block lengths (2, 1, 0) do not cut a word of length 5')"
+    )),
+    "walk-not-alternating": ([(verify, "t_permutation_cuts", _walk_fault(_bad_shape))], _both_raise(
+        "ValueError('component shapes violate the alternation rules: ((4, 2, 3, 5), (1,), ())')"
+    )),
+    "no-single-part": ([(tcomb, "is_t_composition", lambda p: len(p) != 1 and _real_is_t(p))], [
+        _raised("3.1", "ValueError('component shapes violate the alternation rules: ((2, 3, 1),)')"),
+        _raised("3.bij", "ValueError('component shapes violate the alternation rules: ((1,),)')"),
+    ]),
+    "no-second-part-1": ([(tcomb, "is_t_composition", lambda p: p[1:2] != (1,) and _real_is_t(p))], [
+        _raised("3.1", "ValueError('component shapes violate the alternation rules: "
+                "((5, 6), (1,), (12, 2, 4), (11, 8, 10), (7,), (9, 3))')"),
+        _raised("3.bij", "ValueError('component shapes violate the alternation rules: ((), (1,), ())')"),
+    ]),
+}
+
+
+class TestFlatStepFaults:
+    """3.1 and 3.bij check flat (word, parts) pairs, each image word
+    validated once, and replay a failing t-permutation through the
+    validating constructor; under each fault the reports are the ones that
+    path gives, on both lane paths."""
+
+    @pytest.mark.parametrize("check", [verify.check_3_1, verify.check_3_bijections])
+    def test_a_passing_sweep_validates_each_word_once_and_replays_nothing(self, monkeypatch, check):
+        def replay(*args):
+            raise AssertionError("replayed %r" % (args[2],))
+
+        real_descent_word, words = permstats.descent_word, []
+
+        def recording_descent_word(word):
+            words.append(word)
+            return real_descent_word(word)
+
+        monkeypatch.setattr(verify, "_check_31_images", replay)
+        monkeypatch.setattr(verify, "_check_bij_pairs", replay)
+        monkeypatch.setattr(permstats, "descent_word", recording_descent_word)
+        assert check(5).passed
+        # the worked examples, of order 12 and 13, are built by the validating constructor
+        swept = [word for word in words if len(word) <= 6]
+        assert swept and len(swept) == len(set(swept))
+
+    @pytest.mark.parametrize("fault", sorted(_FLAT_STEP_FAULTS))
+    @pytest.mark.parametrize("lanes", [1, 2])
+    def test_fault_gives_the_validating_report(self, monkeypatch, fault, lanes):
+        patches, expected = _FLAT_STEP_FAULTS[fault]
+        _use_lanes(monkeypatch, lanes)
+        try:
+            for module, name, fake in patches:
+                monkeypatch.setattr(module, name, fake)
+            # the cut test's cache would hide a fault in is_t_composition
+            tcomb._is_valid_cut.cache_clear()
+            reports = verify.run_checks(verify.specs_for(["1.1", "3.1", "3.bij"]), Bounds(sweep_n=4))
+        finally:
+            monkeypatch.undo()
+            tcomb._is_valid_cut.cache_clear()
+        assert [r.to_json_line() for r in reports[1:]] == expected
+
+
 class TestCountingArguments:
     """3.bij and 8.2 keep no images; their counts still catch a missed or
     doubled image."""
 
     def test_3_bij_partition_catches_a_missing_target(self, monkeypatch):
-        real = verify.enumerate_t_permutations
+        real = verify.t_permutation_cuts
 
         def skip_first_of_order_4(n, bound=None):
             walk = real(n, bound)
             if n == 4:
-                next(walk)
+                sigma, cuts = next(walk)
+                walk = itertools.chain([(sigma, cuts[1:])], walk)
             return walk
 
-        monkeypatch.setattr(verify, "enumerate_t_permutations", skip_first_of_order_4)
+        monkeypatch.setattr(verify, "t_permutation_cuts", skip_first_of_order_4)
         report = verify.check_3_bijections(4)
         assert report.status == "fail"
         assert report.first_discrepancy.index == (4, "partition")
@@ -471,10 +725,31 @@ class TestTwoLanes:
         assert [r.id for r in reports if not r.passed] == ["table3"]
 
     def test_one_lane_with_work_runs_here(self, monkeypatch):
-        for ids in (["3.1", "3.bij"], ["1.9"]):
+        for ids in (["3.1", "3.bij"], ["1.9"], ["8.phi", "8.1"]):
             pids = _use_lanes(monkeypatch, 2)
             assert all(r.passed for r in verify.run_checks(verify.specs_for(ids), SMALL))
             assert pids == []
+
+    def test_the_8x_sweeps_fork_once_beside_7_rhogamma(self, monkeypatch, capsys):
+        from qderiv import cli
+
+        pids = _use_lanes(monkeypatch, 2)
+        assert cli.main(["verify", "8.phi", "8.1", "8.2", "7.rhogamma", "--n", "5"]) == 0
+        assert len(pids) == 1 and _reaped(pids[0])
+        lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert [(r["id"], r["status"]) for r in lines] == [
+            ("8.phi", "pass"), ("8.1", "pass"), ("8.2", "pass"), ("7.rhogamma", "pass")
+        ]
+
+    def test_a_fault_in_the_forked_8_2_gives_the_serial_report(self, monkeypatch):
+        monkeypatch.setattr(permstats, "psi", _psi_identity)
+        reports = self.both(
+            monkeypatch,
+            lambda: verify.run_checks(verify.specs_for(["7.rhogamma", "8.2"]), Bounds(perm_sweep_n=5)),
+        )
+        assert [r.to_json_line() for r in reports if not r.passed] == [
+            SWEEP_FAULTS["psi-identity"][3]["8.2"]
+        ]
 
     def test_a_failed_fork_runs_every_check_here(self, monkeypatch):
         def fork():
