@@ -391,10 +391,7 @@ class TestFastPathFaults:
     def test_3_1_replays_the_component_of_1(self, monkeypatch):
         # gluing instead of inserting keeps the image word, so only the
         # component holding 1 differs
-        def glue_for_delta_star(i, shifted, parts):
-            word, first, second = _real_insert_one(i, shifted, parts)
-            return word, (second if _fires_shifted(shifted, 4) else first), second
-
+        glue_for_delta_star = _insert_fault(lambda i, word, d, s: (word, s, s))
         monkeypatch.setattr(tcomb, "_insert_one", glue_for_delta_star)
         (report,) = verify.run_checks(verify.specs_for(["3.1"]), Bounds(sweep_n=4))
         assert report.to_json_line() == (
@@ -404,43 +401,16 @@ class TestFastPathFaults:
         )
 
 
-def _insert_two(i, shifted, parts):
-    # the inserted letter is 2, not 1: the image word is not a permutation
-    word, first, second = _real_insert_one(i, shifted, parts)
-    if _fires_shifted(shifted, 4):
-        word = tuple(2 if y == 1 else y for y in word)
-    return word, first, second
+def _insert_fault(change):
+    """The insertion step, with ``change(i, word, d, s)`` giving the images
+    (the word, delta* parts d and *delta parts s) of the permutations of
+    order 4 that start with 3."""
 
+    def insert(i, shifted, parts):
+        image = _real_insert_one(i, shifted, parts)
+        return change(i, *image) if _fires_shifted(shifted, 4) else image
 
-def _insert_long(i, shifted, parts):
-    # delta*: the block after the 1 grows by one, so the parts overrun the word
-    word, first, second = _real_insert_one(i, shifted, parts)
-    if _fires_shifted(shifted, 4):
-        first = first[: i + 1] + (first[i + 1] + 1,) + first[i + 2 :]
-    return word, first, second
-
-
-def _insert_trailing(i, shifted, parts):
-    # delta*: a one-letter block past the word's end, which only the
-    # length test sees
-    word, first, second = _real_insert_one(i, shifted, parts)
-    if _fires_shifted(shifted, 4):
-        first = first[:-1] + (1, first[-1])
-    return word, first, second
-
-
-def _insert_front(i, shifted, parts):
-    # delta*: the one-letter block 1 is cut before block i - 1, not after it
-    word, first, second = _real_insert_one(i, shifted, parts)
-    if _fires_shifted(shifted, 4):
-        first = first[: i - 1] + (1, first[i - 1]) + first[i + 1 :]
-    return word, first, second
-
-
-def _insert_for_glue(i, shifted, parts):
-    # *delta inserts instead of gluing: a first-kind image, 1 in block i
-    word, first, second = _real_insert_one(i, shifted, parts)
-    return word, first, (first if _fires_shifted(shifted, 4) else second)
+    return insert
 
 
 def _insert_raises(i, shifted, parts):
@@ -464,11 +434,11 @@ def _remove_first_off(word, parts, first_kind):
     return (i + 1 if first_kind and _fires(word, 5) else i), back, back_parts
 
 
+_real_inv, _real_cuts, _real_is_t = permstats.inv, verify.t_permutation_cuts, tcomb.is_t_composition
+
+
 def _inv_off(word):
     return _real_inv(word) + _fires(word, 5)
-
-
-_real_inv, _real_cuts, _real_is_t = permstats.inv, verify.t_permutation_cuts, tcomb.is_t_composition
 
 
 def _walk_fault(change):
@@ -534,17 +504,32 @@ _OVERRUN = "ValueError('block lengths (0, 1, 3, 1, 1, 0) do not cut a word of le
 # reports that the validating path gives under the same fault: each fast
 # test on its own is the first to see one of them.
 _FLAT_STEP_FAULTS = {
-    "word-not-a-permutation": ([(tcomb, "_insert_one", _insert_two)], _both_raise(
+    # the inserted letter is 2, not 1
+    "word-not-a-permutation": ([(tcomb, "_insert_one", _insert_fault(
+        lambda i, word, d, s: (tuple(2 if y == 1 else y for y in word), d, s)
+    ))], _both_raise(
         "ValueError('concatenation is not a permutation: ((), (2,), (4, 2, 3), (5,), ())')"
     )),
-    "cut-overruns-the-word": ([(tcomb, "_insert_one", _insert_long)], _both_raise(
+    # delta*: the block after the 1 grows by one
+    "cut-overruns-the-word": ([(tcomb, "_insert_one", _insert_fault(
+        lambda i, word, d, s: (word, d[: i + 1] + (d[i + 1] + 1,) + d[i + 2 :], s)
+    ))], _both_raise(
         "ValueError('block lengths (0, 1, 4, 1, 0) do not cut a word of length 5')"
     )),
-    "cut-past-the-word": ([(tcomb, "_insert_one", _insert_trailing)], _both_raise(_OVERRUN)),
-    "cut-not-alternating": ([(tcomb, "_insert_one", _insert_front)], _both_raise(
+    # delta*: a one-letter block past the word's end, which only the length test sees
+    "cut-past-the-word": ([(tcomb, "_insert_one", _insert_fault(
+        lambda i, word, d, s: (word, d[:-1] + (1, d[-1]), s)
+    ))], _both_raise(_OVERRUN)),
+    # delta*: the one-letter block 1 is cut before block i - 1, not after it
+    "cut-not-alternating": ([(tcomb, "_insert_one", _insert_fault(
+        lambda i, word, d, s: (word, d[: i - 1] + (1, d[i - 1]) + d[i + 1 :], s)
+    ))], _both_raise(
         "ValueError('component shapes violate the alternation rules: ((1,), (), (4, 2, 3), (5,), ())')"
     )),
-    "glue-inserts": ([(tcomb, "_insert_one", _insert_for_glue)], [
+    # *delta inserts instead of gluing: a first-kind image, 1 in block i
+    "glue-inserts": ([(tcomb, "_insert_one", _insert_fault(
+        lambda i, word, d, s: (word, d, d)
+    ))], [
         '{"first_discrepancy": {"actual": "1", "expected": "0", "index": ["sweep", 4, '
         '[[], [3, 1, 2], [4], []], 1, "*delta", "min"]}, "id": "3.1", "params": {"n_max": 4}, '
         '"status": "fail"}',
@@ -557,7 +542,8 @@ _FLAT_STEP_FAULTS = {
     )),
     "removal-splits-late": ([(tcomb, "_remove_one", _remove_late)], [
         '{"first_discrepancy": null, "id": "3.1", "params": {"n_max": 4}, "status": "pass"}',
-        _raised("3.bij", "ValueError('component shapes violate the alternation rules: ((), (2, 1, 3, 4), (), ())')"),
+        _raised("3.bij", "ValueError('component shapes violate the alternation rules: "
+                "((), (2, 1, 3, 4), (), ())')"),
     ]),
     "removal-first-kind-off": ([(tcomb, "_remove_one", _remove_first_off)], [
         '{"first_discrepancy": null, "id": "3.1", "params": {"n_max": 4}, "status": "pass"}',
@@ -574,7 +560,9 @@ _FLAT_STEP_FAULTS = {
     "walk-not-a-permutation": ([(verify, "t_permutation_cuts", _walk_fault(_raise_top))], _both_raise(
         "ValueError('concatenation is not a permutation: ((), (1,), (4, 2, 3), (6,), ())')"
     )),
-    "walk-past-the-word": ([(verify, "t_permutation_cuts", _walk_fault(_overrun))], _both_raise(_OVERRUN)),
+    "walk-past-the-word": (
+        [(verify, "t_permutation_cuts", _walk_fault(_overrun))], _both_raise(_OVERRUN)
+    ),
     "walk-short-of-the-word": ([(verify, "t_permutation_cuts", _walk_fault(_underrun))], _both_raise(
         "ValueError('block lengths (2, 1, 0) do not cut a word of length 5')"
     )),
