@@ -74,12 +74,10 @@ from qderiv.tcomb import (
     beta,
     cut_by_lambda,
     delta_star,
-    delta_star_inv,
     enumerate_t_compositions,
     fibonacci_poly,
     psi_on_t,
     star_delta,
-    star_delta_inv,
     t_permutation_cuts,
 )
 
@@ -550,81 +548,32 @@ def _31_expected(w: TPermutation, st):
         yield i, (ilg, st.ides + new, new + st.ides + st.imaj, st.inv + prefix)
 
 
-def _check_31_images(col: _Collector, tag, w: TPermutation, st) -> None:
-    """3.1 on the images of ``w`` by the validating constructor: the replay
-    that names the first discrepancy."""
-    for i, stats in _31_expected(w, st):
-        for name, image, exp_min in (
-            ("delta*", delta_star(i, w), i),
-            ("*delta", star_delta(i, w), i - 1),
-        ):
-            ist = permstats.statistics(image.word)
-            expected = stats + (exp_min,)
-            actual = (ist.iligne, ist.ides, ist.imaj, ist.inv, image.min_component())
-            if expected != actual:
-                # report indices name components, built only on failure
-                idx = tag + (w.components, i, name)
-                for stat, exp, act in zip(("iligne", "ides", "imaj", "inv", "min"), expected, actual):
-                    col.eq(idx + (stat,), exp, act)
-
-
-def _images(w: TPermutation, shifted: tuple, words: dict, with_stats: bool):
-    """(word, delta* parts, *delta parts, the word's iligne, ides, imaj
-    and inv ``with_stats``) for each (w, i), by the flat insertion step;
-    None, and no more, at the first pair the validating constructor
-    rejects.  ``shifted`` is w's word raised by one.  The word depends only
-    on sigma and where the 1 lands, so ``words`` keeps, per word, () when
-    it is not a permutation, else its descent word and statistics."""
-    for i in range(1, w.mu + 1):
-        word, first, second = tcomb._insert_one(i, shifted, w.parts)
-        seen = words.get(word)
-        if seen is None:
-            seen = ()
-            if sorted(word) == list(range(1, len(word) + 1)):
-                ilg = permstats.iligne(word) if with_stats else None
-                stats = with_stats and (ilg, len(ilg), sum(ilg), permstats.inv(word))
-                seen = (permstats.descent_word(word), stats)
-            words[word] = seen
-        if not (
-            seen
-            and sum(first) == sum(second) == len(word)
-            and tcomb._is_valid_cut(first, seen[0])
-            and tcomb._is_valid_cut(second, seen[0])
-        ):
-            yield None
-            return
-        yield word, first, second, seen[1]
-
-
-def _passes(fast: Callable, *args) -> bool:
-    """``fast(*args)``, False when it raises: a fast test that fails in any
-    way leaves the report to the validating replay."""
-    try:
-        return fast(*args)
-    except Exception:  # noqa: BLE001 - the replay raises or reports it
-        return False
-
-
-def _31_images_pass(w: TPermutation, shifted: tuple, st, words: dict) -> bool:
-    for (i, stats), image in zip(_31_expected(w, st), _images(w, shifted, words, True)):
-        if image is None:
-            return False
-        word, first, second, actual = image
-        if actual != stats or (tcomb._one_at(word, first)[0], tcomb._one_at(word, second)[0]) != (i, i - 1):
-            return False
-    return True
+def _image_word(word: tuple, words: dict, with_stats: bool) -> tuple:
+    """What the sweeps check of an image word, kept in ``words``: () when
+    it is not a permutation, else its descent word and, ``with_stats``,
+    its (iligne, ides, imaj, inv).  The word depends only on sigma and
+    where the 1 lands, so each is validated once for all of its cuts."""
+    if sorted(word) != list(range(1, len(word) + 1)):
+        seen = ()
+    elif with_stats:
+        ilg = permstats.iligne(word)
+        seen = (permstats.descent_word(word), (ilg, len(ilg), sum(ilg), permstats.inv(word)))
+    else:
+        seen = (permstats.descent_word(word),)
+    words[word] = seen
+    return seen
 
 
 def check_3_1(n_max: int) -> VerificationReport:
     """The statistics of every delta* and *delta image of T(n), n <= n_max.
 
     Each image comes from the flat insertion step ``tcomb._insert_one``.
-    Its word depends only on sigma and where the 1 lands, so each word is
-    checked to be a permutation, and its statistics computed, once; each
-    image's parts need only the cached cut test against that word's
-    descent word.  A t-permutation with any failing image is replayed
-    through the validating constructor, so the report is the one that path
-    gives.
+    Its word is checked to be a permutation, and its statistics computed,
+    once (``_image_word``); each image's parts need only the cached cut
+    test against that word's descent word.  The first failing test names
+    the failure: a failing cut test calls the validating constructor, which
+    raises its own error, and a failing comparison reports the first
+    statistic that differs.
     """
     w0 = TPermutation(_W_EXAMPLE)
     with _Collector("3.1", {"n_max": n_max}) as col:
@@ -648,39 +597,25 @@ def check_3_1(n_max: int) -> VerificationReport:
                 shifted = tuple(y + 1 for y in sigma)
                 words: dict = {}
                 for w in cuts:
-                    if not _passes(_31_images_pass, w, shifted, st, words):
-                        _check_31_images(col, ("sweep", n), w, st)
+                    for i, stats in _31_expected(w, st):
+                        word, first, second = tcomb._insert_one(i, shifted, w.parts)
+                        seen = words.get(word)
+                        if seen is None:
+                            seen = _image_word(word, words, True)
+                        for name, parts, exp_min in (("delta*", first, i), ("*delta", second, i - 1)):
+                            if not (
+                                seen and sum(parts) == len(word) and tcomb._is_valid_cut(parts, seen[0])
+                            ):
+                                TPermutation._flat(word, parts)  # raises the constructor's error
+                            if seen[1] != stats or tcomb._one_at(word, parts)[0] != exp_min:
+                                # report indices name components, built only on failure
+                                idx = ("sweep", n, w.components, i, name)
+                                actual = seen[1] + (tcomb._one_at(word, parts)[0],)
+                                for stat, exp, act in zip(
+                                    ("iligne", "ides", "imaj", "inv", "min"), stats + (exp_min,), actual
+                                ):
+                                    col.eq(idx + (stat,), exp, act)
     return col.report
-
-
-def _check_bij_pairs(col: _Collector, n: int, w: TPermutation) -> None:
-    """3.bij on the pairs (w, i) by the validating constructor: the replay
-    that names the first discrepancy."""
-    for i in range(1, w.mu + 1):
-        for name, kind, first, insert, invert in (
-            ("delta*", "first-kind", True, delta_star, delta_star_inv),
-            ("*delta", "second-kind", False, star_delta, star_delta_inv),
-        ):
-            # report indices name components, built only on failure
-            image = insert(i, w)
-            if image.is_first_kind() != first:
-                col.require((n, kind, image.components), False)
-            back_i, back = invert(image)
-            if (back_i, back) != (i, w):
-                col.eq((n, name + "-roundtrip", i), (i, w.components), (back_i, back.components))
-
-
-def _bij_pairs_pass(sigma: tuple, w: TPermutation, shifted: tuple, words: dict) -> bool:
-    # the removal step raises on an image of the wrong kind, by the rule of
-    # is_first_kind; what comes back is w, valid when its delta* image is
-    for i, image in enumerate(_images(w, shifted, words, False), 1):
-        if image is None:
-            return False
-        word, first, second, _ = image
-        back = (i, sigma, w.parts)
-        if back != tcomb._remove_one(word, first, True) or back != tcomb._remove_one(word, second, False):
-            return False
-    return True
 
 
 def check_3_bijections(n_max: int) -> VerificationReport:
@@ -689,17 +624,19 @@ def check_3_bijections(n_max: int) -> VerificationReport:
     The maps are checked on every pair (w, i) of T(n) x 1..mu(w), and no
     image is kept.  Each round trip gives back (i, w), so both maps are
     injective on pairs, which the walk lists once each; the kind checks keep
-    the two image sets apart; the validating constructor puts every image in
-    T(n+1).  So the images are 2 * pairs distinct t-permutations of order
-    n + 1, and they are all of T(n+1) exactly when |T(n+1)|, counted by
-    enumeration, equals 2 * pairs.  Each order is counted by its own domain
-    walk; order n_max + 1 is counted from the valid cuts of each
-    permutation, without building its t-permutations.
+    the two image sets apart; the cut test puts every image in T(n+1).  So
+    the images are 2 * pairs distinct t-permutations of order n + 1, and
+    they are all of T(n+1) exactly when |T(n+1)|, counted by enumeration,
+    equals 2 * pairs.  Each order is counted by its own domain walk; order
+    n_max + 1 is counted from the valid cuts of each permutation, without
+    building its t-permutations.
 
     The pairs are checked flat, by the insertion and removal steps of
-    ``tcomb``, with each image word validated once, as in 3.1; a
-    t-permutation with a failing pair is replayed through the validating
-    constructor.
+    ``tcomb``, with each image word validated once, as in 3.1.  The first
+    failing test names the failure: the validating constructor raises on a
+    failing cut test, the removal step's refusal is reported as an image of
+    the wrong kind, and a round trip that misses is reported with the pair
+    it gave back.
     """
     with _Collector("3.bij", {"n_max": n_max}) as col:
         previous = 0  # the pairs of order n - 1
@@ -710,8 +647,29 @@ def check_3_bijections(n_max: int) -> VerificationReport:
                 words: dict = {}
                 count += len(cuts)
                 for w in cuts:
-                    if not _passes(_bij_pairs_pass, sigma, w, shifted, words):
-                        _check_bij_pairs(col, n, w)
+                    for i in range(1, w.mu + 1):
+                        word, first, second = tcomb._insert_one(i, shifted, w.parts)
+                        seen = words.get(word)
+                        if seen is None:
+                            seen = _image_word(word, words, False)
+                        back = (i, w.word, w.parts)
+                        for name, first_kind, parts in (("delta*", True, first), ("*delta", False, second)):
+                            if not (
+                                seen and sum(parts) == len(word) and tcomb._is_valid_cut(parts, seen[0])
+                            ):
+                                TPermutation._flat(word, parts)  # raises the constructor's error
+                            try:
+                                removed = tcomb._remove_one(word, parts, first_kind)
+                            except ValueError:
+                                # the removal step refuses an image of the other kind
+                                image = TPermutation._flat(word, parts, check=False)
+                                if image.is_first_kind() == first_kind:
+                                    raise
+                                kind = "first-kind" if first_kind else "second-kind"
+                                col.require((n, kind, image.components), False)
+                            if removed != back:
+                                actual = (removed[0], TPermutation._flat(*removed[1:]).components)
+                                col.eq((n, name + "-roundtrip", i), (i, w.components), actual)
                     pairs += w.mu
             if n:
                 col.eq((n, "partition"), count, 2 * previous)

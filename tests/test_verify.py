@@ -363,7 +363,8 @@ class TestFastPathFaults:
     """8.2 validates each psi image once per permutation and replays the
     per-cut validating constructor only when that fails; psi is conjugate
     to foata_phi, so a fault in phi fails 8.phi and 8.1 alike; 3.1 compares
-    an image's five values at once and replays them one by one on failure."""
+    an image's five values at once and, on a mismatch, reports the first
+    that differs."""
 
     @pytest.mark.parametrize("fake, message", [
         (_psi_not_a_permutation, "concatenation is not a permutation: ((), (3, 1, 2), (4,), (6,), ())"),
@@ -426,6 +427,12 @@ def _remove_late(word, parts, first_kind):
     a, j = tcomb._one_at(word, parts)
     back = tuple(y - 1 for y in word if y != 1)
     return a + 1, back, parts[:a] + (j + 1, parts[a] - 2 - j) + parts[a + 1 :]
+
+
+def _remove_raises(word, parts, first_kind):
+    if not first_kind and _fires(word, 5):
+        raise ValueError("removal failed")
+    return _real_remove_one(word, parts, first_kind)
 
 
 def _remove_first_off(word, parts, first_kind):
@@ -501,8 +508,8 @@ _OVERRUN = "ValueError('block lengths (0, 1, 3, 1, 1, 0) do not cut a word of le
 
 # Faults in the insertion and removal steps, in the t-permutation walk, in
 # the statistics and in the t-composition test, each with the 3.1 and 3.bij
-# reports that the validating path gives under the same fault: each fast
-# test on its own is the first to see one of them.
+# reports that the validating constructor's path gives under the same
+# fault: each fast test on its own is the first to see one of them.
 _FLAT_STEP_FAULTS = {
     # the inserted letter is 2, not 1
     "word-not-a-permutation": ([(tcomb, "_insert_one", _insert_fault(
@@ -551,6 +558,11 @@ _FLAT_STEP_FAULTS = {
         '"(2, ((), (2, 1, 3), (4,), ()))", "index": [4, "delta*-roundtrip", 2]}, "id": "3.bij", '
         '"params": {"n_max": 4}, "status": "fail"}',
     ]),
+    # the second-kind removal raises: not a kind failure, so it propagates
+    "removal-raises": ([(tcomb, "_remove_one", _remove_raises)], [
+        '{"first_discrepancy": null, "id": "3.1", "params": {"n_max": 4}, "status": "pass"}',
+        _raised("3.bij", "ValueError('removal failed')"),
+    ]),
     "image-inv-off": ([(permstats, "inv", _inv_off)], [
         '{"first_discrepancy": {"actual": "5", "expected": "4", "index": ["sweep", 4, '
         '[[], [2, 1, 3], [4], []], 2, "delta*", "inv"]}, "id": "3.1", "params": {"n_max": 4}, '
@@ -583,26 +595,30 @@ _FLAT_STEP_FAULTS = {
 
 class TestFlatStepFaults:
     """3.1 and 3.bij check flat (word, parts) pairs, each image word
-    validated once, and replay a failing t-permutation through the
-    validating constructor; under each fault the reports are the ones that
-    path gives, on both lane paths."""
+    validated once, and report from the first failing test, calling the
+    validating constructor only where a cut test fails; under each fault
+    the reports are the ones the validating constructor's path gives, on
+    both lane paths."""
 
     @pytest.mark.parametrize("check", [verify.check_3_1, verify.check_3_bijections])
     def test_a_passing_sweep_validates_each_word_once_and_replays_nothing(self, monkeypatch, check):
-        def replay(*args):
-            raise AssertionError("replayed %r" % (args[2],))
+        real_post_init, real_descent_word = TPermutation.__post_init__, permstats.descent_word
+        validated, words = [], []
 
-        real_descent_word, words = permstats.descent_word, []
+        def recording_post_init(self):
+            validated.append(self.word)
+            return real_post_init(self)
 
         def recording_descent_word(word):
             words.append(word)
             return real_descent_word(word)
 
-        monkeypatch.setattr(verify, "_check_31_images", replay)
-        monkeypatch.setattr(verify, "_check_bij_pairs", replay)
+        monkeypatch.setattr(TPermutation, "__post_init__", recording_post_init)
         monkeypatch.setattr(permstats, "descent_word", recording_descent_word)
         assert check(5).passed
-        # the worked examples, of order 12 and 13, are built by the validating constructor
+        # only 3.1's worked example and its images, of order 11 and 12, go
+        # through the validating constructor
+        assert all(len(word) > 6 for word in validated)
         swept = [word for word in words if len(word) <= 6]
         assert swept and len(swept) == len(set(swept))
 
