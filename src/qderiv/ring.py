@@ -182,16 +182,21 @@ def _kronecker_mul(a: tuple, b: tuple) -> list:
 
     Both operands are evaluated at X = 2^(8w), with w bytes a slot.  Every
     product coefficient is at most ``bound`` in size, and w is the least
-    width with bound < X/2.  Adding X/2 to every slot makes each digit of
-    the product nonnegative, so a coefficient reads back as its unsigned
-    w-byte digit minus X/2.
+    width with bound < X/2, so ``_unpack`` reads the product back.
     """
     max_a, max_b = max(map(abs, a)), max(map(abs, b))
     bound = min(sum(map(abs, a)) * max_b, max_a * sum(map(abs, b)))
     w = bound.bit_length() // 8 + 1
-    n = len(a) + len(b) - 1
+    return _unpack(_pack(a, w) * _pack(b, w), len(a) + len(b) - 1, w)
+
+
+def _unpack(value: int, n: int, w: int) -> list:
+    """The n coefficients of ``value``, a polynomial evaluated at X = 2^(8w)
+    whose coefficients are all below X/2 in size.  Adding X/2 to every slot
+    makes each digit nonnegative, so a coefficient reads back as its
+    unsigned w-byte digit minus X/2."""
     halves = int.from_bytes((bytes(w - 1) + b"\x80") * n, "little")
-    digits = (_pack(a, w) * _pack(b, w) + halves).to_bytes(n * w, "little")
+    digits = (value + halves).to_bytes(n * w, "little")
     half = 1 << (8 * w - 1)
     from_bytes = int.from_bytes
     return [from_bytes(digits[i : i + w], "little") - half for i in range(0, n * w, w)]

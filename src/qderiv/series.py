@@ -18,9 +18,10 @@ from __future__ import annotations
 import math
 import operator
 from functools import lru_cache
-from typing import Iterable, Sequence
+from itertools import zip_longest
+from typing import Dict, Iterable, Sequence
 
-from qderiv.ring import QPoly, XQPoly, gauss_binomial
+from qderiv.ring import QPoly, XQPoly, _pack, _unpack, gauss_binomial
 
 Q_MODE = "q"
 CLASSICAL_MODE = "classical"
@@ -31,6 +32,32 @@ RING_XQ = "xq"
 
 _ZERO = {RING_INT: 0, RING_Q: QPoly.zero(), RING_XQ: XQPoly.zero()}
 _ONE = {RING_INT: 1, RING_Q: QPoly.one(), RING_XQ: XQPoly.one()}
+
+
+class _Operand:
+    """One operand of a ``mul`` or ``invert`` call.  For the q ring, each
+    coefficient is packed once per slot width and its L1 norm taken once,
+    for that call only; ``invert`` appends to ``coeffs`` as it goes."""
+
+    __slots__ = ("coeffs", "_packed", "_l1")
+
+    def __init__(self, coeffs: Sequence):
+        self.coeffs, self._packed, self._l1 = coeffs, {}, {}
+
+    def size(self, i: int) -> int:
+        return len(self.coeffs[i].coeffs)
+
+    def l1(self, i: int) -> int:
+        norm = self._l1.get(i)
+        if norm is None:
+            norm = self._l1[i] = sum(map(abs, self.coeffs[i].coeffs))
+        return norm
+
+    def packed(self, i: int, w: int) -> int:
+        value = self._packed.get((i, w))
+        if value is None:
+            value = self._packed[i, w] = _pack(self.coeffs[i].coeffs, w)
+        return value
 
 
 class DividedSeries:
@@ -89,21 +116,54 @@ class DividedSeries:
     def sub(self, other: "DividedSeries") -> "DividedSeries":
         return self._pointwise(other, operator.sub)
 
-    def _convolve(self, n: int, start: int, g: Sequence):
-        """sum_{k=start..n} weight(n, k) * f_k * g_(n-k), with f this series."""
-        weight = gauss_binomial if self.mode == Q_MODE else math.comb
-        f = self.coeffs
-        acc = _ZERO[self.ring]
+    def _convolve(self, n: int, start: int, f: "_Operand", g: "_Operand"):
+        """sum_{k=start..n} weight(n, k) * f_k * g_(n-k), with f this series.
+
+        In the q ring the terms k and n - k, whose weights are equal, are
+        one unit: weight(n, k) * (f_k g_(n-k) + f_(n-k) g_k), one product by
+        the weight.  A unit's coefficients are below the size bound
+        max|weight| * sum L1(f_i) * L1(g_(n-i)) over its terms.  The units
+        are grouped by the slot width their bound needs; each group is sized
+        for the sum of its bounds, its packed products (``ring._pack``) are
+        added into one int, and that int is decoded once (``ring._unpack``).
+        Narrow units keep narrow slots, and a coefficient costs one decode
+        per group, not one per term.  The int and xq rings add the terms
+        one at a time.
+        """
+        if self.ring != RING_Q:
+            weight = gauss_binomial if self.mode == Q_MODE else math.comb
+            acc = _ZERO[self.ring]
+            for k in range(start, n + 1):
+                fk, gk = f.coeffs[k], g.coeffs[n - k]
+                if fk and gk:
+                    acc = acc + weight(n, k) * (fk * gk)
+            return acc
+        groups: Dict[int, list] = {}
         for k in range(start, n + 1):
-            fk, gk = f[k], g[n - k]
-            if fk and gk:
-                acc = acc + weight(n, k) * (fk * gk)
-        return acc
+            j = n - k
+            if start <= j < k:
+                continue  # term k shares term j's weight, [n, k] = [n, j]
+            ks = [i for i in ((k, j) if k < j else (k,)) if f.coeffs[i] and g.coeffs[n - i]]
+            if ks:
+                weight = gauss_binomial(n, k).coeffs if self.mode == Q_MODE else (math.comb(n, k),)
+                bound = max(weight) * sum(f.l1(i) * g.l1(n - i) for i in ks)
+                groups.setdefault(bound.bit_length() >> 3, []).append((bound, weight, ks))
+        parts = []
+        for terms in groups.values():
+            w = sum(term[0] for term in terms).bit_length() // 8 + 1
+            total = size = 0
+            for _, weight, ks in terms:
+                inner = sum(f.packed(i, w) * g.packed(n - i, w) for i in ks)
+                total += _pack(weight, w) * inner
+                size = max(size, len(weight) - 2 + max(f.size(i) + g.size(n - i) for i in ks))
+            parts.append(_unpack(total, size, w))
+        return QPoly(map(sum, zip_longest(*parts, fillvalue=0)))
 
     def mul(self, other: "DividedSeries") -> "DividedSeries":
         self._check_compatible(other)
         order = min(self.order, other.order)
-        out = [self._convolve(n, 0, other.coeffs) for n in range(order + 1)]
+        f, g = _Operand(self.coeffs), _Operand(other.coeffs)
+        out = [self._convolve(n, 0, f, g) for n in range(order + 1)]
         return DividedSeries(self.mode, self.ring, out)
 
     def invert(self) -> "DividedSeries":
@@ -112,8 +172,9 @@ class DividedSeries:
         if self.coeffs[0] != one:
             raise ValueError("only series with constant coefficient 1 are inverted")
         inv = [one]
+        f, g = _Operand(self.coeffs), _Operand(inv)
         for n in range(1, self.order + 1):
-            inv.append(-self._convolve(n, 1, inv))
+            inv.append(-self._convolve(n, 1, f, g))
         return DividedSeries(self.mode, self.ring, inv)
 
     def scale(self, scalar) -> "DividedSeries":
@@ -141,11 +202,6 @@ class DividedSeries:
             self.ring,
             tuple(QPoly.monomial(k * n) * c for n, c in enumerate(self.coeffs)),
         )
-
-    def truncate(self, order: int) -> "DividedSeries":
-        if not 0 <= order <= self.order:
-            raise ValueError("cannot truncate order %d to %d" % (self.order, order))
-        return DividedSeries(self.mode, self.ring, self.coeffs[: order + 1])
 
     def promote(self, ring: str) -> "DividedSeries":
         """Embed coefficients into the next larger ring: int -> q, q -> xq."""

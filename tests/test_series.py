@@ -1,9 +1,11 @@
 import json
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qderiv.ring import QPoly, XQPoly
+from qderiv import series
+from qderiv.ring import QPoly, XQPoly, gauss_binomial
 from qderiv.series import (
     CLASSICAL_MODE,
     Q_MODE,
@@ -134,6 +136,91 @@ class TestInverseProperty:
         assert inv.invert() == s
 
 
+def schoolbook(a, b):
+    out = [0] * max(len(a.coeffs) + len(b.coeffs) - 1, 0)
+    for i, ai in enumerate(a.coeffs):
+        for j, bj in enumerate(b.coeffs):
+            out[i + j] += ai * bj
+    return QPoly(out)
+
+
+def reference_term(mode, n, k, fk, gj):
+    """weight(n, k) * f_k * g_(n-k), one schoolbook product at a time."""
+    weight = gauss_binomial(n, k) if mode == Q_MODE else QPoly((math.comb(n, k),))
+    return schoolbook(weight, schoolbook(fk, gj))
+
+
+def reference_mul(f, g):
+    out = []
+    for n in range(min(f.order, g.order) + 1):
+        acc = QPoly.zero()
+        for k in range(n + 1):
+            acc = acc + reference_term(f.mode, n, k, f.coeffs[k], g.coeffs[n - k])
+        out.append(acc)
+    return DividedSeries(f.mode, f.ring, out)
+
+
+def reference_invert(f):
+    inv = [QPoly.one()]
+    for n in range(1, f.order + 1):
+        acc = QPoly.zero()
+        for k in range(1, n + 1):
+            acc = acc + reference_term(f.mode, n, k, f.coeffs[k], inv[n - k])
+        inv.append(-acc)
+    return DividedSeries(f.mode, f.ring, inv)
+
+
+# signed coefficients at and next to the edges of 1-, 2- and 3-byte slots
+_EDGES = [0, 1, 127, 128, 255, 256, 2**15 - 1, 2**15, 2**15 + 1]
+edge_ints = st.one_of(st.sampled_from(_EDGES + [-c for c in _EDGES]), st.integers(-300, 300))
+edge_polys = st.lists(edge_ints, max_size=4).map(QPoly)
+q_modes = st.sampled_from([Q_MODE, CLASSICAL_MODE])
+
+
+@st.composite
+def q_ring_series(draw, mode, unit=False):
+    coeffs = draw(st.lists(edge_polys, min_size=1, max_size=7))
+    if unit:
+        coeffs[0] = QPoly.one()
+    return DividedSeries(mode, RING_Q, coeffs)
+
+
+class TestPackedConvolution:
+    """q-ring ``mul`` and ``invert`` sum packed products grouped by slot
+    width; each must equal the sum of its terms taken one by one."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(q_modes.flatmap(lambda mode: st.tuples(q_ring_series(mode), q_ring_series(mode))))
+    def test_mul_matches_per_term_reference(self, pair):
+        f, g = pair
+        assert f.mul(g) == reference_mul(f, g)
+
+    @settings(max_examples=150, deadline=None)
+    @given(q_modes.flatmap(lambda mode: q_ring_series(mode, unit=True)))
+    def test_invert_matches_per_term_reference(self, f):
+        assert f.invert() == reference_invert(f)
+
+    @pytest.mark.parametrize("mode", [Q_MODE, CLASSICAL_MODE])
+    def test_a_coefficient_sums_terms_of_two_widths(self, mode, monkeypatch):
+        # coefficient 2 of f*g: f_0 g_2 + f_2 g_0 share the weight 1 (bound
+        # 5, 1-byte slots), and f_1 g_1 has its own (bound 2 (2^20 + 1),
+        # 3-byte slots)
+        f = DividedSeries(mode, RING_Q, (P(1), P(2**20, -1), P(-1, 1)))
+        g = DividedSeries(mode, RING_Q, (P(-1, 1), P(1), P(1)))
+        widths = []
+        unpack = series._unpack
+
+        def recording(value, n, w):
+            widths.append(w)
+            return unpack(value, n, w)
+
+        monkeypatch.setattr(series, "_unpack", recording)
+        coefficient = f._convolve(2, 0, series._Operand(f.coeffs), series._Operand(g.coeffs))
+        assert sorted(widths) == [1, 3]
+        assert coefficient == reference_mul(f, g).coefficient(2)
+        assert f.mul(g) == reference_mul(f, g)
+
+
 class TestOperators:
     def test_d_q_is_shift(self):
         assert tan_q(8).d_q().coefficient(0) == P(1)
@@ -141,8 +228,8 @@ class TestOperators:
 
     def test_d_q_secant_identity(self):
         lhs = sec_q(9).d_q()
-        rhs = sec_q(9).scale_arg(1).mul(tan_q(9))
-        assert lhs == rhs.truncate(8)
+        rhs = sec_q(8).scale_arg(1).mul(tan_q(8))
+        assert lhs == rhs
 
     def test_d_q_guards(self):
         with pytest.raises(ValueError):
@@ -166,10 +253,10 @@ class TestOperators:
 class TestDerivativeIdentities:
     def test_derivative_identities_to_order_12(self):
         order = 12
-        t, s, S = tan_q(order), sec_q(order), Sec_q(order)
-        assert t.d_q() == one_series(order).add(t.mul(t.scale_arg(1))).truncate(order - 1)
-        assert s.d_q() == s.scale_arg(1).mul(t).truncate(order - 1)
-        assert S.d_q() == S.mul(t.scale_arg(1)).truncate(order - 1)
+        t, s, S = tan_q(order - 1), sec_q(order - 1), Sec_q(order - 1)
+        assert tan_q(order).d_q() == one_series(order - 1).add(t.mul(t.scale_arg(1)))
+        assert sec_q(order).d_q() == s.scale_arg(1).mul(t)
+        assert Sec_q(order).d_q() == S.mul(t.scale_arg(1))
 
     def test_only_one_q_tangent(self):
         assert Tan_q(10) == tan_q(10)

@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import itertools
 import json
 import os
@@ -11,6 +12,8 @@ import pytest
 
 from qderiv import permstats, render, special, tables, tcomb, verify
 from qderiv.fixtures import DEFAULT_FIXTURES
+from qderiv.ring import QPoly
+from qderiv.series import DividedSeries
 from qderiv.tcomb import TPermutation
 from qderiv.verify import Bounds
 
@@ -75,6 +78,77 @@ class TestReports:
         assert report.passed and report.params == {"n": 3, "order": 8}
         with pytest.raises(ValueError):
             verify.check_expansion("1.9", 5, 3)
+
+
+# check_expansion(id, 3, 10) when the first term built gains 1 in its
+# coefficient 7 = order - n, the last one compared: (index, sha256 of the
+# report's JSON line), recorded before the terms were built at order - n
+_TERM_FAULT_REPORTS = {
+    "1.9": (("1.9", 3, 7), "dc76b2b79cedeaefc6da71ca8f573332840c2664eabb8a69eedd6c2062c57329"),
+    "1.11": (("1.11", 3, 7), "965e0bdd453f0808dc34e9152c9cad3b557fbe38d542efc5a600152fbd2fbba9"),
+    "1.12": (("1.12", 3, 7), "2bb9216d5d06e9400760add44dc70f993d5514a0e5af9ad49303255afeabdc40"),
+    "1.14": (("1.14", 3, 7), "2652ff1450787536e50c9766d31905c29c04fa63788e1b67ba50cb978b17c116"),
+    "1.15": (("1.15", 3, 7), "dc34974f01b01ed8e90127ce2c734a9e424760865ea0f3c2067268c8669691d2"),
+    "1.16": (("1.16", 3, 7), "400f7ecc543e4f63e2714d7700a96792f08186a6607cd2b2fc3658fd809ec4db"),
+}
+
+
+class TestSeriesExpansions:
+    """check_expansion builds its terms at order - n, the coefficients it
+    compares, and reports as it did when it built them at the full order."""
+
+    @pytest.mark.parametrize("check_id", sorted(verify._EXPANSIONS))
+    def test_terms_are_built_at_the_compared_order(self, check_id, monkeypatch):
+        spec, orders = verify._EXPANSIONS[check_id], []
+
+        def recording(n, key, order):
+            orders.append((n, order))
+            return spec.term(n, key, order)
+
+        monkeypatch.setitem(verify._EXPANSIONS, check_id, spec._replace(term=recording))
+        for n in range(7):
+            assert verify.check_expansion(check_id, n, 10).passed
+        assert orders and all(order == 10 - n for n, order in orders)
+
+    @pytest.mark.parametrize("check_id", sorted(_TERM_FAULT_REPORTS))
+    def test_a_fault_in_the_last_compared_coefficient_reports_as_before(
+        self, check_id, monkeypatch
+    ):
+        spec, faulted = verify._EXPANSIONS[check_id], []
+
+        def faulty(n, key, order):
+            term = spec.term(n, key, order)
+            if faulted:
+                return term
+            faulted.append(key)
+            coeffs = list(term.coeffs)
+            coeffs[10 - n] = coeffs[10 - n] + 1
+            return DividedSeries(term.mode, term.ring, coeffs)
+
+        monkeypatch.setitem(verify._EXPANSIONS, check_id, spec._replace(term=faulty))
+        report = verify.check_expansion(check_id, 3, 10)
+        index, digest = _TERM_FAULT_REPORTS[check_id]
+        assert report.status == "fail" and tuple(report.first_discrepancy.index) == index
+        assert hashlib.sha256(report.to_json_line().encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("check_id", ["1.12", "1.16"])
+    def test_a_coefficient_above_the_reversal_degree_is_reported(self, check_id, monkeypatch):
+        # every row-3 coefficient gains q^4, above the reversal degree 3
+        spec, real = verify._EXPANSIONS[check_id], verify._table
+
+        def raised(kind, n_max):
+            table = real(kind, n_max)
+            rows = list(table.rows)
+            rows[3] = {key: poly + QPoly.monomial(4) for key, poly in rows[3].items()}
+            return table._replace(rows=tuple(rows))
+
+        monkeypatch.setattr(verify, "_table", raised)
+        report = verify.check_expansion(check_id, 3, 10)
+        first = next(k for k in real(spec.kind, 3).row(3) if not spec.s_only or k[-1] == 0)
+        assert report.status == "fail"
+        assert report.first_discrepancy == verify.Discrepancy(
+            (check_id, 3, "reversal", first), "3", "4"
+        )
 
 
 class TestRegistry:
