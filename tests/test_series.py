@@ -203,8 +203,8 @@ class TestPackedConvolution:
     @pytest.mark.parametrize("mode", [Q_MODE, CLASSICAL_MODE])
     def test_a_coefficient_sums_terms_of_two_widths(self, mode, monkeypatch):
         # coefficient 2 of f*g: f_0 g_2 + f_2 g_0 share the weight 1 (bound
-        # 5, 1-byte slots), and f_1 g_1 has its own (bound 2 (2^20 + 1),
-        # 3-byte slots)
+        # 5, 1-byte slots), and f_1 g_1 has its own, 1 + q or 2 (bound
+        # 2^20 + 1 or 2 (2^20 + 1), 3-byte slots)
         f = DividedSeries(mode, RING_Q, (P(1), P(2**20, -1), P(-1, 1)))
         g = DividedSeries(mode, RING_Q, (P(-1, 1), P(1), P(1)))
         widths = []
