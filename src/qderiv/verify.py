@@ -1224,9 +1224,8 @@ _BY_ID: Dict[str, CheckSpec] = {spec.id: spec for spec in CHECKS}
 # the checks run_checks sends to a forked child: the sweeps over T(n) and
 # S_n; the one cache they share with the other checks, tcomb._valid_cuts
 # (the oracle reads it, a passing 8.2 does not), is filled in each process.
-# Since the series checks got cheaper this lane is the longer one, but by
-# less than any one of its checks costs, so moving a check would only make
-# the calling lane the longer: a faster verify all needs faster sweeps here
+# Each of these checks costs more than the gap between the two lanes, so
+# moving one to the calling lane would not shorten the longer lane
 _FORKED: Tuple[str, ...] = ("3.1", "3.bij", "8.phi", "8.1", "8.2")
 
 

@@ -173,7 +173,13 @@ def reference_invert(f):
 # signed coefficients at and next to the edges of 1-, 2- and 3-byte slots
 _EDGES = [0, 1, 127, 128, 255, 256, 2**15 - 1, 2**15, 2**15 + 1]
 edge_ints = st.one_of(st.sampled_from(_EDGES + [-c for c in _EDGES]), st.integers(-300, 300))
-edge_polys = st.lists(edge_ints, max_size=4).map(QPoly)
+# a shift of _PACKED_FROM packs every unit the polynomial enters; units of
+# unshifted polynomials take QPoly's own products
+edge_polys = st.builds(
+    lambda low, coeffs: QPoly([0] * low + coeffs),
+    st.sampled_from([0, 0, series._PACKED_FROM]),
+    st.lists(edge_ints, max_size=4),
+)
 q_modes = st.sampled_from([Q_MODE, CLASSICAL_MODE])
 
 
@@ -200,12 +206,20 @@ class TestPackedConvolution:
     def test_invert_matches_per_term_reference(self, f):
         assert f.invert() == reference_invert(f)
 
+    # coefficient 2 of f*g: f_0 g_2 + f_2 g_0 share the weight 1 (bound 5,
+    # 1-byte slots), and f_1 g_1 has its own, 1 + q or 2 (bound 2^20 + 1 or
+    # 2 (2^20 + 1), 3-byte slots); a shift of f_i packs the units it enters
+    @pytest.mark.parametrize(
+        "shifted, expected",
+        [((0, 1, 2), [1, 3]), ((1,), [3]), ((), [])],
+        ids=["both-units-packed", "one-unit-packed", "no-unit-packed"],
+    )
     @pytest.mark.parametrize("mode", [Q_MODE, CLASSICAL_MODE])
-    def test_a_coefficient_sums_terms_of_two_widths(self, mode, monkeypatch):
-        # coefficient 2 of f*g: f_0 g_2 + f_2 g_0 share the weight 1 (bound
-        # 5, 1-byte slots), and f_1 g_1 has its own, 1 + q or 2 (bound
-        # 2^20 + 1 or 2 (2^20 + 1), 3-byte slots)
-        f = DividedSeries(mode, RING_Q, (P(1), P(2**20, -1), P(-1, 1)))
+    def test_a_coefficient_sums_units_by_width(self, mode, shifted, expected, monkeypatch):
+        f = [P(1), P(2**20, -1), P(-1, 1)]
+        for i in shifted:
+            f[i] = f[i].shift(series._PACKED_FROM)
+        f = DividedSeries(mode, RING_Q, f)
         g = DividedSeries(mode, RING_Q, (P(-1, 1), P(1), P(1)))
         widths = []
         unpack = series._unpack
@@ -216,7 +230,7 @@ class TestPackedConvolution:
 
         monkeypatch.setattr(series, "_unpack", recording)
         coefficient = f._convolve(2, 0, series._Operand(f.coeffs), series._Operand(g.coeffs))
-        assert sorted(widths) == [1, 3]
+        assert sorted(widths) == expected
         assert coefficient == reference_mul(f, g).coefficient(2)
         assert f.mul(g) == reference_mul(f, g)
 
