@@ -10,7 +10,10 @@ printing.  Values are immutable after construction and every operation
 returns a canonical result (no trailing zeros), so equality and hashing
 are structural and instances are safe to share between threads.  Short
 ``QPoly`` products run the schoolbook loop; long ones pack each operand
-into one integer and multiply once (Kronecker substitution).
+into one integer and multiply once (Kronecker substitution).  The
+packed-slot codec behind that product is the package's only one: the
+series convolution and the recurrence rows of ``tables`` pack with it too,
+and ``_slot_width`` is the one rule for a slot's width.
 
 The q-combinatorial constants live here as well: ``q_bracket``,
 ``q_pochhammer``, Gaussian binomials and q-multinomials.  Gaussian
@@ -20,6 +23,8 @@ ring division-free.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from functools import lru_cache
 from typing import Dict, Iterable, Sequence, Tuple
 
@@ -164,16 +169,49 @@ _Q_ZERO, _Q_ONE = QPoly.zero(), QPoly.one()
 # in or out, so the choice rests on len(a)*len(b) / (len(a)+len(b)).
 _KRONECKER_CUTOFF = 7  # measured crossover: 14x14, 8x100, 6x400 (2-core Xeon, Python 3.11)
 
+# ``array("Q")`` holds native-order words; packed values are little-endian
+_BIG_ENDIAN = sys.byteorder == "big"
 
-def _pack(cs: tuple, w: int) -> int:
+
+def _slot_width(bound: int) -> int:
+    """Least slot width w, in bytes, with bound < 2^(8w - 1): a w-byte slot
+    holds every coefficient of size at most ``bound``, signed or not."""
+    return bound.bit_length() // 8 + 1
+
+
+def _pack_slots(cs: Sequence[int], w: int) -> int:
+    """Value of ``cs`` at X = 2^(8w): coefficient i fills the w bytes from
+    byte w*i on, so each must be nonnegative and below X.  A sum of packed
+    values, shifted by X^s as ``<< 8*w*s``, is the packed coefficient sum
+    while each of its coefficients stays below X: no slot carries."""
+    if w == 8:
+        words = array("Q", cs)
+        if _BIG_ENDIAN:
+            words.byteswap()
+        return int.from_bytes(words, "little")
+    return int.from_bytes(b"".join([c.to_bytes(w, "little") for c in cs]), "little")
+
+
+def _unpack_slots(value: int, w: int) -> list:
+    """The w-byte slots of a nonnegative ``value``, lowest first, up to its
+    highest nonzero slot."""
+    data = value.to_bytes(-(-value.bit_length() // (8 * w)) * w, "little")
+    if w == 8:
+        words = array("Q", data)
+        if _BIG_ENDIAN:
+            words.byteswap()
+        return words.tolist()
+    from_bytes = int.from_bytes
+    return [from_bytes(data[i : i + w], "little") for i in range(0, len(data), w)]
+
+
+def _pack(cs: Sequence[int], w: int) -> int:
     """Value of ``cs`` at 2^(8w); the positive and negative parts are packed apart."""
     value = 0
-    if max(cs) > 0:
-        data = b"".join([(c if c > 0 else 0).to_bytes(w, "little") for c in cs])
-        value = int.from_bytes(data, "little")
-    if min(cs) < 0:
-        data = b"".join([(-c if c < 0 else 0).to_bytes(w, "little") for c in cs])
-        value -= int.from_bytes(data, "little")
+    if max(cs, default=0) > 0:
+        value = _pack_slots([c if c > 0 else 0 for c in cs], w)
+    if min(cs, default=0) < 0:
+        value -= _pack_slots([-c if c < 0 else 0 for c in cs], w)
     return value
 
 
@@ -182,24 +220,23 @@ def _kronecker_mul(a: tuple, b: tuple) -> list:
 
     Both operands are evaluated at X = 2^(8w), with w bytes a slot.  Every
     product coefficient is at most ``bound`` in size, and w is the least
-    width with bound < X/2, so ``_unpack`` reads the product back.
+    width with bound < X/2 (``_slot_width``), so ``_unpack`` reads the
+    product back.
     """
     max_a, max_b = max(map(abs, a)), max(map(abs, b))
     bound = min(sum(map(abs, a)) * max_b, max_a * sum(map(abs, b)))
-    w = bound.bit_length() // 8 + 1
+    w = _slot_width(bound)
     return _unpack(_pack(a, w) * _pack(b, w), len(a) + len(b) - 1, w)
 
 
 def _unpack(value: int, n: int, w: int) -> list:
     """The n coefficients of ``value``, a polynomial evaluated at X = 2^(8w)
     whose coefficients are all below X/2 in size.  Adding X/2 to every slot
-    makes each digit nonnegative, so a coefficient reads back as its
-    unsigned w-byte digit minus X/2."""
+    makes each digit nonnegative and nonzero, so exactly n slots read back
+    and a coefficient is its unsigned w-byte digit minus X/2."""
     halves = int.from_bytes((bytes(w - 1) + b"\x80") * n, "little")
-    digits = (value + halves).to_bytes(n * w, "little")
     half = 1 << (8 * w - 1)
-    from_bytes = int.from_bytes
-    return [from_bytes(digits[i : i + w], "little") - half for i in range(0, n * w, w)]
+    return [digit - half for digit in _unpack_slots(value + halves, w)]
 
 
 class XQPoly(_DensePoly):

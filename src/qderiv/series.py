@@ -21,7 +21,7 @@ from functools import lru_cache
 from itertools import zip_longest
 from typing import Dict, Iterable, Sequence
 
-from qderiv.ring import QPoly, XQPoly, _pack, _unpack, gauss_binomial
+from qderiv.ring import QPoly, XQPoly, _pack, _slot_width, _unpack, gauss_binomial
 
 Q_MODE = "q"
 CLASSICAL_MODE = "classical"
@@ -134,10 +134,10 @@ class DividedSeries:
         unit whose product has at least ``_PACKED_FROM`` coefficients.
         Those units are packed: a unit's coefficients are below the size
         bound max|weight| * sum L1(f_i) * L1(g_(n-i)) over its terms, the
-        units are grouped by the slot width their bound needs, each group is
-        sized for the sum of its bounds, its packed products
-        (``ring._pack``) are added into one int, and that int is decoded
-        once (``ring._unpack``).  Narrow units keep narrow slots, and a
+        units are grouped by the slot width their bound needs
+        (``ring._slot_width``), each group is sized for the sum of its
+        bounds, its packed products (``ring._pack``) are added into one
+        int, and that int is decoded once (``ring._unpack``).  Narrow units keep narrow slots, and a
         coefficient costs one decode per group, not one per term.
         """
         weight = gauss_binomial if self.mode == Q_MODE else math.comb
@@ -156,7 +156,7 @@ class DividedSeries:
                 size = len(wc) - 2 + max(f.size(i) + g.size(n - i) for i in ks)
                 if size >= _PACKED_FROM:
                     bound = max(wc) * sum(f.l1(i) * g.l1(n - i) for i in ks)
-                    groups.setdefault(bound.bit_length() >> 3, []).append((bound, wc, ks, size))
+                    groups.setdefault(_slot_width(bound), []).append((bound, wc, ks, size))
                     continue
             for i in ks:
                 acc = acc + wk * (f.coeffs[i] * g.coeffs[n - i])
@@ -164,7 +164,7 @@ class DividedSeries:
             return acc
         parts = []
         for terms in groups.values():
-            w = sum(term[0] for term in terms).bit_length() // 8 + 1
+            w = _slot_width(sum(term[0] for term in terms))
             total = size = 0
             for _, wc, ks, unit_size in terms:
                 inner = sum(f.packed(i, w) * g.packed(n - i, w) for i in ks)

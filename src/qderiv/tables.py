@@ -2,9 +2,10 @@
 
 Route 1 (recurrences): bottom-up filling of the triple-indexed tables
 A_{n,k,a,b}, B_{n,k,a,b} and the composition-indexed table A_{n,c}.
-Each step packs the polynomials of row n into ints, one slot of 64 bits
-(or a wider multiple of 64, when a bound computed on row n needs it) per
-coefficient, sums every target as ints and decodes it once.
+Each step packs the polynomials of row n into ints with the codec of
+``ring``, one slot of 8 bytes (or a wider multiple of 8, when a bound
+computed on row n needs it) per coefficient, sums every target as ints,
+summing each diagonal of a triple row once, and decodes each target once.
 
 Route 2 (rewrite engines): iterated symbolic q-differentiation of formal
 sums of monomials in scaled q-tangent/secant factors.  The symbols are
@@ -18,15 +19,13 @@ checked by the verification suite, not assumed.
 
 from __future__ import annotations
 
-import sys
 import threading
-from array import array
 from collections import Counter, defaultdict
 from functools import lru_cache, partial
-from typing import Dict, Iterator, List, NamedTuple, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Tuple
 
 from qderiv import tcomb
-from qderiv.ring import QPoly, q_multinomial
+from qderiv.ring import QPoly, _pack_slots, _slot_width, _unpack_slots, q_multinomial
 from qderiv.series import q_secant2_number, q_tan_sec_number
 from qderiv.tcomb import enumerate_t_compositions, is_t_composition
 
@@ -36,7 +35,6 @@ KIND_AC = "Ac"
 
 _ZERO = QPoly.zero()
 _ONE = QPoly.one()
-_BIG_ENDIAN = sys.byteorder == "big"
 
 
 class PolyTable(NamedTuple):
@@ -95,59 +93,29 @@ def _comp_order(parts: Tuple[int, ...]) -> tuple:
 # -- route 1: recurrences ------------------------------------------------
 
 
-def _slot_bits(row: dict, summands: int) -> int:
-    """Slot width, in bits, that holds every coefficient of the next row.
+def _slot_bytes(row: dict, summands: int) -> int:
+    """Slot width, in bytes, that holds every coefficient of the next row.
 
     A coefficient of a target is a sum of at most ``summands``
     coefficients of ``row``, all nonnegative, so it is at most ``summands``
-    times the row's largest coefficient; the slot is the least multiple
-    of 64 bits, at least 64, that holds that bound.
+    times the row's largest coefficient; the slot is the width that bound
+    needs (``ring._slot_width``), rounded up to whole 8-byte words.
     """
     largest = max(max(poly.coeffs, default=0) for poly in row.values())
-    return 64 * max(1, -(-(summands * largest).bit_length() // 64))
+    return -(-_slot_width(summands * largest) // 8) * 8
 
 
-def _pack(coeffs: Sequence[int], slot: int) -> int:
-    """``coeffs`` as one int: coefficient i in bits slot*i .. slot*(i+1) - 1.
+def _diagonal_sums(packed: dict, k: int, d: int) -> List[int]:
+    """Prefix sums of the packed row along the anti-diagonal a + b = d at one k.
 
-    Every coefficient must be nonnegative and below 2^slot.  A sum of packed
-    polynomials, shifted by q^s as ``<< slot*s``, is the packed sum while
-    each of its coefficients stays below 2^slot: no slot carries.
-    """
-    if slot == 64:
-        words = array("Q", coeffs)
-        if _BIG_ENDIAN:
-            words.byteswap()
-        return int.from_bytes(words, "little")
-    width = slot // 8
-    return int.from_bytes(b"".join([c.to_bytes(width, "little") for c in coeffs]), "little")
-
-
-def _unpack(value: int, slot: int) -> QPoly:
-    """The polynomial packed in ``value`` with ``slot``-bit slots."""
-    width = slot // 8
-    data = value.to_bytes(-(-value.bit_length() // slot) * width, "little")
-    if slot == 64:
-        words = array("Q", data)
-        if _BIG_ENDIAN:
-            words.byteswap()
-        return QPoly(words.tolist())
-    return QPoly([int.from_bytes(data[i : i + width], "little") for i in range(0, len(data), width)])
-
-
-def _diagonal_sums(packed: dict, k: int, d: int, from_end: bool) -> List[int]:
-    """Partial sums of the packed row along the anti-diagonal a + b = d at one k.
-
-    Entry i of the result sums the a < i (or, ``from_end``, the a >= i);
-    i runs over 0..d+1.
+    Entry i of the result sums the a < i, for i in 0..d+1, so the last
+    entry is the diagonal's total.
     """
     acc = 0
     out = [acc]
-    for a in range(d, -1, -1) if from_end else range(0, d + 1):
+    for a in range(0, d + 1):
         acc += packed.get((k, a, d - a), 0)
         out.append(acc)
-    if from_end:
-        out.reverse()
     return out
 
 
@@ -160,31 +128,34 @@ def _fill_triple_row(prev: dict, n: int, relaxed_first_sum: bool) -> dict:
 
     Target (k', a', b') with m' = a' + b' sums row n along the
     anti-diagonals a + b = m' - 1 and a + b = m' + 1: the a below a cut at
-    k = k' - 1 and the a from the cut on at k = k'.  Every such range is a
-    prefix or a suffix of its diagonal, so each diagonal's partial sums
-    are built once and every target reads at most four of them.  The sums
-    run on packed polynomials (``_pack``): a target adds distinct entries
-    of row n, m' + 2 on the upper diagonal and at most m' on the lower, and
-    m' <= n + 2, so 2n + 6 summands bound its slots.
+    k = k' - 1 and the a from the cut on at k = k'.  Each diagonal's prefix
+    sums are built once per k, and only those at k' - 1 and k' are kept;
+    a range from the cut on is the diagonal's total less a prefix.  The
+    sums run on packed polynomials (``ring._pack_slots``): a target adds
+    distinct entries of row n, m' + 2 on the upper diagonal and at most m'
+    on the lower, and m' <= n + 2, so 2n + 6 summands bound its slots.
     """
-    slot = _slot_bits(prev, 2 * n + 6)
-    packed = {key: _pack(poly.coeffs, slot) for key, poly in prev.items()}
+    w = _slot_bytes(prev, 2 * n + 6)
+    packed = {key: _pack_slots(poly.coeffs, w) for key, poly in prev.items()}
+    diagonals = range(-1, n + 4)
+    heads = {d: _diagonal_sums(packed, -1, d) for d in diagonals}  # at k' - 1
     cur: dict = {}
     for kp in range(0, n + 1):
-        heads = {d: _diagonal_sums(packed, kp - 1, d, False) for d in range(-1, n + 4)}
-        tails = {d: _diagonal_sums(packed, kp, d, True) for d in range(-1, n + 4)}
-        shift = slot * kp
+        sums = {d: _diagonal_sums(packed, kp, d) for d in diagonals}  # at k'
+        shift = 8 * w * kp
         for mp in range(0, n + 3):
-            below_head, below_tail = heads[mp - 1], tails[mp - 1]
-            above_head, above_tail = heads[mp + 1], tails[mp + 1]
+            below_head, below = heads[mp - 1], sums[mp - 1]
+            above_head, above = heads[mp + 1], sums[mp + 1]
+            below_total, above_total = below[-1], above[-1]
             for ap in range(0, mp + 1):
-                acc = above_head[ap + 1] + above_tail[ap + 1]
+                acc = above_head[ap + 1] + above_total - above[ap + 1]
                 if relaxed_first_sum or ap <= mp - 1:
                     acc += below_head[ap]
                 if ap >= 1:
-                    acc += below_tail[ap]
+                    acc += below_total - below[ap]
                 if acc:
-                    cur[(kp, ap, mp - ap)] = _unpack(acc << shift, slot)
+                    cur[(kp, ap, mp - ap)] = QPoly(_unpack_slots(acc << shift, w))
+        heads = sums
     return cur
 
 
@@ -192,13 +163,14 @@ def _fill_comp_row(row: dict, n: int) -> dict:
     """Composition-indexed row n+1, filled by part surgery on each target.
 
     Each target lists its sources in row n with their shifts and adds them
-    as packed polynomials (``_pack``).  A target c' of n + 1 has at most
-    (c'_0 + 1)/2 sources from its first part, c'_i/2 from a later part of
-    size at least 2 and one from a part of size 1, so at most n + 2 in all,
-    which bounds its slots.
+    as packed polynomials (``ring._pack_slots``).  A target c' of n + 1 has
+    at most (c'_0 + 1)/2 sources from its first part, c'_i/2 from a later
+    part of size at least 2 and one from a part of size 1, so at most n + 2
+    in all, which bounds its slots.
     """
-    slot = _slot_bits(row, n + 2)
-    packed = {key: _pack(poly.coeffs, slot) for key, poly in row.items()}
+    w = _slot_bytes(row, n + 2)
+    bits = 8 * w
+    packed = {key: _pack_slots(poly.coeffs, w) for key, poly in row.items()}
     get = packed.get
     cur: dict = {}
     for cp in enumerate_t_compositions(n + 1):
@@ -206,17 +178,17 @@ def _fill_comp_row(row: dict, n: int) -> dict:
         c0, rest = cp[0], cp[1:]
         acc = 0
         for j in range(0, (c0 - 1) // 2 + 1):
-            acc += get((2 * j, c0 - 2 * j - 1) + rest, 0) << (slot * 2 * j)
+            acc += get((2 * j, c0 - 2 * j - 1) + rest, 0) << (bits * 2 * j)
         prefix = 0
         for i in range(1, mp + 1):
             prefix += cp[i - 1]
             ci, head, tail = cp[i], cp[:i], cp[i + 1 :]
             for j in range(1, ci // 2 + 1):
-                acc += get(head + (2 * j - 1, ci - 2 * j) + tail, 0) << (slot * (prefix + 2 * j - 1))
+                acc += get(head + (2 * j - 1, ci - 2 * j) + tail, 0) << (bits * (prefix + 2 * j - 1))
             if ci == 1 and i <= mp - 1:
-                acc += get(head + tail, 0) << (slot * prefix)
+                acc += get(head + tail, 0) << (bits * prefix)
         if acc:
-            cur[cp] = _unpack(acc, slot)
+            cur[cp] = QPoly(_unpack_slots(acc, w))
     return cur
 
 

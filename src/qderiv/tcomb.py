@@ -283,18 +283,6 @@ def _remove_one(
     return (a if first_kind else a + 1), back, parts[:a] + middle + parts[a + 1 :]
 
 
-def delta_star_inv(w: TPermutation) -> Tuple[int, TPermutation]:
-    """Inverse of ``delta_star``: delete the one-letter 1 and shift down."""
-    i, word, parts = _remove_one(w.word, w.parts, first_kind=True)
-    return i, TPermutation._flat(word, parts)
-
-
-def star_delta_inv(w: TPermutation) -> Tuple[int, TPermutation]:
-    """Inverse of ``star_delta``: split the component carrying 1."""
-    i, word, parts = _remove_one(w.word, w.parts, first_kind=False)
-    return i, TPermutation._flat(word, parts)
-
-
 def psi_on_t(w: TPermutation) -> TPermutation:
     """Apply the descent-preserving bijection to the concatenation and re-cut."""
     return TPermutation._flat(permstats.psi(w.word), w.parts)

@@ -138,6 +138,38 @@ class TestQPolyArithmetic:
         assert P(1, 0, 0).coeffs == (1,)
 
 
+class TestPackedSlots:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_shifted_packed_sums_decode_to_coefficient_sums(self, data):
+        # widths 1-17 bytes, 8 (the array path) often; the largest signed
+        # slot value is 2^(8w - 1) - 1 and the largest unsigned 2^(8w) - 1
+        w = data.draw(st.one_of(st.just(8), st.integers(1, 17)), label="w")
+        signed = data.draw(st.booleans(), label="signed")
+        summands = data.draw(st.integers(1, 4), label="summands")
+        top = 2 ** (8 * w - 1) - 1 if signed else 2 ** (8 * w) - 1
+        cap = top // summands  # so no coefficient sum leaves its slot
+        low = -cap if signed else 0
+        coeff = st.one_of(st.integers(max(low, -1), 1), st.just(cap), st.just(low), st.integers(low, cap))
+        terms = data.draw(
+            st.lists(st.tuples(st.lists(coeff, max_size=6), st.integers(0, 4)), min_size=summands, max_size=summands),
+            label="terms",
+        )
+        assert ring._slot_width(2 ** (8 * w - 1) - 1) == w < ring._slot_width(2 ** (8 * w - 1))
+        expected = [0] * max(len(coeffs) + shift for coeffs, shift in terms)
+        total = 0
+        for coeffs, shift in terms:
+            for i, c in enumerate(coeffs, shift):
+                expected[i] += c
+            total += (ring._pack if signed else ring._pack_slots)(coeffs, w) << (8 * w * shift)
+        if signed:
+            assert ring._unpack(total, len(expected), w) == expected
+        else:
+            while expected and not expected[-1]:
+                expected.pop()
+            assert ring._unpack_slots(total, w) == expected
+
+
 class TestShiftReverseEval:
     def test_shift(self):
         assert P(1, 1).shift(2) == P(0, 0, 1, 1)

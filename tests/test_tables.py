@@ -10,15 +10,13 @@ from hypothesis import given, settings, strategies as st
 from qderiv import permstats, tcomb
 from qderiv.cli import TABLE_FAMILIES, build_family, build_oracle
 from qderiv.render import Table, render
-from qderiv.ring import QPoly, XQPoly, q_pochhammer
+from qderiv.ring import QPoly, XQPoly, _pack_slots, _unpack_slots, q_pochhammer
 from qderiv import tables
 from qderiv.tables import (
     _fill_comp_row,
     _fill_triple_row,
-    _pack,
-    _slot_bits,
-    _unpack,
     _insertion_tally,
+    _slot_bytes,
     a_table,
     ac_table,
     b_table,
@@ -264,27 +262,28 @@ class TestPackedRowSteps:
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.tuples(st.lists(_COEFF, max_size=6), st.integers(0, 5)), min_size=1, max_size=6))
     def test_packed_sum_equals_per_coefficient_sum(self, terms):
-        slot = _slot_bits({i: QPoly(coeffs) for i, (coeffs, _) in enumerate(terms)}, len(terms))
+        w = _slot_bytes({i: QPoly(coeffs) for i, (coeffs, _) in enumerate(terms)}, len(terms))
         bound = len(terms) * max((c for coeffs, _ in terms for c in coeffs), default=0)
-        assert slot % 64 == 0 and bound < 2**slot and (slot == 64 or bound >= 2 ** (slot - 64))
+        # the least whole number of 8-byte words with bound < 2^(8w - 1)
+        assert w % 8 == 0 and bound < 2 ** (8 * w - 1) and (w == 8 or bound >= 2 ** (8 * w - 65))
         expected = [0] * (max(len(coeffs) + shift for coeffs, shift in terms))
         packed = 0
         for coeffs, shift in terms:
             for d, c in enumerate(coeffs, shift):
                 expected[d] += c
-            packed += _pack(coeffs, slot) << (slot * shift)
-        assert _unpack(packed, slot) == QPoly(expected)
+            packed += _pack_slots(coeffs, w) << (8 * w * shift)
+        assert QPoly(_unpack_slots(packed, w)) == QPoly(expected)
 
     @pytest.mark.parametrize("kind", ("A", "B", "Ac"))
     def test_wide_slots_give_the_scaled_row(self, kind):
         # both steps are linear in row n, so a row scaled past 2^64 gives
-        # the scaled next row, through slots of 128 bits
+        # the scaled next row, through slots of 16 bytes
         step = _fill_comp_row if kind == "Ac" else partial(_fill_triple_row, relaxed_first_sum=kind == "B")
         table = _PER_COEFFICIENT_STEPS[kind][0](6)
         scale = 2**70
         for n in range(6):
             scaled = {key: poly * scale for key, poly in table.row(n).items()}
-            assert _slot_bits(scaled, 2 * n + 6) == 128
+            assert _slot_bytes(scaled, 2 * n + 6) == 16
             expected = {key: poly * scale for key, poly in table.row(n + 1).items()}
             assert list(step(scaled, n).items()) == list(expected.items())
 

@@ -14,14 +14,12 @@ from qderiv.tcomb import (
     beta,
     cut_by_lambda,
     delta_star,
-    delta_star_inv,
     enumerate_t_compositions,
     enumerate_t_permutations,
     fibonacci_poly,
     is_t_composition,
     psi_on_t,
     star_delta,
-    star_delta_inv,
     t_permutation_cuts,
 )
 
@@ -342,8 +340,9 @@ class TestInsertionBijections:
 
     def test_roundtrips(self):
         for i in range(1, W_EXAMPLE.mu + 1):
-            assert delta_star_inv(delta_star(i, W_EXAMPLE)) == (i, W_EXAMPLE)
-            assert star_delta_inv(star_delta(i, W_EXAMPLE)) == (i, W_EXAMPLE)
+            for insert, first_kind in ((delta_star, True), (star_delta, False)):
+                image = insert(i, W_EXAMPLE)
+                assert tcomb._remove_one(image.word, image.parts, first_kind) == (i, *W_EXAMPLE)
 
     def test_empty_order_edge(self):
         empty = TPermutation(((), ()))
@@ -351,7 +350,7 @@ class TestInsertionBijections:
         single = star_delta(1, empty)
         assert single.components == ((1,),)
         assert not single.is_first_kind()
-        assert star_delta_inv(single) == (1, empty)
+        assert tcomb._remove_one(single.word, single.parts, False) == (1, *empty)
 
     def test_index_range(self):
         with pytest.raises(ValueError):
@@ -361,9 +360,9 @@ class TestInsertionBijections:
 
     def test_inverse_kind_guards(self):
         with pytest.raises(ValueError):
-            delta_star_inv(TPermutation(((1, 2), ())))
+            tcomb._remove_one(*TPermutation(((1, 2), ())), True)
         with pytest.raises(ValueError):
-            star_delta_inv(TPermutation(((), (1,), ())))
+            tcomb._remove_one(*TPermutation(((), (1,), ())), False)
 
     def test_min_after_insertion(self):
         for n in range(5):
@@ -417,19 +416,20 @@ class TestFlatAgainstComponentReference:
             assert w.min_component() == reference_min_component(comps)
             assert w.is_first_kind() == reference_is_first_kind(comps)
             for i in range(1, w.mu + 1):
-                for insert, ref_insert, invert, ref_invert, wrong_invert in (
-                    (delta_star, reference_delta_star, delta_star_inv, reference_delta_star_inv, star_delta_inv),
-                    (star_delta, reference_star_delta, star_delta_inv, reference_star_delta_inv, delta_star_inv),
+                for insert, ref_insert, first_kind, ref_invert in (
+                    (delta_star, reference_delta_star, True, reference_delta_star_inv),
+                    (star_delta, reference_star_delta, False, reference_star_delta_inv),
                 ):
                     image = insert(i, w)
                     ref_image = ref_insert(i, comps)
                     assert image.components == ref_image
                     assert image.min_component() == reference_min_component(ref_image)
                     assert image.is_first_kind() == reference_is_first_kind(ref_image)
-                    back_i, back = invert(image)
+                    back_i, word, parts = tcomb._remove_one(image.word, image.parts, first_kind)
+                    back = TPermutation._flat(word, parts)
                     assert (back_i, back.components) == ref_invert(ref_image) == (i, comps)
                     with pytest.raises(ValueError):
-                        wrong_invert(image)
+                        tcomb._remove_one(image.word, image.parts, not first_kind)
 
     def test_walk_of_order_7(self):
         flat = [w.components for w in enumerate_t_permutations(7)]
