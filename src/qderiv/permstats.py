@@ -19,9 +19,12 @@ against, and compute the statistics of words the walk never visits.
 
 from __future__ import annotations
 
+import math
 import operator
 from functools import lru_cache
-from typing import Iterator, NamedTuple, Optional, Sequence, Tuple
+from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
+
+from qderiv import ring
 
 Word = Tuple[int, ...]
 Row = Tuple[Word, Tuple[bool, ...], int, int, int]  # a permutation, its descent word, inv, ides, imaj
@@ -190,3 +193,55 @@ def walk(n: int, rising: Optional[bool] = None) -> Iterator[Row]:
         else:
             span = range(1, a) if pattern[len(word)] else range(a + 1, n + 1)
         stack.append(iter([v for v in span if not placed[v]]))
+
+
+def alternating_tally(n: int, rising: bool) -> Tuple[List[int], List[int]]:
+    """The inv and the imaj generating polynomials of the permutations of
+    1..n whose descent word is ``zigzag(n, rising)``, as coefficient lists,
+    lowest degree first; without listing the permutations.
+
+    As in ``walk``, appending a letter b to a prefix adds to inv the number
+    of placed letters above b, and adds b to imaj when b + 1 is placed; the
+    pattern lets b follow the last letter a when b < a at a descent of the
+    pattern and b > a at an ascent.  So the prefixes of one length are
+    tallied by (set of letters placed, last letter), each state carrying
+    both generating polynomials packed in ints (``ring._pack_slots``: the
+    q^e coefficient in slot e).  Every coefficient counts at most n!
+    permutations, so slots of ``ring._slot_width(n!)`` bytes never carry.
+    A pass adds up, for each set, the states whose last letter lies above
+    (or below) each free letter b as it goes, so each state of the next
+    length is built from one running sum.  There are about n * 2^(n-1)
+    states in all, and two lengths are held at a time.
+    """
+    if n == 0:
+        return [1], [1]
+    w = ring._slot_width(math.factorial(n))
+    bits = 8 * w
+    pattern = zigzag(n, rising)
+    # a set of placed letters (bit v for the letter v) -> {last letter: (inv, imaj) packed}
+    layer = {1 << a: {a: (1, 1)} for a in range(1, n + 1)}
+    for down in pattern:
+        letters = range(n, 0, -1) if down else range(1, n + 1)
+        nxt: dict = {}
+        while layer:
+            mask, lasts = layer.popitem()
+            run_inv = run_imaj = 0  # the states whose last letter was passed
+            for b in letters:
+                if mask >> b & 1:
+                    if b in lasts:
+                        inv_b, imaj_b = lasts[b]
+                        run_inv += inv_b
+                        run_imaj += imaj_b
+                    continue
+                if not run_inv:
+                    continue
+                above = mask >> (b + 1)
+                inv_b = run_inv << bits * above.bit_count()
+                imaj_b = run_imaj << bits * b if above & 1 else run_imaj
+                states = nxt.setdefault(mask | 1 << b, {})
+                old = states.get(b)
+                states[b] = (inv_b, imaj_b) if old is None else (old[0] + inv_b, old[1] + imaj_b)
+        layer = nxt
+    (lasts,) = layer.values()
+    inv_total, imaj_total = map(sum, zip(*lasts.values()))
+    return ring._unpack_slots(inv_total, w), ring._unpack_slots(imaj_total, w)

@@ -12,7 +12,9 @@ the calling process runs the rest, and the reports keep the serial
 order.  Otherwise
 every check runs in the calling process; that serial path is the
 reference.  A child that dies fails each of its checks, and is never a
-hang or a traceback.
+hang or a traceback.  Within a lane, 3.1 and 3.bij share one pass over
+T(n), and 8.phi, 8.1 and 8.2 one walk of S_n (``_Sweep``), each check
+with its own report.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import itertools
 import json
 import math
 import os
-import sys
+import threading
 from collections import Counter
 from functools import lru_cache
 from typing import Callable, Dict, Iterable, List, Mapping, NamedTuple, Optional, Tuple
@@ -522,6 +524,64 @@ def check_tan_unique(order: int) -> VerificationReport:
 
 
 # -- bijection sweeps --------------------------------------------------------
+#
+# 3.1 and 3.bij share one pass over the pairs (w, i) of T(n) x 1..mu(w), and
+# 8.phi, 8.1 and 8.2 one walk of S_n: a ``_Sweep`` runs a pass for the
+# checks of one lane that read it (``_run_lane``), or for one check alone.
+
+
+class _Sweep:
+    """One pass of ``body`` over n <= n_max for the checks ``ids``.
+
+    Each check keeps its own collector.  It leaves the pass at its first
+    discrepancy or exception, and the others run on; a shared value that
+    raises fails each check still in the pass that reads it.  The pass runs
+    when the first of its checks asks for its report, and a check that
+    raised raises the same exception there, so ``_run_guarded`` reports it
+    as it would the check's own.
+    """
+
+    __slots__ = ("body", "n_max", "ids", "active", "results")
+
+    def __init__(self, body: Callable, n_max: int, ids):
+        self.body, self.n_max, self.ids = body, n_max, tuple(ids)
+        self.active: Dict[str, _Collector] = {}
+        self.results: Optional[dict] = None
+
+    def leave(self, check_id: str, exc: Exception) -> None:
+        """Take ``check_id``, if still in the pass, out of it: with its
+        report at a discrepancy (``_Stop``), else with ``exc``.  None, to
+        clear the caller's handle on its collector."""
+        col = self.active.pop(check_id, None)
+        if col is not None:
+            self.results[check_id] = col.report if isinstance(exc, _Stop) else exc
+
+    def guard(self, check_id: str, part: Callable, *args) -> None:
+        """Run ``part(collector, *args)`` for ``check_id`` while it is in the pass."""
+        col = self.active.get(check_id)
+        if col is not None:
+            try:
+                part(col, *args)
+            except Exception as exc:  # noqa: BLE001 - this check's own failure
+                self.leave(check_id, exc)
+
+    def report(self, check_id: str) -> VerificationReport:
+        """``check_id``'s report, running the pass first if no check has."""
+        if self.results is None:
+            self.results = {}
+            self.active = {i: _Collector(i, {"n_max": self.n_max}) for i in self.ids}
+            try:
+                self.body(self)
+            except Exception as exc:  # noqa: BLE001 - a value every check left in the pass reads
+                for i in list(self.active):
+                    self.leave(i, exc)
+            for i, col in self.active.items():
+                self.results[i] = col.report
+            self.active = {}
+        result = self.results[check_id]
+        if isinstance(result, Exception):
+            raise result
+        return result
 
 
 _W_EXAMPLE = ((4, 5), (11, 1, 3), (10, 7, 9), (6,), (8, 2))
@@ -539,252 +599,300 @@ _STAR_DELTA_EXPECT = {
 }
 
 
-def _31_expected(w: TPermutation, st):
-    """i and the (iligne, ides, imaj, inv) of the images of (w, i), for
+def _31_examples(col: _Collector) -> None:
+    w0 = TPermutation(_W_EXAMPLE)
+    st = permstats.statistics(w0.word)
+    col.eq(("example", "stats"), (6, 38, 1, 27), (st.ides, st.imaj, w0.min_component(), st.inv))
+    for name, bijection, expect in (
+        ("delta*", delta_star, _DELTA_STAR_EXPECT),
+        ("*delta", star_delta, _STAR_DELTA_EXPECT),
+    ):
+        for i, expected in expect.items():
+            image = bijection(i, w0)
+            ist = permstats.statistics(image.word)
+            col.eq(
+                ("example", name, i),
+                expected,
+                (image.components, ist.ides, ist.imaj, image.min_component(), ist.inv),
+            )
+
+
+def _31_expected(w: TPermutation, st) -> list:
+    """The (iligne, ides, imaj, inv) of the images of (w, i), for
     i = 1..mu(w), from ``w``'s own statistics ``st``."""
     min_comp = w.min_component()
     shifted = frozenset(j + 1 for j in st.iligne)
-    prefix = 0
+    out, prefix = [], 0
     for i in range(1, w.mu + 1):
         prefix += w.parts[i - 1]
         # the new 1 is an inverse descent exactly when it lands after 2
         new = 0 if min_comp is not None and i <= min_comp else 1
         ilg = shifted | {1} if new else shifted
-        yield i, (ilg, st.ides + new, new + st.ides + st.imaj, st.inv + prefix)
+        out.append((ilg, st.ides + new, new + st.ides + st.imaj, st.inv + prefix))
+    return out
 
 
-def _image_word(word: tuple, words: dict, with_stats: bool) -> tuple:
-    """What the sweeps check of an image word, kept in ``words``: () when
-    it is not a permutation, else its descent word and, ``with_stats``,
-    its (iligne, ides, imaj, inv).  The word depends only on sigma and
-    where the 1 lands, so each is validated once for all of its cuts."""
-    if sorted(word) != list(range(1, len(word) + 1)):
-        seen = ()
-    elif with_stats:
-        ilg = permstats.iligne(word)
-        seen = (permstats.descent_word(word), (ilg, len(ilg), sum(ilg), permstats.inv(word)))
-    else:
-        seen = (permstats.descent_word(word),)
-    words[word] = seen
-    return seen
+def _sweep_t_pairs(run: _Sweep) -> None:
+    """3.1 and 3.bij over the pairs (w, i) of T(n) x 1..mu(w).
 
+    One ``t_permutation_cuts`` walk per n builds each pair's two images
+    with one flat insertion step (``tcomb._insert_one``).  The image word
+    depends only on sigma and where the 1 lands, so it is checked to be a
+    permutation, and its descent word (and, for 3.1, its statistics)
+    computed, once per word; each image's parts then need one cut test on
+    that descent word.  A failing cut test calls the validating
+    constructor, which raises its own error, in both checks.  3.1 compares
+    each image's statistics and the component of its 1 with the values
+    predicted from w; 3.bij inverts each image with the removal step.
 
-def check_3_1(n_max: int) -> VerificationReport:
-    """The statistics of every delta* and *delta image of T(n), n <= n_max.
+    3.bij keeps no image.  Each round trip gives back (i, w), so both maps
+    are injective on pairs, which the walk lists once each; the kind checks
+    keep the two image sets apart; the cut test puts every image in
+    T(n+1).  So the images are 2 * pairs distinct t-permutations of order
+    n + 1, and they are all of T(n+1) exactly when |T(n+1)|, counted by
+    enumeration, equals 2 * pairs.  Each order is counted during its own
+    domain walk; order n_max + 1 is counted from the valid cuts of each
+    permutation, without building its t-permutations.  3.1 starts at n = 1.
 
-    Each image comes from the flat insertion step ``tcomb._insert_one``.
-    Its word is checked to be a permutation, and its statistics computed,
-    once (``_image_word``); each image's parts need only the cached cut
-    test against that word's descent word.  The first failing test names
-    the failure: a failing cut test calls the validating constructor, which
-    raises its own error, and a failing comparison reports the first
-    statistic that differs.
+    The first failing test names the failure: a comparison reports the
+    first statistic that differs, the removal step's refusal is reported
+    as an image of the wrong kind, and a round trip that misses is reported
+    with the pair it gave back.
     """
-    w0 = TPermutation(_W_EXAMPLE)
-    with _Collector("3.1", {"n_max": n_max}) as col:
-        st = permstats.statistics(w0.word)
-        col.eq(("example", "stats"), (6, 38, 1, 27), (st.ides, st.imaj, w0.min_component(), st.inv))
-        for name, bijection, expect in (
-            ("delta*", delta_star, _DELTA_STAR_EXPECT),
-            ("*delta", star_delta, _STAR_DELTA_EXPECT),
-        ):
-            for i, expected in expect.items():
-                image = bijection(i, w0)
-                ist = permstats.statistics(image.word)
-                col.eq(
-                    ("example", name, i),
-                    expected,
-                    (image.components, ist.ides, ist.imaj, image.min_component(), ist.inv),
-                )
-        for n in range(1, n_max + 1):
+    run.guard("3.1", _31_examples)
+    previous = 0  # the pairs of order n - 1
+    for n in range(run.n_max + 1):
+        stats = run.active.get("3.1") if n else None
+        bij = run.active.get("3.bij")
+        if not (stats or bij):
+            continue
+        count = pairs = 0
+        try:
             for sigma, cuts in t_permutation_cuts(n, bound=n):
-                st = permstats.statistics(sigma)
-                shifted = tuple(y + 1 for y in sigma)
-                words: dict = {}
-                for w in cuts:
-                    for i, stats in _31_expected(w, st):
-                        word, first, second = tcomb._insert_one(i, shifted, w.parts)
-                        seen = words.get(word)
-                        if seen is None:
-                            seen = _image_word(word, words, True)
-                        for name, parts, exp_min in (("delta*", first, i), ("*delta", second, i - 1)):
-                            if not (
-                                seen and sum(parts) == len(word) and tcomb._is_valid_cut(parts, seen[0])
-                            ):
-                                TPermutation._flat(word, parts)  # raises the constructor's error
-                            if seen[1] != stats or tcomb._one_at(word, parts)[0] != exp_min:
-                                # report indices name components, built only on failure
-                                idx = ("sweep", n, w.components, i, name)
-                                actual = seen[1] + (tcomb._one_at(word, parts)[0],)
-                                for stat, exp, act in zip(
-                                    ("iligne", "ides", "imaj", "inv", "min"), stats + (exp_min,), actual
-                                ):
-                                    col.eq(idx + (stat,), exp, act)
-    return col.report
-
-
-def check_3_bijections(n_max: int) -> VerificationReport:
-    """delta* and *delta split T(n+1) into first- and second-kind images.
-
-    The maps are checked on every pair (w, i) of T(n) x 1..mu(w), and no
-    image is kept.  Each round trip gives back (i, w), so both maps are
-    injective on pairs, which the walk lists once each; the kind checks keep
-    the two image sets apart; the cut test puts every image in T(n+1).  So
-    the images are 2 * pairs distinct t-permutations of order n + 1, and
-    they are all of T(n+1) exactly when |T(n+1)|, counted by enumeration,
-    equals 2 * pairs.  Each order is counted by its own domain walk; order
-    n_max + 1 is counted from the valid cuts of each permutation, without
-    building its t-permutations.
-
-    The pairs are checked flat, by the insertion and removal steps of
-    ``tcomb``, with each image word validated once, as in 3.1.  The first
-    failing test names the failure: the validating constructor raises on a
-    failing cut test, the removal step's refusal is reported as an image of
-    the wrong kind, and a round trip that misses is reported with the pair
-    it gave back.
-    """
-    with _Collector("3.bij", {"n_max": n_max}) as col:
-        previous = 0  # the pairs of order n - 1
-        for n in range(n_max + 1):
-            count = pairs = 0
-            for sigma, cuts in t_permutation_cuts(n, bound=n):
+                if not (stats or bij):
+                    break
+                if stats:
+                    try:
+                        st = permstats.statistics(sigma)
+                    except Exception as exc:
+                        stats = run.leave("3.1", exc)
                 shifted = tuple(y + 1 for y in sigma)
                 words: dict = {}
                 count += len(cuts)
                 for w in cuts:
+                    if stats:
+                        try:
+                            expected = _31_expected(w, st)
+                        except Exception as exc:
+                            stats = run.leave("3.1", exc)
+                    back = (w.word, w.parts)
                     for i in range(1, w.mu + 1):
                         word, first, second = tcomb._insert_one(i, shifted, w.parts)
                         seen = words.get(word)
                         if seen is None:
-                            seen = _image_word(word, words, False)
-                        back = (i, w.word, w.parts)
-                        for name, first_kind, parts in (("delta*", True, first), ("*delta", False, second)):
+                            # () when not a permutation, else its descent word
+                            # and, for 3.1, its (iligne, ides, imaj, inv)
+                            is_perm = sorted(word) == list(range(1, len(word) + 1))
+                            seen = words[word] = (permstats.descent_word(word),) if is_perm else ()
+                            if stats and seen:
+                                try:
+                                    ilg = permstats.iligne(word)
+                                    seen = words[word] = seen + ((ilg, len(ilg), sum(ilg), permstats.inv(word)),)
+                                except Exception as exc:
+                                    stats = run.leave("3.1", exc)
+                        for name, parts, exp_min, first_kind in (
+                            ("delta*", first, i, True),
+                            ("*delta", second, i - 1, False),
+                        ):
                             if not (
                                 seen and sum(parts) == len(word) and tcomb._is_valid_cut(parts, seen[0])
                             ):
                                 TPermutation._flat(word, parts)  # raises the constructor's error
-                            try:
-                                removed = tcomb._remove_one(word, parts, first_kind)
-                            except ValueError:
-                                # the removal step refuses an image of the other kind
-                                image = TPermutation._flat(word, parts, check=False)
-                                if image.is_first_kind() == first_kind:
-                                    raise
-                                kind = "first-kind" if first_kind else "second-kind"
-                                col.require((n, kind, image.components), False)
-                            if removed != back:
-                                actual = (removed[0], TPermutation._flat(*removed[1:]).components)
-                                col.eq((n, name + "-roundtrip", i), (i, w.components), actual)
+                            if stats:
+                                try:
+                                    exp = expected[i - 1]
+                                    if seen[1] != exp or tcomb._one_at(word, parts)[0] != exp_min:
+                                        # report indices name components, built only on failure
+                                        idx = ("sweep", n, w.components, i, name)
+                                        actual = seen[1] + (tcomb._one_at(word, parts)[0],)
+                                        for stat, e, a in zip(
+                                            ("iligne", "ides", "imaj", "inv", "min"), exp + (exp_min,), actual
+                                        ):
+                                            stats.eq(idx + (stat,), e, a)
+                                except Exception as exc:
+                                    stats = run.leave("3.1", exc)
+                            if bij:
+                                try:
+                                    try:
+                                        removed = tcomb._remove_one(word, parts, first_kind)
+                                    except ValueError:
+                                        # the removal step refuses an image of the other kind
+                                        image = TPermutation._flat(word, parts, check=False)
+                                        if image.is_first_kind() == first_kind:
+                                            raise
+                                        kind = "first-kind" if first_kind else "second-kind"
+                                        bij.require((n, kind, image.components), False)
+                                    if removed != (i,) + back:
+                                        actual = (removed[0], TPermutation._flat(*removed[1:]).components)
+                                        bij.eq((n, name + "-roundtrip", i), (i, w.components), actual)
+                                except Exception as exc:
+                                    bij = run.leave("3.bij", exc)
                     pairs += w.mu
+        except Exception as exc:  # the walk and the images, which both checks read
+            run.leave("3.bij", exc)
             if n:
-                col.eq((n, "partition"), count, 2 * previous)
-            previous = pairs
-        n = n_max + 1
+                run.leave("3.1", exc)
+        if n:
+            run.guard("3.bij", lambda col: col.eq((n, "partition"), count, 2 * previous))
+        previous = pairs
+
+    def last_order(col: _Collector) -> None:
+        n = run.n_max + 1
         count = sum(len(tcomb._valid_cuts(n, desc)) for _, desc, _, _, _ in permstats.walk(n))
         col.eq((n, "partition"), count, 2 * previous)
-    return col.report
+
+    run.guard("3.bij", last_order)
 
 
-# sigma's statistics, read off its walk row (sigma, descent word, imaj)
-_ROW_STATS = {
-    "maj": lambda sigma, desc, imaj: sum(itertools.compress(range(1, len(sigma)), desc)),
-    "ligne": lambda sigma, desc, imaj: frozenset(itertools.compress(range(1, len(sigma)), desc)),
-    "imaj": lambda sigma, desc, imaj: imaj,
-    "iligne": lambda sigma, desc, imaj: permstats.iligne(sigma),
+_PHI_EXAMPLE = ((7, 4, 9, 2, 6, 1, 5, 8, 3), (4, 7, 2, 6, 1, 9, 5, 8, 3))
+_PSI_EXAMPLE = ((6, 4, 9, 2, 7, 5, 1, 8, 3), (5, 3, 9, 1, 7, 4, 2, 8, 6))
+_PSI_ON_T_EXAMPLE = (((), (6,), (4,), (9, 2, 7), (5, 1, 8, 3)), ((), (5,), (3,), (9, 1, 7), (4, 2, 8, 6)))
+
+
+def _sweep_words(run: _Sweep) -> None:
+    """8.phi, 8.1 and 8.2 over one walk of S_n per n.
+
+    8.phi: Foata's phi carries maj to inv and keeps iligne.  8.1: its
+    conjugate psi keeps the descent word and carries imaj to inv.  Both
+    read sigma's maj, descent word and imaj off its walk row and compute
+    only the compared statistics of the image; 8.1 and 8.2 share psi(sigma),
+    its descent word and its inv.  Each map is a bijection of S_n exactly
+    when it takes n! distinct words.
+
+    8.2: psi, cut at the same lengths, is a lambda-preserving bijection of
+    T(n) carrying imaj to inv.  Each image is cut at the lengths of its
+    source, so it keeps lambda.  Every cut of sigma is valid on sigma's
+    descent word, so an image that is a permutation with that descent word
+    lies in T(n) under all of them; only an image that is not is put
+    through the validating constructor, cut by cut.  Cuts of one
+    permutation at distinct lengths differ, and so do cuts of permutations
+    with distinct psi images; so the map is injective, hence onto the
+    finite T(n), exactly when psi takes as many distinct words as
+    permutations were walked.
+    """
+    run.guard("8.phi", lambda col: col.eq(("example",), _PHI_EXAMPLE[1], permstats.foata_phi(_PHI_EXAMPLE[0])))
+    run.guard("8.1", lambda col: col.eq(("example",), _PSI_EXAMPLE[1], permstats.psi(_PSI_EXAMPLE[0])))
+    run.guard(
+        "8.2",
+        lambda col: col.eq(
+            ("example",), _PSI_ON_T_EXAMPLE[1], psi_on_t(TPermutation(_PSI_ON_T_EXAMPLE[0])).components
+        ),
+    )
+    for n in range(run.n_max + 1):
+        phi, psi, on_t = map(run.active.get, ("8.phi", "8.1", "8.2"))
+        if not (phi or psi or on_t):
+            return
+        positions = range(1, n)
+        letters = list(range(1, n + 1))
+        phi_images, psi_images, count = set(), set(), 0
+        for sigma, desc, _, _, imaj in permstats.walk(n):
+            count += 1
+            if phi:
+                try:
+                    image = permstats.foata_phi(sigma)
+                    phi_images.add(image)
+                    maj, image_inv = sum(itertools.compress(positions, desc)), permstats.inv(image)
+                    if maj != image_inv:
+                        phi.eq((n, sigma, "maj=inv"), maj, image_inv)
+                    ilg, image_ilg = permstats.iligne(sigma), permstats.iligne(image)
+                    if ilg != image_ilg:
+                        phi.eq((n, sigma, "iligne"), ilg, image_ilg)
+                except Exception as exc:
+                    phi = run.leave("8.phi", exc)
+            if not (psi or on_t):
+                continue
+            try:
+                image = permstats.psi(sigma)
+                psi_images.add(image)
+                image_desc = permstats.descent_word(image)
+                if psi and image_desc != desc:
+                    try:
+                        lg, image_lg = frozenset(itertools.compress(positions, desc)), permstats.ligne(image)
+                        if lg != image_lg:
+                            psi.eq((n, sigma, "ligne"), lg, image_lg)
+                    except Exception as exc:
+                        psi = run.leave("8.1", exc)
+                image_inv = permstats.inv(image)
+            except Exception as exc:  # psi(sigma), its descent word or its inv
+                psi = run.leave("8.1", exc)
+                on_t = run.leave("8.2", exc)
+                continue
+            if psi and imaj != image_inv:
+                try:
+                    psi.eq((n, sigma, "inv=imaj"), imaj, image_inv)
+                except _Stop as exc:
+                    psi = run.leave("8.1", exc)
+            if on_t:
+                try:
+                    if not (imaj == image_inv and sorted(image) == letters and image_desc == desc):
+                        for parts in tcomb._valid_cuts(n, desc):
+                            # the validating constructor: a psi that breaks
+                            # the descent word fails here
+                            cut_by_lambda(image, parts)
+                            if imaj != image_inv:
+                                # report indices name components, built only on failure
+                                comps = cut_by_lambda(sigma, parts).components
+                                on_t.eq((n, comps, "inv=imaj"), imaj, image_inv)
+                except Exception as exc:
+                    on_t = run.leave("8.2", exc)
+        run.guard("8.phi", lambda col: col.eq((n, "bijective"), math.factorial(n), len(phi_images)))
+        run.guard("8.1", lambda col: col.eq((n, "bijective"), math.factorial(n), len(psi_images)))
+        run.guard("8.2", lambda col: col.eq((n, "bijective"), count, len(psi_images)))
+
+
+_SWEEP_BODIES: Dict[str, Callable] = {
+    "3.1": _sweep_t_pairs,
+    "3.bij": _sweep_t_pairs,
+    "8.phi": _sweep_words,
+    "8.1": _sweep_words,
+    "8.2": _sweep_words,
 }
 
+# .sweeps: the _Sweep of each check id in the lane that this thread runs
+# (_run_lane).  The check functions keep their one-argument form, which
+# callers and tests call and replace by name, so they look their sweep up here
+_current_lane = threading.local()
 
-def _check_word_bijection(check_id, n_max, example, bijection, pairs) -> VerificationReport:
-    """A bijection of S_n carrying each (tag, stat, image stat) of ``pairs``.
 
-    sigma's statistic comes from ``_ROW_STATS``; the image's is the
-    ``permstats`` definition of that name, so only the compared statistics
-    are computed, and none of the image's is taken from the walk.
-    """
-    source, expected = example
-    with _Collector(check_id, {"n_max": n_max}) as col:
-        col.eq(("example",), expected, bijection(source))
-        compared = [
-            (tag, _ROW_STATS[stat], getattr(permstats, image_stat)) for tag, stat, image_stat in pairs
-        ]
-        for n in range(n_max + 1):
-            images = set()
-            for sigma, desc, _, _, imaj in permstats.walk(n):
-                image = bijection(sigma)
-                images.add(image)
-                for tag, stat, image_stat in compared:
-                    value, image_value = stat(sigma, desc, imaj), image_stat(image)
-                    if value != image_value:
-                        col.eq((n, sigma, tag), value, image_value)
-            col.eq((n, "bijective"), math.factorial(n), len(images))
-    return col.report
+def _swept(check_id: str, n_max: int) -> VerificationReport:
+    """``check_id``'s report from its lane's sweep, when that sweep is at
+    ``n_max``; else from a sweep of ``check_id`` alone."""
+    sweep = getattr(_current_lane, "sweeps", {}).get(check_id)
+    if sweep is None or sweep.n_max != n_max:
+        sweep = _Sweep(_SWEEP_BODIES[check_id], n_max, (check_id,))
+    return sweep.report(check_id)
+
+
+def check_3_1(n_max: int) -> VerificationReport:
+    """The statistics of every delta* and *delta image of T(n), n <= n_max."""
+    return _swept("3.1", n_max)
+
+
+def check_3_bijections(n_max: int) -> VerificationReport:
+    """delta* and *delta split T(n+1) into first- and second-kind images."""
+    return _swept("3.bij", n_max)
 
 
 def check_phi(n_max: int) -> VerificationReport:
-    return _check_word_bijection(
-        "8.phi",
-        n_max,
-        ((7, 4, 9, 2, 6, 1, 5, 8, 3), (4, 7, 2, 6, 1, 9, 5, 8, 3)),
-        permstats.foata_phi,
-        (("maj=inv", "maj", "inv"), ("iligne", "iligne", "iligne")),
-    )
+    return _swept("8.phi", n_max)
 
 
 def check_psi(n_max: int) -> VerificationReport:
-    return _check_word_bijection(
-        "8.1",
-        n_max,
-        ((6, 4, 9, 2, 7, 5, 1, 8, 3), (5, 3, 9, 1, 7, 4, 2, 8, 6)),
-        permstats.psi,
-        (("ligne", "ligne", "ligne"), ("inv=imaj", "imaj", "inv")),
-    )
+    return _swept("8.1", n_max)
 
 
 def check_psi_on_t(n_max: int) -> VerificationReport:
-    """psi, cut at the same lengths, is a lambda-preserving bijection of T(n)
-    carrying imaj to inv.
-
-    Each image is cut at the lengths of its source, so it keeps lambda.
-    Every cut of sigma is valid on sigma's descent word, so an image that
-    is a permutation with that descent word lies in T(n) under all of them;
-    only an image that is not is put through the validating constructor,
-    cut by cut.  Cuts of one permutation at distinct lengths differ, and so
-    do cuts of permutations with distinct psi images; so the map is
-    injective, hence onto the finite T(n), exactly when psi takes as many
-    distinct words as permutations were walked.
-    """
-    w = TPermutation(((), (6,), (4,), (9, 2, 7), (5, 1, 8, 3)))
-    with _Collector("8.2", {"n_max": n_max}) as col:
-        col.eq(
-            ("example",),
-            ((), (5,), (3,), (9, 1, 7), (4, 2, 8, 6)),
-            psi_on_t(w).components,
-        )
-        for n in range(n_max + 1):
-            letters = list(range(1, n + 1))
-            image_words = set()
-            count = 0
-            for sigma, desc, _, _, imaj in permstats.walk(n):
-                image_word = permstats.psi(sigma)
-                image_words.add(image_word)
-                count += 1
-                image_inv = permstats.inv(image_word)
-                if (
-                    imaj == image_inv
-                    and sorted(image_word) == letters
-                    and permstats.descent_word(image_word) == desc
-                ):
-                    continue
-                for parts in tcomb._valid_cuts(n, desc):
-                    # the validating constructor: a psi that breaks the
-                    # descent word fails here
-                    cut_by_lambda(image_word, parts)
-                    if imaj != image_inv:
-                        # report indices name components, built only on failure
-                        comps = cut_by_lambda(sigma, parts).components
-                        col.eq((n, comps, "inv=imaj"), imaj, image_inv)
-            col.eq((n, "bijective"), count, len(image_words))
-    return col.report
+    return _swept("8.2", n_max)
 
 
 # -- q-tangent/secant layer ---------------------------------------------------
@@ -859,10 +967,9 @@ def _stat_poly(values: Iterable[int]) -> QPoly:
 @lru_cache(maxsize=None)
 def _alternating_polys(n: int, rising: bool) -> Tuple[QPoly, QPoly]:
     """The inv and the imaj generating polynomials of the rising (or
-    falling) alternating permutations of 1..n, tallied in one walk, which
-    7.1 and 7.imaj share."""
-    rows = [(inv, imaj) for _, _, inv, _, imaj in permstats.walk(n, rising)]
-    return tuple(map(_stat_poly, zip(*rows)))
+    falling) alternating permutations of 1..n, from one tally
+    (``permstats.alternating_tally``), which 7.1 and 7.imaj share."""
+    return tuple(map(QPoly, permstats.alternating_tally(n, rising)))
 
 
 def check_alternating(check_id: str, n_max: int) -> VerificationReport:
@@ -1221,11 +1328,14 @@ CHECKS: Tuple[CheckSpec, ...] = (
 
 _BY_ID: Dict[str, CheckSpec] = {spec.id: spec for spec in CHECKS}
 
-# the checks run_checks sends to a forked child: the sweeps over T(n) and
-# S_n; the one cache they share with the other checks, tcomb._valid_cuts
-# (the oracle reads it, a passing 8.2 does not), is filled in each process.
-# Each of these checks costs more than the gap between the two lanes, so
-# moving one to the calling lane would not shorten the longer lane
+# the checks run_checks sends to a forked child: the two fused sweeps, over
+# T(n) and S_n; the one cache they share with the other checks,
+# tcomb._valid_cuts (the oracle reads it, a passing 8.2 does not), is filled
+# in each process.  Serial in-process passes over each lane's checks at the
+# default bounds, least of six fresh processes (2-core Xeon, Python 3.11.7):
+# this lane 0.36 s and the calling lane 0.35 s.  Either sweep costs more
+# than that gap, and a check moved out of its sweep's lane would do the
+# sweep's shared work again, so no move shortens the longer lane
 _FORKED: Tuple[str, ...] = ("3.1", "3.bij", "8.phi", "8.1", "8.2")
 
 
@@ -1245,6 +1355,13 @@ def specs_for(ids) -> Tuple[CheckSpec, ...]:
             raise KeyError(check_id)
         out.append(_BY_ID[check_id])
     return tuple(out)
+
+
+# the largest n at which 7.1 and 7.imaj run: their tally's states grow as
+# n * 2^(n-1), and `verify 7.1 7.imaj --n N` peaked at 45.7 MB RSS for
+# N = 15 and 80.8 MB for N = 16 (2-core Xeon, Python 3.11.7), so a larger
+# n would use up memory rather than run long
+_ALTERNATING_N_MAX = 15
 
 
 def adjusted_bounds(
@@ -1269,6 +1386,11 @@ def adjusted_bounds(
         raise InvalidBoundsError(
             "check %s needs order >= n, got n=%d, order=%d"
             % (spec.id, bounds.series_n, bounds.series_order)
+        )
+    if spec.id in ("7.1", "7.imaj") and getattr(bounds, spec.n_field) > _ALTERNATING_N_MAX:
+        raise InvalidBoundsError(
+            "check %s needs n <= %d (the largest n whose alternating tally stays under 48 MB), got n=%d"
+            % (spec.id, _ALTERNATING_N_MAX, getattr(bounds, spec.n_field))
         )
     if spec.id == "10.2":
         # a missing or empty fixture is left for check_carlitz to report
@@ -1296,6 +1418,23 @@ def _run_guarded(spec: CheckSpec, bounds: Bounds, fixtures) -> List[Verification
         return spec.run(bounds, fixtures)
     except Exception as exc:  # noqa: BLE001 - deliberate catch-all boundary
         return [_failure(spec, bounds, repr(exc))]
+
+
+def _run_lane(tasks, fixtures) -> List[List[VerificationReport]]:
+    """Each task's reports, in task order.  The tasks whose checks share a
+    sweep body (``_SWEEP_BODIES``) at one n share one ``_Sweep``, which
+    ends with the lane, so no report or image outlives one run."""
+    groups: Dict[tuple, list] = {}
+    for spec, bnd in tasks:
+        if spec.id in _SWEEP_BODIES:
+            groups.setdefault((_SWEEP_BODIES[spec.id], getattr(bnd, spec.n_field)), []).append(spec.id)
+    _current_lane.sweeps = {}
+    for (body, n_max), ids in groups.items():
+        _current_lane.sweeps.update(dict.fromkeys(ids, _Sweep(body, n_max, ids)))
+    try:
+        return [_run_guarded(spec, bnd, fixtures) for spec, bnd in tasks]
+    finally:
+        _current_lane.sweeps = {}
 
 
 def _lanes() -> int:
@@ -1330,7 +1469,7 @@ def _run_two_lanes(tasks, fixtures) -> Optional[List[List[VerificationReport]]]:
         status = 1
         try:
             os.close(read_fd)
-            reports = [_run_guarded(spec, bnd, fixtures) for spec, bnd in forked]
+            reports = _run_lane(forked, fixtures)
             with open(write_fd, "wb") as pipe:
                 pipe.write(pickle.dumps(reports))
             status = 0
@@ -1339,7 +1478,7 @@ def _run_two_lanes(tasks, fixtures) -> Optional[List[List[VerificationReport]]]:
     os.close(write_fd)
     try:
         with open(read_fd, "rb") as pipe:
-            here = [_run_guarded(spec, bnd, fixtures) for spec, bnd in tasks if spec.id not in _FORKED]
+            here = _run_lane([(spec, bnd) for spec, bnd in tasks if spec.id not in _FORKED], fixtures)
             data = pipe.read()
         code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
         pid = 0  # reaped
@@ -1378,17 +1517,11 @@ def run_checks(
     bounds = bounds or Bounds()
     tasks = [(spec, adjusted_bounds(bounds, spec, n, order, fixtures)) for spec in specs]
     forked = sum(spec.id in _FORKED for spec, _ in tasks)
-    threading = sys.modules.get("threading")
     results = None
-    if (
-        0 < forked < len(tasks)
-        and _lanes() >= 2
-        and hasattr(os, "fork")
-        and (threading is None or threading.active_count() == 1)
-    ):
+    if 0 < forked < len(tasks) and _lanes() >= 2 and hasattr(os, "fork") and threading.active_count() == 1:
         results = _run_two_lanes(tasks, fixtures)
     if results is None:
-        results = [_run_guarded(spec, bnd, fixtures) for spec, bnd in tasks]
+        results = _run_lane(tasks, fixtures)
     return [report for result in results for report in result]
 
 

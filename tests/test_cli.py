@@ -148,6 +148,15 @@ class TestVerifyCommand:
         assert code == 2 and out == ""
         assert "10.2" in err and "Carlitz fixture" in err
 
+    @pytest.mark.parametrize("check_id", ["7.1", "7.imaj"])
+    def test_alternating_n_above_the_tally_limit_exit_2(self, capsys, check_id):
+        code, out, err = run_cli(capsys, "verify", check_id, "--n", "100000")
+        assert code == 2 and out == ""
+        assert err == (
+            "error: check %s needs n <= 15 (the largest n whose alternating tally stays "
+            "under 48 MB), got n=100000\n" % check_id
+        )
+
     def test_refine_bound_is_not_clamped(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "10.7", "--n", "7")
         assert code == 0

@@ -1,5 +1,6 @@
 import math
 import sys
+from collections import Counter
 from itertools import permutations
 
 import pytest
@@ -233,3 +234,25 @@ class TestWalk:
         for rising in (True, False):
             pattern = zigzag(n, rising)
             assert list(walk(n, rising)) == [row for row in reference if row[1] == pattern]
+
+
+class TestAlternatingTally:
+    """The tally against the walk: the same inv and imaj generating
+    polynomials, without listing the permutations."""
+
+    @pytest.mark.parametrize("rising", [True, False])
+    @pytest.mark.parametrize("n", range(10))
+    def test_equals_the_walk(self, n, rising):
+        counts = [Counter(), Counter()]
+        for _, _, inversions, _, imaj in walk(n, rising):
+            counts[0][inversions] += 1
+            counts[1][imaj] += 1
+        expected = tuple([c[e] for e in range(max(c) + 1)] for c in counts)
+        assert tuple(permstats.alternating_tally(n, rising)) == expected
+
+    def test_small_orders(self):
+        assert permstats.alternating_tally(0, True) == ([1], [1])
+        assert permstats.alternating_tally(1, False) == ([1], [1])
+        # 12 rising: inv 0, imaj 0; 21 falling: inv 1, imaj 1
+        assert permstats.alternating_tally(2, True) == ([1], [1])
+        assert permstats.alternating_tally(2, False) == ([0, 1], [0, 1])

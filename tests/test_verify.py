@@ -2,11 +2,13 @@ import copy
 import hashlib
 import itertools
 import json
+import math
 import os
 import pickle
 import subprocess
 import sys
 import time
+from collections import Counter
 
 import pytest
 
@@ -283,22 +285,22 @@ class TestIndividualChecks:
         assert report.status == "fail"
         assert report.first_discrepancy.index == (4, 3)
 
-    def test_7_1_and_7_imaj_share_one_walk(self, monkeypatch):
-        # one walk per (n, rising) tallies inv and imaj for both checks
-        real_walk, walked = permstats.walk, []
+    def test_7_1_and_7_imaj_share_one_tally(self, monkeypatch):
+        # one tally per (n, rising) gives inv and imaj for both checks
+        real_tally, tallied = permstats.alternating_tally, []
 
-        def recording_walk(n, rising=None):
-            walked.append((n, rising))
-            return real_walk(n, rising)
+        def recording_tally(n, rising):
+            tallied.append((n, rising))
+            return real_tally(n, rising)
 
-        monkeypatch.setattr(permstats, "walk", recording_walk)
+        monkeypatch.setattr(permstats, "alternating_tally", recording_tally)
         verify._alternating_polys.cache_clear()
         try:
             assert verify.check_alternating("7.1", 6).passed
             assert verify.check_alternating("7.imaj", 5).passed
         finally:
             verify._alternating_polys.cache_clear()
-        assert walked == [(n, rising) for n in range(7) for rising in (True, False)]
+        assert tallied == [(n, rising) for n in range(7) for rising in (True, False)]
 
     def test_3_bij_walks_each_order_once(self, monkeypatch):
         # |T(n)| is counted during the domain walk of order n; order
@@ -919,3 +921,185 @@ class TestForkedChildFaults:
         assert proc.returncode == 1
         assert b"Traceback" not in proc.stderr
         assert proc.stderr.decode().splitlines() == ["forked 1, left []"]
+
+
+# -- the fused sweeps ------------------------------------------------------
+#
+# 3.1 and 3.bij share one pass over the pairs (w, i), and 8.phi, 8.1 and 8.2
+# one walk of S_n.  Each fault below breaks only one check's comparison; its
+# report was recorded when each check swept on its own.  The 8.x faults fire
+# on order 5 and the 3.x faults on images of order 5, so the bounds keep
+# the other sweep below that order.
+
+_FUSED_IDS = ["1.1", "3.1", "3.bij", "8.phi", "8.1", "8.2"]
+_AT_8 = Bounds(sweep_n=3, perm_sweep_n=5)
+_AT_3 = Bounds(sweep_n=4, perm_sweep_n=4)
+
+
+def _psi_by_the_real_phi(sigma):
+    return permstats.inverse(_real_foata_phi(permstats.inverse(sigma)))
+
+
+# two permutations with one imaj and one set of valid cuts but not one
+# descent word: swapping their psi images breaks ligne, which 8.1 compares,
+# and nothing that 8.2 compares on T(5)
+_PSI_SWAP = {(1, 2, 4, 5, 3): (3, 4, 5, 2, 1), (3, 4, 5, 2, 1): (1, 2, 4, 5, 3)}
+
+
+def _psi_swapped(sigma):
+    return _real_psi(_PSI_SWAP.get(tuple(sigma), sigma))
+
+
+def _psi_letters_raised(sigma):
+    # keeps the descent word, inv and distinct images; not a permutation
+    image = _real_psi(sigma)
+    return tuple(y + 10 for y in image) if _fires(sigma, 5) else image
+
+
+FUSED_FAULTS = {
+    # phi breaks maj = inv; psi is built on the real phi
+    "8.phi": ([(permstats, "foata_phi", _foata_phi_swapped), (permstats, "psi", _psi_by_the_real_phi)], _AT_8,
+              '{"first_discrepancy": {"actual": "2", "expected": "1", "index": [5, [3, 1, 2, 4, 5], "maj=inv"]}, '
+              '"id": "8.phi", "params": {"n_max": 5}, "status": "fail"}'),
+    "8.1": ([(permstats, "psi", _psi_swapped)], _AT_8,
+            '{"first_discrepancy": {"actual": "frozenset({3, 4})", "expected": "frozenset({4})", "index": '
+            '[5, [1, 2, 4, 5, 3], "ligne"]}, "id": "8.1", "params": {"n_max": 5}, "status": "fail"}'),
+    "8.2": ([(permstats, "psi", _psi_letters_raised)], _AT_8,
+            '{"first_discrepancy": {"actual": "ValueError(\'concatenation is not a permutation: ((), (13, 11, 12), '
+            '(14,), (15,), ())\')", "expected": "no exception", "index": ["exception"]}, "id": "8.2", '
+            '"params": {"perm_sweep_n": 5}, "status": "fail"}'),
+    "3.1": ([(permstats, "inv", _inv_off)], _AT_3, _FLAT_STEP_FAULTS["image-inv-off"][1][0]),
+    "3.bij": ([(tcomb, "_remove_one", _remove_first_off)], _AT_3, _FLAT_STEP_FAULTS["removal-first-kind-off"][1][1]),
+}
+
+
+def _psi_raises(sigma):
+    if _fires(sigma, 5):
+        raise ArithmeticError("psi failed")
+    return _real_psi(sigma)
+
+
+def _foata_phi_swapped_at_4(word):
+    image = _real_foata_phi(word)
+    return image[1::-1] + image[2:] if _fires(word, 4) else image
+
+
+def _psi_swapped_and_raised(sigma):
+    # the 8.1 and the 8.2 fault at once, built on the real phi
+    image = _psi_by_the_real_phi(_PSI_SWAP.get(tuple(sigma), sigma))
+    return tuple(y + 10 for y in image) if _fires(sigma, 5) else image
+
+
+_real_walk = permstats.walk
+
+
+def _walk_repeats(n, rising=None):
+    # one permutation of order 5 twice: n! distinct images of n! + 1 walked
+    for row in _real_walk(n, rising):
+        yield row
+        if n == 5 and row[0] == (3, 1, 2, 4, 5):
+            yield row
+
+
+# several checks' faults at once, with each check's report recorded when it
+# swept alone: 8.phi stops at order 4, before 8.1 and 8.2 stop at order 5,
+# and 3.1 and 3.bij stop at the same image, 3.1 first
+_SEVERAL_FAULTS = {
+    "8.x": ([(permstats, "foata_phi", _foata_phi_swapped_at_4), (permstats, "psi", _psi_swapped_and_raised)], _AT_8, {
+        "8.phi": '{"first_discrepancy": {"actual": "2", "expected": "1", "index": [4, [3, 1, 2, 4], "maj=inv"]}, '
+                 '"id": "8.phi", "params": {"n_max": 5}, "status": "fail"}',
+        "8.1": FUSED_FAULTS["8.1"][2],
+        "8.2": FUSED_FAULTS["8.2"][2],
+    }),
+    "3.x": (FUSED_FAULTS["3.1"][0] + FUSED_FAULTS["3.bij"][0], _AT_3, {
+        "3.1": FUSED_FAULTS["3.1"][2],
+        "3.bij": FUSED_FAULTS["3.bij"][2],
+    }),
+    # a shared value that raises fails each check that reads it
+    "psi-raises": ([(permstats, "psi", _psi_raises)], _AT_8, {
+        check: '{"first_discrepancy": {"actual": "ArithmeticError(\'psi failed\')", "expected": "no exception", '
+               '"index": ["exception"]}, "id": "%s", "params": {"perm_sweep_n": 5}, "status": "fail"}' % check
+        for check in ("8.1", "8.2")
+    }),
+    # 8.2 counts the permutations walked; 8.phi and 8.1 compare with n!
+    "walk-repeats": ([(permstats, "walk", _walk_repeats)], _AT_8, {
+        "8.2": '{"first_discrepancy": {"actual": "120", "expected": "121", "index": [5, "bijective"]}, '
+               '"id": "8.2", "params": {"n_max": 5}, "status": "fail"}',
+    }),
+}
+
+
+def _failing(reports):
+    return {r.id: r.to_json_line() for r in reports if not r.passed}
+
+
+class TestFusedSweeps:
+    """Each check of a fused sweep keeps its own collector and stops at its
+    own first discrepancy, so a fault in one check's comparison fails that
+    check alone, with the report it gave when it swept alone; no report
+    outlives one run."""
+
+    @pytest.mark.parametrize("check", sorted(FUSED_FAULTS))
+    @pytest.mark.parametrize("lanes", [1, 2])
+    def test_a_fault_fails_only_its_check(self, monkeypatch, check, lanes):
+        patches, bounds, expected = FUSED_FAULTS[check]
+        _use_lanes(monkeypatch, lanes)
+        for module, name, fake in patches:
+            monkeypatch.setattr(module, name, fake)
+        assert _failing(verify.run_checks(verify.specs_for(_FUSED_IDS), bounds)) == {check: expected}
+
+    @pytest.mark.parametrize("check", sorted(FUSED_FAULTS))
+    def test_a_fault_patched_between_two_runs_is_seen(self, monkeypatch, check):
+        patches, bounds, expected = FUSED_FAULTS[check]
+        _use_lanes(monkeypatch, 1)
+        specs = verify.specs_for(_FUSED_IDS)
+        assert _failing(verify.run_checks(specs, bounds)) == {}
+        for module, name, fake in patches:
+            monkeypatch.setattr(module, name, fake)
+        assert _failing(verify.run_checks(specs, bounds)) == {check: expected}
+
+    @pytest.mark.parametrize("check", sorted(FUSED_FAULTS))
+    def test_each_check_run_alone_gives_the_same_report(self, monkeypatch, check):
+        patches, bounds, expected = FUSED_FAULTS[check]
+        for module, name, fake in patches:
+            monkeypatch.setattr(module, name, fake)
+        for other in _FUSED_IDS[1:]:
+            (report,) = verify.run_checks(verify.specs_for([other]), bounds)
+            assert report.to_json_line() == expected if other == check else report.passed
+
+    @pytest.mark.parametrize("faults", sorted(_SEVERAL_FAULTS))
+    @pytest.mark.parametrize("lanes", [1, 2])
+    def test_each_check_reports_its_own_first_failure(self, monkeypatch, faults, lanes):
+        patches, bounds, expected = _SEVERAL_FAULTS[faults]
+        _use_lanes(monkeypatch, lanes)
+        for module, name, fake in patches:
+            monkeypatch.setattr(module, name, fake)
+        assert _failing(verify.run_checks(verify.specs_for(_FUSED_IDS), bounds)) == expected
+
+    def test_the_shared_work_is_done_once(self, monkeypatch):
+        # psi once per permutation walked and once per worked example, and
+        # one insertion per pair (w, i), whether one check reads them or all
+        real_psi, real_insert = permstats.psi, tcomb._insert_one
+        calls = []
+
+        def recording(name, real):
+            def record(*args):
+                calls.append(name)
+                return real(*args)
+
+            return record
+
+        monkeypatch.setattr(permstats, "psi", recording("psi", real_psi))
+        monkeypatch.setattr(tcomb, "_insert_one", recording("insert", real_insert))
+        _use_lanes(monkeypatch, 1)
+        bounds = Bounds(sweep_n=4, perm_sweep_n=5)
+        counts = {}
+        for ids in (["8.1"], ["8.phi", "8.1", "8.2"], ["3.bij"], ["3.1", "3.bij"]):
+            calls.clear()
+            assert all(r.passed for r in verify.run_checks(verify.specs_for(ids), bounds))
+            counts[tuple(ids)] = Counter(calls)
+        walked = sum(math.factorial(n) for n in range(6))
+        assert counts[("8.1",)] == {"psi": walked + 1}
+        assert counts[("8.phi", "8.1", "8.2")] == {"psi": walked + 2}
+        # the worked examples of 3.1 insert through delta_star and star_delta
+        assert counts[("3.1", "3.bij")] == {"insert": counts[("3.bij",)]["insert"] + 8}
