@@ -7,14 +7,15 @@ and re-runnable in any order; ``run_suite`` executes the full registry
 deterministically.
 
 ``run_checks`` runs in two lanes when it can: a forked child runs the
-checks in ``_FORKED`` (the sweeps 3.1, 3.bij, 8.phi, 8.1 and 8.2) while
-the calling process runs the rest, and the reports keep the serial
-order.  Otherwise
-every check runs in the calling process; that serial path is the
-reference.  A child that dies fails each of its checks, and is never a
-hang or a traceback.  Within a lane, 3.1 and 3.bij share one pass over
-T(n), and 8.phi, 8.1 and 8.2 one walk of S_n (``_Sweep``), each check
-with its own report.
+checks that share a pass (``_SWEEP_BODIES``: 3.1, 3.bij, 8.phi, 8.1 and
+8.2) while the calling process runs the rest, and the reports keep the
+serial order.  Otherwise every check runs in the calling process; that
+serial path is the reference.  A child that dies fails each of its
+checks, and is never a hang or a traceback.  Within a lane, 3.1 and 3.bij
+share one pass over T(n), and 8.phi, 8.1 and 8.2 one walk of S_n
+(``_Sweep``), each check with its own report, which it leaves from one
+scope per step.  The checks whose memory grows with n refuse an n above
+their limit (``_N_LIMITS``) before any check runs.
 """
 
 from __future__ import annotations
@@ -535,10 +536,11 @@ class _Sweep:
 
     Each check keeps its own collector.  It leaves the pass at its first
     discrepancy or exception, and the others run on; a shared value that
-    raises fails each check still in the pass that reads it.  The pass runs
-    when the first of its checks asks for its report, and a check that
-    raised raises the same exception there, so ``_run_guarded`` reports it
-    as it would the check's own.
+    raises fails each check still in the pass that reads it.  ``body``
+    gives each check one scope per step, and shared values one more.  The
+    pass runs when the first of its checks asks for its report, and a
+    check that raised raises the same exception there, so ``_run_guarded``
+    reports it as it would the check's own.
     """
 
     __slots__ = ("body", "n_max", "ids", "active", "results")
@@ -638,12 +640,15 @@ def _sweep_t_pairs(run: _Sweep) -> None:
     One ``t_permutation_cuts`` walk per n builds each pair's two images
     with one flat insertion step (``tcomb._insert_one``).  The image word
     depends only on sigma and where the 1 lands, so it is checked to be a
-    permutation, and its descent word (and, for 3.1, its statistics)
-    computed, once per word; each image's parts then need one cut test on
-    that descent word.  A failing cut test calls the validating
-    constructor, which raises its own error, in both checks.  3.1 compares
-    each image's statistics and the component of its 1 with the values
-    predicted from w; 3.bij inverts each image with the removal step.
+    permutation, and its descent word computed, once per word (the shared
+    ``words`` memo); each image's parts then need one cut test on that
+    descent word.  A failing cut test calls the validating constructor,
+    which raises its own error, in both checks.  3.1 compares each image's
+    statistics and the component of its 1 with the values predicted from
+    w, in one scope per image: sigma's statistics, w's prediction and the
+    image word's statistics (memoized per sigma, for 3.1 alone) are
+    computed there on first use, so a sigma with no image costs 3.1
+    nothing.  3.bij inverts each image with the removal step.
 
     3.bij keeps no image.  Each round trip gives back (i, w), so both maps
     are injective on pairs, which the walk lists once each; the kind checks
@@ -671,53 +676,45 @@ def _sweep_t_pairs(run: _Sweep) -> None:
             for sigma, cuts in t_permutation_cuts(n, bound=n):
                 if not (stats or bij):
                     break
-                if stats:
-                    try:
-                        st = permstats.statistics(sigma)
-                    except Exception as exc:
-                        stats = run.leave("3.1", exc)
                 shifted = tuple(y + 1 for y in sigma)
+                # each image word's descent word, or None when it is not a
+                # permutation; and, for 3.1, its (iligne, ides, imaj, inv)
                 words: dict = {}
+                word_stats: dict = {}
+                st = None
                 count += len(cuts)
                 for w in cuts:
-                    if stats:
-                        try:
-                            expected = _31_expected(w, st)
-                        except Exception as exc:
-                            stats = run.leave("3.1", exc)
+                    expected = None
                     back = (w.word, w.parts)
                     for i in range(1, w.mu + 1):
                         word, first, second = tcomb._insert_one(i, shifted, w.parts)
-                        seen = words.get(word)
-                        if seen is None:
-                            # () when not a permutation, else its descent word
-                            # and, for 3.1, its (iligne, ides, imaj, inv)
+                        if word not in words:
                             is_perm = sorted(word) == list(range(1, len(word) + 1))
-                            seen = words[word] = (permstats.descent_word(word),) if is_perm else ()
-                            if stats and seen:
-                                try:
-                                    ilg = permstats.iligne(word)
-                                    seen = words[word] = seen + ((ilg, len(ilg), sum(ilg), permstats.inv(word)),)
-                                except Exception as exc:
-                                    stats = run.leave("3.1", exc)
+                            words[word] = permstats.descent_word(word) if is_perm else None
+                        desc = words[word]
                         for name, parts, exp_min, first_kind in (
                             ("delta*", first, i, True),
                             ("*delta", second, i - 1, False),
                         ):
                             if not (
-                                seen and sum(parts) == len(word) and tcomb._is_valid_cut(parts, seen[0])
+                                desc is not None and sum(parts) == len(word) and tcomb._is_valid_cut(parts, desc)
                             ):
                                 TPermutation._flat(word, parts)  # raises the constructor's error
                             if stats:
                                 try:
-                                    exp = expected[i - 1]
-                                    if seen[1] != exp or tcomb._one_at(word, parts)[0] != exp_min:
+                                    if expected is None:
+                                        st = st or permstats.statistics(sigma)
+                                        expected = _31_expected(w, st)
+                                    got = word_stats.get(word)
+                                    if got is None:
+                                        ilg = permstats.iligne(word)
+                                        got = word_stats[word] = (ilg, len(ilg), sum(ilg), permstats.inv(word))
+                                    exp, one = expected[i - 1], tcomb._one_at(word, parts)[0]
+                                    if got != exp or one != exp_min:
                                         # report indices name components, built only on failure
                                         idx = ("sweep", n, w.components, i, name)
-                                        actual = seen[1] + (tcomb._one_at(word, parts)[0],)
-                                        for stat, e, a in zip(
-                                            ("iligne", "ides", "imaj", "inv", "min"), exp + (exp_min,), actual
-                                        ):
+                                        names = ("iligne", "ides", "imaj", "inv", "min")
+                                        for stat, e, a in zip(names, exp + (exp_min,), got + (one,)):
                                             stats.eq(idx + (stat,), e, a)
                                 except Exception as exc:
                                     stats = run.leave("3.1", exc)
@@ -766,8 +763,9 @@ def _sweep_words(run: _Sweep) -> None:
     conjugate psi keeps the descent word and carries imaj to inv.  Both
     read sigma's maj, descent word and imaj off its walk row and compute
     only the compared statistics of the image; 8.1 and 8.2 share psi(sigma),
-    its descent word and its inv.  Each map is a bijection of S_n exactly
-    when it takes n! distinct words.
+    its descent word and its inv, computed in one scope that fails both,
+    and 8.1's ligne and inv=imaj tests share one scope after it.  Each map
+    is a bijection of S_n exactly when it takes n! distinct words.
 
     8.2: psi, cut at the same lengths, is a lambda-preserving bijection of
     T(n) carrying imaj to inv.  Each image is cut at the lengths of its
@@ -814,23 +812,19 @@ def _sweep_words(run: _Sweep) -> None:
             try:
                 image = permstats.psi(sigma)
                 psi_images.add(image)
-                image_desc = permstats.descent_word(image)
-                if psi and image_desc != desc:
-                    try:
-                        lg, image_lg = frozenset(itertools.compress(positions, desc)), permstats.ligne(image)
-                        if lg != image_lg:
-                            psi.eq((n, sigma, "ligne"), lg, image_lg)
-                    except Exception as exc:
-                        psi = run.leave("8.1", exc)
-                image_inv = permstats.inv(image)
+                image_desc, image_inv = permstats.descent_word(image), permstats.inv(image)
             except Exception as exc:  # psi(sigma), its descent word or its inv
                 psi = run.leave("8.1", exc)
                 on_t = run.leave("8.2", exc)
                 continue
-            if psi and imaj != image_inv:
+            if psi and (image_desc != desc or imaj != image_inv):
                 try:
+                    if image_desc != desc:
+                        lg, image_lg = frozenset(itertools.compress(positions, desc)), permstats.ligne(image)
+                        if lg != image_lg:
+                            psi.eq((n, sigma, "ligne"), lg, image_lg)
                     psi.eq((n, sigma, "inv=imaj"), imaj, image_inv)
-                except _Stop as exc:
+                except Exception as exc:
                     psi = run.leave("8.1", exc)
             if on_t:
                 try:
@@ -850,6 +844,15 @@ def _sweep_words(run: _Sweep) -> None:
         run.guard("8.2", lambda col: col.eq((n, "bijective"), count, len(psi_images)))
 
 
+# the checks that share a pass, each with its pass's body.  They are the
+# checks run_checks sends to a forked child: the two fused sweeps, over T(n)
+# and S_n; the one cache they share with the other checks,
+# tcomb._valid_cuts (the oracle reads it, a passing 8.2 does not), is filled
+# in each process.  Serial in-process passes over each lane's checks at the
+# default bounds, least of six fresh processes (2-core Xeon, Python 3.11.7):
+# this lane 0.36 s and the calling lane 0.35 s.  Either sweep costs more
+# than that gap, and a check moved out of its sweep's lane would do the
+# sweep's shared work again, so no move shortens the longer lane
 _SWEEP_BODIES: Dict[str, Callable] = {
     "3.1": _sweep_t_pairs,
     "3.bij": _sweep_t_pairs,
@@ -1328,16 +1331,6 @@ CHECKS: Tuple[CheckSpec, ...] = (
 
 _BY_ID: Dict[str, CheckSpec] = {spec.id: spec for spec in CHECKS}
 
-# the checks run_checks sends to a forked child: the two fused sweeps, over
-# T(n) and S_n; the one cache they share with the other checks,
-# tcomb._valid_cuts (the oracle reads it, a passing 8.2 does not), is filled
-# in each process.  Serial in-process passes over each lane's checks at the
-# default bounds, least of six fresh processes (2-core Xeon, Python 3.11.7):
-# this lane 0.36 s and the calling lane 0.35 s.  Either sweep costs more
-# than that gap, and a check moved out of its sweep's lane would do the
-# sweep's shared work again, so no move shortens the longer lane
-_FORKED: Tuple[str, ...] = ("3.1", "3.bij", "8.phi", "8.1", "8.2")
-
 
 def specs_for(ids) -> Tuple[CheckSpec, ...]:
     """The specs of ``ids`` in order; ``all`` alone (never among other ids) is every spec.
@@ -1357,11 +1350,16 @@ def specs_for(ids) -> Tuple[CheckSpec, ...]:
     return tuple(out)
 
 
-# the largest n at which 7.1 and 7.imaj run: their tally's states grow as
-# n * 2^(n-1), and `verify 7.1 7.imaj --n N` peaked at 45.7 MB RSS for
-# N = 15 and 80.8 MB for N = 16 (2-core Xeon, Python 3.11.7), so a larger
-# n would use up memory rather than run long
-_ALTERNATING_N_MAX = 15
+# id -> (the largest n it runs at, why), for the checks whose memory grows
+# with n: the largest n whose `verify <ids> --n N` peaks under 48 MB RSS
+# (2-core Xeon, Python 3.11.7).  7.1, 7.imaj: 45.7 MB at 15, 80.8 at 16;
+# 8.phi, 8.1, 8.2: 30.7 at 8, 128.5 at 9; 7.rhogamma (odd n only): 19.5 at
+# 9, 80.9 at 11.  3.1, 3.bij, 10.7, 10.8 and 10.tq hold little, at any n
+_N_LIMITS: Dict[str, Tuple[int, str]] = {
+    **dict.fromkeys(("7.1", "7.imaj"), (15, "the largest n whose alternating tally stays under 48 MB")),
+    "7.rhogamma": (10, "the largest n whose rho-gamma images stay under 48 MB"),
+    **dict.fromkeys(("8.phi", "8.1", "8.2"), (8, "the largest n whose phi and psi images stay under 48 MB")),
+}
 
 
 def adjusted_bounds(
@@ -1387,10 +1385,10 @@ def adjusted_bounds(
             "check %s needs order >= n, got n=%d, order=%d"
             % (spec.id, bounds.series_n, bounds.series_order)
         )
-    if spec.id in ("7.1", "7.imaj") and getattr(bounds, spec.n_field) > _ALTERNATING_N_MAX:
+    limit, why = _N_LIMITS.get(spec.id, (None, None))
+    if limit is not None and getattr(bounds, spec.n_field) > limit:
         raise InvalidBoundsError(
-            "check %s needs n <= %d (the largest n whose alternating tally stays under 48 MB), got n=%d"
-            % (spec.id, _ALTERNATING_N_MAX, getattr(bounds, spec.n_field))
+            "check %s needs n <= %d (%s), got n=%d" % (spec.id, limit, why, getattr(bounds, spec.n_field))
         )
     if spec.id == "10.2":
         # a missing or empty fixture is left for check_carlitz to report
@@ -1422,8 +1420,10 @@ def _run_guarded(spec: CheckSpec, bounds: Bounds, fixtures) -> List[Verification
 
 def _run_lane(tasks, fixtures) -> List[List[VerificationReport]]:
     """Each task's reports, in task order.  The tasks whose checks share a
-    sweep body (``_SWEEP_BODIES``) at one n share one ``_Sweep``, which
-    ends with the lane, so no report or image outlives one run."""
+    pass (``_SWEEP_BODIES``) at one n share one ``_Sweep``, which ends
+    with the lane, so no report or image outlives one run.  The pass runs
+    inside the first of those checks to ask for its report, so a timer
+    around each check credits that check with the whole pass."""
     groups: Dict[tuple, list] = {}
     for spec, bnd in tasks:
         if spec.id in _SWEEP_BODIES:
@@ -1445,7 +1445,8 @@ def _lanes() -> int:
 
 def _run_two_lanes(tasks, fixtures) -> Optional[List[List[VerificationReport]]]:
     """Each task's reports, in task order: a forked child runs the tasks
-    whose check is in ``_FORKED`` while this process runs the others.
+    whose check shares a pass (``_SWEEP_BODIES``) while this process runs
+    the others.
 
     The child never returns into its caller: it sends its reports as one
     pickle over a pipe and leaves by ``os._exit``, so it runs no exit
@@ -1457,7 +1458,7 @@ def _run_two_lanes(tasks, fixtures) -> Optional[List[List[VerificationReport]]]:
     import pickle
     import signal
 
-    forked = [(spec, bnd) for spec, bnd in tasks if spec.id in _FORKED]
+    forked = [(spec, bnd) for spec, bnd in tasks if spec.id in _SWEEP_BODIES]
     read_fd, write_fd = os.pipe()
     try:
         pid = os.fork()
@@ -1478,7 +1479,7 @@ def _run_two_lanes(tasks, fixtures) -> Optional[List[List[VerificationReport]]]:
     os.close(write_fd)
     try:
         with open(read_fd, "rb") as pipe:
-            here = _run_lane([(spec, bnd) for spec, bnd in tasks if spec.id not in _FORKED], fixtures)
+            here = _run_lane([(spec, bnd) for spec, bnd in tasks if spec.id not in _SWEEP_BODIES], fixtures)
             data = pipe.read()
         code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
         pid = 0  # reaped
@@ -1492,7 +1493,7 @@ def _run_two_lanes(tasks, fixtures) -> Optional[List[List[VerificationReport]]]:
         lost = repr(ChildProcessError("check process exited with code %d without its reports" % code))
         there = [[_failure(spec, bnd, lost)] for spec, bnd in forked]
     here, there = iter(here), iter(there)
-    return [next(there if spec.id in _FORKED else here) for spec, _ in tasks]
+    return [next(there if spec.id in _SWEEP_BODIES else here) for spec, _ in tasks]
 
 
 def run_checks(
@@ -1506,17 +1507,17 @@ def run_checks(
     are checked for every spec before any check runs, so invalid overrides
     raise InvalidBoundsError up front.
 
-    The checks in ``_FORKED`` run in a forked child, in parallel with the
-    rest (``_run_two_lanes``), when all of these hold: the process may run
-    on at least two CPUs, ``os.fork`` exists, it runs one thread (a fork
-    copies no other thread, so a lock another thread holds would stay
-    held in the child), and both lanes have a check.  Otherwise, or if
-    the fork fails, every check runs here, one after another; the reports
-    are the same.
+    The checks that share a pass (``_SWEEP_BODIES``) run in a forked
+    child, in parallel with the rest (``_run_two_lanes``), when all of
+    these hold: the process may run on at least two CPUs, ``os.fork``
+    exists, it runs one thread (a fork copies no other thread, so a lock
+    another thread holds would stay held in the child), and both lanes
+    have a check.  Otherwise, or if the fork fails, every check runs here,
+    one after another; the reports are the same.
     """
     bounds = bounds or Bounds()
     tasks = [(spec, adjusted_bounds(bounds, spec, n, order, fixtures)) for spec in specs]
-    forked = sum(spec.id in _FORKED for spec, _ in tasks)
+    forked = sum(spec.id in _SWEEP_BODIES for spec, _ in tasks)
     results = None
     if 0 < forked < len(tasks) and _lanes() >= 2 and hasattr(os, "fork") and threading.active_count() == 1:
         results = _run_two_lanes(tasks, fixtures)

@@ -157,6 +157,20 @@ class TestVerifyCommand:
             "under 48 MB), got n=100000\n" % check_id
         )
 
+    @pytest.mark.parametrize("args, check_id, limit, held", [
+        (("8.phi", "--n", "9"), "8.phi", 8, "phi and psi images"),
+        (("8.2", "--n", "9"), "8.2", 8, "phi and psi images"),
+        (("7.rhogamma", "--n", "11"), "7.rhogamma", 10, "rho-gamma images"),
+        # 8.phi is the first check of the registry above its limit at n = 9
+        (("all", "--n", "9"), "8.phi", 8, "phi and psi images"),
+    ])
+    def test_walk_n_above_its_memory_limit_exit_2(self, capsys, args, check_id, limit, held):
+        code, out, err = run_cli(capsys, "verify", *args)
+        assert code == 2 and out == ""
+        assert err == "error: check %s needs n <= %d (the largest n whose %s stay under 48 MB), got n=%s\n" % (
+            check_id, limit, held, args[-1]
+        )
+
     def test_refine_bound_is_not_clamped(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "10.7", "--n", "7")
         assert code == 0

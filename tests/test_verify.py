@@ -185,6 +185,36 @@ class TestRegistry:
         reports = verify.run_checks(verify.specs_for(["1.9"]), SMALL, n=1)
         assert [r.params["n"] for r in reports] == [0, 1]
 
+    @pytest.mark.parametrize("ids, bounds, n", [
+        (["1.1", "8.phi", "8.1", "8.2"], None, 9),
+        (["1.1", "8.2"], Bounds(perm_sweep_n=9), None),
+        (["1.1", "3.1", "7.rhogamma"], None, 11),
+        (["all"], None, 9),
+    ])
+    def test_an_n_above_a_memory_limit_raises_before_any_check_runs_or_forks(self, monkeypatch, ids, bounds, n):
+        def never(*args):
+            raise AssertionError("ran past the bounds check")
+
+        monkeypatch.setattr(verify, "_lanes", lambda: 2)
+        monkeypatch.setattr(os, "fork", never)
+        monkeypatch.setattr(verify, "_run_guarded", never)
+        with pytest.raises(verify.InvalidBoundsError, match=r"needs n <= (8|10) \(the largest n whose"):
+            verify.run_checks(verify.specs_for(ids), bounds, n=n)
+
+    def test_the_memory_limits_admit_their_own_n_and_the_defaults(self):
+        for check_id, (limit, _) in verify._N_LIMITS.items():
+            spec = verify._BY_ID[check_id]
+            assert getattr(verify.adjusted_bounds(Bounds(), spec, n=limit), spec.n_field) == limit
+            with pytest.raises(verify.InvalidBoundsError):
+                verify.adjusted_bounds(Bounds(), spec, n=limit + 1)
+        for spec in verify.CHECKS:
+            verify.adjusted_bounds(Bounds(), spec)
+
+    @pytest.mark.parametrize("check_id", ["3.1", "3.bij", "10.7", "10.8", "10.tq"])
+    def test_the_walks_that_hold_little_take_any_n(self, check_id):
+        spec = verify._BY_ID[check_id]
+        assert getattr(verify.adjusted_bounds(Bounds(), spec, n=100000), spec.n_field) == 100000
+
     @pytest.mark.parametrize("carlitz", [None, {}])
     def test_carlitz_fixture_missing_or_empty(self, carlitz):
         fixtures = dict(DEFAULT_FIXTURES)
@@ -773,8 +803,9 @@ def _reaped(pid):
 
 @pytest.mark.filterwarnings("error::DeprecationWarning")
 class TestTwoLanes:
-    """With two CPUs, run_checks forks one child for the checks in _FORKED;
-    with one it runs every check here.  Both give the same reports."""
+    """With two CPUs, run_checks forks one child for the checks that share
+    a pass (_SWEEP_BODIES); with one it runs every check here.  Both give
+    the same reports."""
 
     def both(self, monkeypatch, run):
         results = []
@@ -1103,3 +1134,54 @@ class TestFusedSweeps:
         assert counts[("8.phi", "8.1", "8.2")] == {"psi": walked + 2}
         # the worked examples of 3.1 insert through delta_star and star_delta
         assert counts[("3.1", "3.bij")] == {"insert": counts[("3.bij",)]["insert"] + 8}
+
+
+def _raises_on(real, fires, message):
+    """``real``, raising ArithmeticError(message) on the words ``fires`` names."""
+
+    def fake(word):
+        if fires(word):
+            raise ArithmeticError(message)
+        return real(word)
+
+    return fake
+
+
+# a step that only one check of a fused sweep reads raises: that check alone
+# fails, with the exception, and the others pass.  3.1 reads sigma's
+# statistics and the image words' iligne; 8.1 reads a psi image's ligne
+# only when its descent word differs from sigma's (so psi is swapped too)
+_OWN_STEP_RAISES = {
+    "3.1-sigma-statistics": (
+        [(permstats, "statistics", _raises_on(permstats.statistics, lambda w: _fires(w, 4), "statistics failed"))],
+        _AT_3, "3.1", "sweep_n", "statistics failed",
+    ),
+    "3.1-image-iligne": (
+        [(permstats, "iligne", _raises_on(permstats.iligne, lambda w: _fires(w, 5), "iligne failed"))],
+        _AT_3, "3.1", "sweep_n", "iligne failed",
+    ),
+    "8.1-image-ligne": (
+        [(permstats, "psi", _psi_swapped),
+         (permstats, "ligne", _raises_on(permstats.ligne, lambda w: len(w) == 5, "ligne failed"))],
+        _AT_8, "8.1", "perm_sweep_n", "ligne failed",
+    ),
+}
+
+
+class TestOneScopePerStep:
+    """3.1 does its per-image work, and 8.1 its ligne and inv=imaj tests,
+    in one scope of its own, so an exception there fails that check alone
+    and never the walk that the other checks of its sweep share."""
+
+    @pytest.mark.parametrize("fault", sorted(_OWN_STEP_RAISES))
+    @pytest.mark.parametrize("lanes", [1, 2])
+    def test_an_exception_in_a_check_own_step_fails_that_check_alone(self, monkeypatch, fault, lanes):
+        patches, bounds, check, field, message = _OWN_STEP_RAISES[fault]
+        _use_lanes(monkeypatch, lanes)
+        for module, name, fake in patches:
+            monkeypatch.setattr(module, name, fake)
+        assert _failing(verify.run_checks(verify.specs_for(_FUSED_IDS), bounds)) == {
+            check: '{"first_discrepancy": {"actual": "ArithmeticError(\'%s\')", "expected": "no exception", '
+            '"index": ["exception"]}, "id": "%s", "params": {"%s": %d}, "status": "fail"}'
+            % (message, check, field, getattr(bounds, field))
+        }
