@@ -1354,7 +1354,7 @@ def specs_for(ids) -> Tuple[CheckSpec, ...]:
 # with n: the largest n whose `verify <ids> --n N` peaks under 48 MB RSS
 # (2-core Xeon, Python 3.11.7).  7.1, 7.imaj: 45.7 MB at 15, 80.8 at 16;
 # 8.phi, 8.1, 8.2: 30.7 at 8, 128.5 at 9; 7.rhogamma (odd n only): 19.5 at
-# 9, 80.9 at 11.  3.1, 3.bij, 10.7, 10.8 and 10.tq hold little, at any n
+# 9, 80.9 at 11.  3.1, 3.bij, 10.7, 10.8 and 10.tq hold little as n grows
 _N_LIMITS: Dict[str, Tuple[int, str]] = {
     **dict.fromkeys(("7.1", "7.imaj"), (15, "the largest n whose alternating tally stays under 48 MB")),
     "7.rhogamma": (10, "the largest n whose rho-gamma images stay under 48 MB"),
