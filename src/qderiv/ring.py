@@ -246,11 +246,6 @@ class XQPoly(_DensePoly):
     _COEFF_ZERO, _COEFF_ONE, _SCALARS = _Q_ZERO, _Q_ONE, (int, QPoly)
     _coeff_to_json = staticmethod(QPoly.to_json)
 
-    def coefficient(self, exp: int) -> QPoly:
-        if 0 <= exp < len(self.coeffs):
-            return self.coeffs[exp]
-        return _Q_ZERO
-
     def __mul__(self, other):
         if isinstance(other, self._SCALARS):
             if not other:

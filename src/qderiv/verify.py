@@ -3,6 +3,8 @@
 Each check returns a :class:`VerificationReport`; a failing check carries
 the first discrepancy (smallest index in a fixed scan order) with the
 expected and actual values.  Checks are pure functions of their bounds
+and of the paper's printed values (``DEFAULT_FIXTURES``, read at each
+call, so a test alters them by rebinding ``verify.DEFAULT_FIXTURES``),
 and re-runnable in any order; ``run_suite`` executes the full registry
 deterministically.
 
@@ -200,10 +202,6 @@ class _Collector:
         return VerificationReport(self.id, self.params, status, self.first)
 
 
-def _fx(fixtures) -> Mapping:
-    return DEFAULT_FIXTURES if fixtures is None else fixtures
-
-
 def _table(kind: str, n_max: int) -> PolyTable:
     # looked up per call, so a rebound module attribute (an instrumented
     # a_table, say) is the one that runs
@@ -236,8 +234,8 @@ def _check_series(check_id: str, order: int, lhs, rhs) -> VerificationReport:
 # -- fixture checks -------------------------------------------------------
 
 
-def check_table1(fixtures=None, n_max: int = 6) -> VerificationReport:
-    fx = _fx(fixtures)
+def check_table1(n_max: int = 6) -> VerificationReport:
+    fx = DEFAULT_FIXTURES
     tri_a, tri_b = special.small_triangles(n_max)
     with _Collector("table1", {"n_max": n_max}) as col:
         for name, fixture, tri in (("a", fx["table1.a"], tri_a), ("b", fx["table1.b"], tri_b)):
@@ -248,8 +246,8 @@ def check_table1(fixtures=None, n_max: int = 6) -> VerificationReport:
     return col.report
 
 
-def check_table2(fixtures=None, n_max: int = 4) -> VerificationReport:
-    fx = _fx(fixtures)
+def check_table2(n_max: int = 4) -> VerificationReport:
+    fx = DEFAULT_FIXTURES
     with _Collector("table2", {"n_max": n_max}) as col:
         for name, fixture, table in (
             ("A", fx["table2.a"], a_table(n_max)),
@@ -260,8 +258,8 @@ def check_table2(fixtures=None, n_max: int = 4) -> VerificationReport:
     return col.report
 
 
-def check_table3(fixtures=None, n_max: int = 4) -> VerificationReport:
-    fixture = _fx(fixtures)["table3"]
+def check_table3(n_max: int = 4) -> VerificationReport:
+    fixture = DEFAULT_FIXTURES["table3"]
     table = ac_table(n_max)
     keys = set(fixture) | {key for key, _ in table.items()}
     with _Collector("table3", {"n_max": n_max}) as col:
@@ -270,8 +268,8 @@ def check_table3(fixtures=None, n_max: int = 4) -> VerificationReport:
     return col.report
 
 
-def check_table4(fixtures=None, n_max: int = 4) -> VerificationReport:
-    fx = _fx(fixtures)
+def check_table4(n_max: int = 4) -> VerificationReport:
+    fx = DEFAULT_FIXTURES
     with _Collector("table4", {"n_max": n_max}) as col:
         for name, fixture, table in (
             ("A", fx["table4.a"], a_table(n_max)),
@@ -287,8 +285,8 @@ def check_table4(fixtures=None, n_max: int = 4) -> VerificationReport:
     return col.report
 
 
-def check_fig101(fixtures=None, n_max: int = 6) -> VerificationReport:
-    fx = _fx(fixtures)
+def check_fig101(n_max: int = 6) -> VerificationReport:
+    fx = DEFAULT_FIXTURES
     counts = (("alpha", alpha), ("beta", beta))
     with _Collector("fig10.1", {"n_max": n_max}) as col:
         for name, fn in counts:
@@ -302,15 +300,14 @@ def check_fig101(fixtures=None, n_max: int = 6) -> VerificationReport:
     return col.report
 
 
-def check_sec7_values(fixtures=None) -> VerificationReport:
-    fx = _fx(fixtures)
+def check_sec7_values() -> VerificationReport:
     with _Collector("sec7.values", {}) as col:
         for tag, key, number in (
             ("tan", "qtan", q_tangent_number),
             ("sec", "qsec", q_secant_number),
             ("sec2", "qsec2", q_secant2_number),
         ):
-            for n, coeffs in sorted(fx[key].items()):
+            for n, coeffs in sorted(DEFAULT_FIXTURES[key].items()):
                 col.eq((tag, n), QPoly(coeffs), number(n))
         col.eq(("sec2", 0), _ONE, q_secant2_number(0))
     return col.report
@@ -325,12 +322,12 @@ def _check_classical(check_id: str, tag: str, values: Mapping, series) -> Verifi
     return col.report
 
 
-def check_classical_tan(fixtures=None) -> VerificationReport:
-    return _check_classical("1.1", "T", _fx(fixtures)["classical.t"], classical_tan)
+def check_classical_tan() -> VerificationReport:
+    return _check_classical("1.1", "T", DEFAULT_FIXTURES["classical.t"], classical_tan)
 
 
-def check_classical_sec(fixtures=None) -> VerificationReport:
-    return _check_classical("1.2", "E", _fx(fixtures)["classical.e"], classical_sec)
+def check_classical_sec() -> VerificationReport:
+    return _check_classical("1.2", "E", DEFAULT_FIXTURES["classical.e"], classical_sec)
 
 
 # -- counting interpretation ----------------------------------------------
@@ -765,7 +762,8 @@ def _sweep_words(run: _Sweep) -> None:
     only the compared statistics of the image; 8.1 and 8.2 share psi(sigma),
     its descent word and its inv, computed in one scope that fails both,
     and 8.1's ligne and inv=imaj tests share one scope after it.  Each map
-    is a bijection of S_n exactly when it takes n! distinct words.
+    is a bijection of S_n exactly when it takes n! distinct words, each
+    held as bytes, one letter a byte.
 
     8.2: psi, cut at the same lengths, is a lambda-preserving bijection of
     T(n) carrying imaj to inv.  Each image is cut at the lengths of its
@@ -798,7 +796,7 @@ def _sweep_words(run: _Sweep) -> None:
             if phi:
                 try:
                     image = permstats.foata_phi(sigma)
-                    phi_images.add(image)
+                    phi_images.add(bytes(image))
                     maj, image_inv = sum(itertools.compress(positions, desc)), permstats.inv(image)
                     if maj != image_inv:
                         phi.eq((n, sigma, "maj=inv"), maj, image_inv)
@@ -811,7 +809,7 @@ def _sweep_words(run: _Sweep) -> None:
                 continue
             try:
                 image = permstats.psi(sigma)
-                psi_images.add(image)
+                psi_images.add(bytes(image))
                 image_desc, image_inv = permstats.descent_word(image), permstats.inv(image)
             except Exception as exc:  # psi(sigma), its descent word or its inv
                 psi = run.leave("8.1", exc)
@@ -1108,16 +1106,15 @@ def check_q1_bridge(n_max: int) -> VerificationReport:
     return col.report
 
 
-def check_carlitz(fixtures=None, n_max: int = 5) -> VerificationReport:
-    fx = _fx(fixtures)
+def check_carlitz(n_max: int = 5) -> VerificationReport:
     table = special.carlitz_table(n_max)
-    fixture = fx["carlitz"]
+    fixture = DEFAULT_FIXTURES["carlitz"]
     keys = {key for key in fixture if key[0] <= n_max}
     keys |= {(n, j) for n, row in enumerate(table) for j in row}
     with _Collector("10.2", {"n_max": n_max}) as col:
         for n, j in sorted(keys):
             col.eq(("carlitz", n, j), QPoly(fixture.get((n, j), ())), table[n].get(j, _ZP))
-        refined_fixture = fx["carlitz.refined"]
+        refined_fixture = DEFAULT_FIXTURES["carlitz.refined"]
         refined = special.carlitz_refined_table(max(k[0] for k in refined_fixture))
         for n, k, a in sorted(refined_fixture):
             col.eq(("refined", n, k, a), QPoly(refined_fixture[(n, k, a)]), refined[n].get((k, a), _ZP))
@@ -1193,14 +1190,13 @@ def check_tq(n_max: int) -> VerificationReport:
     return col.report
 
 
-def check_springer(fixtures=None, n_max: int = 8) -> VerificationReport:
-    fx = _fx(fixtures)
+def check_springer(n_max: int = 8) -> VerificationReport:
     with _Collector("springer", {"n_max": n_max}) as col:
         for n in range(n_max + 1):
             v1 = special.springer_poly_from_tables(n)
             v2 = special.springer_poly_from_series(sec_q(n))
             col.eq((n, "table=series"), v1, v2)
-        for n, value in enumerate(fx["springer"]):
+        for n, value in enumerate(DEFAULT_FIXTURES["springer"]):
             col.eq((n, "at-1"), value, special.springer_poly_from_tables(n).eval_at_one())
             col.eq(
                 (n, "sec-variant-at-1"),
@@ -1261,7 +1257,7 @@ class CheckSpec(NamedTuple):
 
 
 def _series_sweep(check_id: str) -> Callable:
-    def run(bounds: Bounds, fixtures) -> List[VerificationReport]:
+    def run(bounds: Bounds) -> List[VerificationReport]:
         return [
             check_expansion(check_id, n, bounds.series_order) for n in range(bounds.series_n + 1)
         ]
@@ -1270,63 +1266,63 @@ def _series_sweep(check_id: str) -> Callable:
 
 
 CHECKS: Tuple[CheckSpec, ...] = (
-    CheckSpec("table1", lambda b, f: [check_table1(f)]),
-    CheckSpec("table2", lambda b, f: [check_table2(f)]),
-    CheckSpec("table3", lambda b, f: [check_table3(f)]),
-    CheckSpec("table4", lambda b, f: [check_table4(f)]),
-    CheckSpec("fig10.1", lambda b, f: [check_fig101(f)]),
-    CheckSpec("sec7.values", lambda b, f: [check_sec7_values(f)]),
-    CheckSpec("1.1", lambda b, f: [check_classical_tan(f)]),
-    CheckSpec("1.2", lambda b, f: [check_classical_sec(f)]),
-    CheckSpec("1.3", lambda b, f: [check_1_3(min(b.brute_n, 7))], "brute_n"),
-    CheckSpec("1.6", lambda b, f: [check_hoffman("1.6", b.gf_order)], order_field="gf_order"),
-    CheckSpec("1.7", lambda b, f: [check_hoffman("1.7", b.gf_order)], order_field="gf_order"),
+    CheckSpec("table1", lambda b: [check_table1()]),
+    CheckSpec("table2", lambda b: [check_table2()]),
+    CheckSpec("table3", lambda b: [check_table3()]),
+    CheckSpec("table4", lambda b: [check_table4()]),
+    CheckSpec("fig10.1", lambda b: [check_fig101()]),
+    CheckSpec("sec7.values", lambda b: [check_sec7_values()]),
+    CheckSpec("1.1", lambda b: [check_classical_tan()]),
+    CheckSpec("1.2", lambda b: [check_classical_sec()]),
+    CheckSpec("1.3", lambda b: [check_1_3(min(b.brute_n, 7))], "brute_n"),
+    CheckSpec("1.6", lambda b: [check_hoffman("1.6", b.gf_order)], order_field="gf_order"),
+    CheckSpec("1.7", lambda b: [check_hoffman("1.7", b.gf_order)], order_field="gf_order"),
     CheckSpec("1.9", _series_sweep("1.9"), "series_n", "series_order"),
     CheckSpec("1.11", _series_sweep("1.11"), "series_n", "series_order"),
     CheckSpec("1.12", _series_sweep("1.12"), "series_n", "series_order"),
     CheckSpec("1.14", _series_sweep("1.14"), "series_n", "series_order"),
     CheckSpec("1.15", _series_sweep("1.15"), "series_n", "series_order"),
     CheckSpec("1.16", _series_sweep("1.16"), "series_n", "series_order"),
-    CheckSpec("1.17", lambda b, f: [check_eq_1_17(b.agg_n)], "agg_n"),
-    CheckSpec("1.18", lambda b, f: [check_eq_1_18(b.agg_n)], "agg_n"),
-    CheckSpec("1.19", lambda b, f: [check_bivariate("1.19", b.gf_order)], order_field="gf_order"),
-    CheckSpec("1.20", lambda b, f: [check_bivariate("1.20", b.gf_order)], order_field="gf_order"),
-    CheckSpec("2.3", lambda b, f: [check_eq_2_3(b.series_order + 1)], order_field="series_order"),
-    CheckSpec("2.4", lambda b, f: [check_eq_2_4(b.series_order + 1)], order_field="series_order"),
-    CheckSpec("2.5", lambda b, f: [check_eq_2_5(b.series_order + 1)], order_field="series_order"),
-    CheckSpec("2.tan", lambda b, f: [check_tan_unique(b.series_order + 1)], order_field="series_order"),
-    CheckSpec("3.1", lambda b, f: [check_3_1(b.sweep_n)], "sweep_n"),
-    CheckSpec("3.bij", lambda b, f: [check_3_bijections(b.sweep_n)], "sweep_n"),
-    CheckSpec("4.sym", lambda b, f: [check_symmetry(b.sym_n)], "sym_n"),
-    CheckSpec("7.1", lambda b, f: [check_alternating("7.1", b.alt_inv_n)], "alt_inv_n"),
-    CheckSpec("7.imaj", lambda b, f: [check_alternating("7.imaj", b.alt_imaj_n)], "alt_imaj_n"),
-    CheckSpec("7.4", lambda b, f: [check_convolution("7.4", b.reciprocity_n)], "reciprocity_n"),
-    CheckSpec("7.5", lambda b, f: [check_convolution("7.5", b.reciprocity_n)], "reciprocity_n"),
-    CheckSpec("7.6", lambda b, f: [check_convolution("7.6", b.reciprocity_n)], "reciprocity_n"),
-    CheckSpec("7.comb", lambda b, f: [check_7_combined(b.reciprocity_n)], "reciprocity_n"),
-    CheckSpec("7.rhogamma", lambda b, f: [check_rho_gamma(b.perm_sweep_n)], "perm_sweep_n"),
-    CheckSpec("7.11", lambda b, f: [check_reversal("7.11", b.reciprocity_n)], "reciprocity_n"),
-    CheckSpec("7.12", lambda b, f: [check_reversal("7.12", b.reciprocity_n)], "reciprocity_n"),
-    CheckSpec("8.phi", lambda b, f: [check_phi(b.perm_sweep_n)], "perm_sweep_n"),
-    CheckSpec("8.1", lambda b, f: [check_psi(b.perm_sweep_n)], "perm_sweep_n"),
-    CheckSpec("8.2", lambda b, f: [check_psi_on_t(b.perm_sweep_n)], "perm_sweep_n"),
-    CheckSpec("9.1", lambda b, f: [check_9_1(b.product_n)], "product_n"),
-    CheckSpec("triple.A", lambda b, f: [check_triple(KIND_A, b.rewrite_n, b.brute_n)], "rewrite_n"),
-    CheckSpec("triple.B", lambda b, f: [check_triple(KIND_B, b.rewrite_n, b.brute_n)], "rewrite_n"),
-    CheckSpec("triple.Ac", lambda b, f: [check_triple(KIND_AC, b.rewrite_n, b.brute_n)], "rewrite_n"),
-    CheckSpec("tables.bounds", lambda b, f: [check_table_bounds(b.table_n)], "table_n"),
-    CheckSpec("q1.bridge", lambda b, f: [check_q1_bridge(b.agg_n)], "agg_n"),
-    CheckSpec("10.2", lambda b, f: [check_carlitz(f, b.carlitz_n)], "carlitz_n"),
-    CheckSpec("10.5", lambda b, f: [check_10_5(b.refine_n)], "refine_n"),
-    CheckSpec("10.7", lambda b, f: [check_10_7(b.refine_n)], "refine_n"),
-    CheckSpec("10.8", lambda b, f: [check_10_8(b.diag_n, b.perm_sweep_n)], "diag_n"),
-    CheckSpec("10.3", lambda b, f: [check_subdiagonal("10.3", b.diag_n)], "diag_n"),
-    CheckSpec("10.4", lambda b, f: [check_subdiagonal("10.4", b.diag_n)], "diag_n"),
-    CheckSpec("10.tq", lambda b, f: [check_tq(b.tq_n)], "tq_n"),
-    CheckSpec("springer", lambda b, f: [check_springer(f, b.springer_n)], "springer_n"),
-    CheckSpec("10.6.alpha", lambda b, f: [check_alpha_counts(b.alpha_n)], "alpha_n"),
-    CheckSpec("10.6.gf", lambda b, f: [check_fib_gf(b.fib_gf_order)], order_field="fib_gf_order"),
-    CheckSpec("rowsums", lambda b, f: [check_rowsums(b.rowsums_n)], "rowsums_n"),
+    CheckSpec("1.17", lambda b: [check_eq_1_17(b.agg_n)], "agg_n"),
+    CheckSpec("1.18", lambda b: [check_eq_1_18(b.agg_n)], "agg_n"),
+    CheckSpec("1.19", lambda b: [check_bivariate("1.19", b.gf_order)], order_field="gf_order"),
+    CheckSpec("1.20", lambda b: [check_bivariate("1.20", b.gf_order)], order_field="gf_order"),
+    CheckSpec("2.3", lambda b: [check_eq_2_3(b.series_order + 1)], order_field="series_order"),
+    CheckSpec("2.4", lambda b: [check_eq_2_4(b.series_order + 1)], order_field="series_order"),
+    CheckSpec("2.5", lambda b: [check_eq_2_5(b.series_order + 1)], order_field="series_order"),
+    CheckSpec("2.tan", lambda b: [check_tan_unique(b.series_order + 1)], order_field="series_order"),
+    CheckSpec("3.1", lambda b: [check_3_1(b.sweep_n)], "sweep_n"),
+    CheckSpec("3.bij", lambda b: [check_3_bijections(b.sweep_n)], "sweep_n"),
+    CheckSpec("4.sym", lambda b: [check_symmetry(b.sym_n)], "sym_n"),
+    CheckSpec("7.1", lambda b: [check_alternating("7.1", b.alt_inv_n)], "alt_inv_n"),
+    CheckSpec("7.imaj", lambda b: [check_alternating("7.imaj", b.alt_imaj_n)], "alt_imaj_n"),
+    CheckSpec("7.4", lambda b: [check_convolution("7.4", b.reciprocity_n)], "reciprocity_n"),
+    CheckSpec("7.5", lambda b: [check_convolution("7.5", b.reciprocity_n)], "reciprocity_n"),
+    CheckSpec("7.6", lambda b: [check_convolution("7.6", b.reciprocity_n)], "reciprocity_n"),
+    CheckSpec("7.comb", lambda b: [check_7_combined(b.reciprocity_n)], "reciprocity_n"),
+    CheckSpec("7.rhogamma", lambda b: [check_rho_gamma(b.perm_sweep_n)], "perm_sweep_n"),
+    CheckSpec("7.11", lambda b: [check_reversal("7.11", b.reciprocity_n)], "reciprocity_n"),
+    CheckSpec("7.12", lambda b: [check_reversal("7.12", b.reciprocity_n)], "reciprocity_n"),
+    CheckSpec("8.phi", lambda b: [check_phi(b.perm_sweep_n)], "perm_sweep_n"),
+    CheckSpec("8.1", lambda b: [check_psi(b.perm_sweep_n)], "perm_sweep_n"),
+    CheckSpec("8.2", lambda b: [check_psi_on_t(b.perm_sweep_n)], "perm_sweep_n"),
+    CheckSpec("9.1", lambda b: [check_9_1(b.product_n)], "product_n"),
+    CheckSpec("triple.A", lambda b: [check_triple(KIND_A, b.rewrite_n, b.brute_n)], "rewrite_n"),
+    CheckSpec("triple.B", lambda b: [check_triple(KIND_B, b.rewrite_n, b.brute_n)], "rewrite_n"),
+    CheckSpec("triple.Ac", lambda b: [check_triple(KIND_AC, b.rewrite_n, b.brute_n)], "rewrite_n"),
+    CheckSpec("tables.bounds", lambda b: [check_table_bounds(b.table_n)], "table_n"),
+    CheckSpec("q1.bridge", lambda b: [check_q1_bridge(b.agg_n)], "agg_n"),
+    CheckSpec("10.2", lambda b: [check_carlitz(b.carlitz_n)], "carlitz_n"),
+    CheckSpec("10.5", lambda b: [check_10_5(b.refine_n)], "refine_n"),
+    CheckSpec("10.7", lambda b: [check_10_7(b.refine_n)], "refine_n"),
+    CheckSpec("10.8", lambda b: [check_10_8(b.diag_n, b.perm_sweep_n)], "diag_n"),
+    CheckSpec("10.3", lambda b: [check_subdiagonal("10.3", b.diag_n)], "diag_n"),
+    CheckSpec("10.4", lambda b: [check_subdiagonal("10.4", b.diag_n)], "diag_n"),
+    CheckSpec("10.tq", lambda b: [check_tq(b.tq_n)], "tq_n"),
+    CheckSpec("springer", lambda b: [check_springer(b.springer_n)], "springer_n"),
+    CheckSpec("10.6.alpha", lambda b: [check_alpha_counts(b.alpha_n)], "alpha_n"),
+    CheckSpec("10.6.gf", lambda b: [check_fib_gf(b.fib_gf_order)], order_field="fib_gf_order"),
+    CheckSpec("rowsums", lambda b: [check_rowsums(b.rowsums_n)], "rowsums_n"),
 )
 
 _BY_ID: Dict[str, CheckSpec] = {spec.id: spec for spec in CHECKS}
@@ -1350,15 +1346,20 @@ def specs_for(ids) -> Tuple[CheckSpec, ...]:
     return tuple(out)
 
 
-# id -> (the largest n it runs at, why), for the checks whose memory grows
-# with n: the largest n whose `verify <ids> --n N` peaks under 48 MB RSS
+# id -> (the Bounds field capped, the largest n it runs at, what it holds),
+# for the checks whose memory grows with n: the largest n whose `verify
+# <ids> --n N` (for brute_n, `--bound-bruteforce N`) peaks under 48 MB RSS
 # (2-core Xeon, Python 3.11.7).  7.1, 7.imaj: 45.7 MB at 15, 80.8 at 16;
-# 8.phi, 8.1, 8.2: 30.7 at 8, 128.5 at 9; 7.rhogamma (odd n only): 19.5 at
-# 9, 80.9 at 11.  3.1, 3.bij, 10.7, 10.8 and 10.tq hold little as n grows
-_N_LIMITS: Dict[str, Tuple[int, str]] = {
-    **dict.fromkeys(("7.1", "7.imaj"), (15, "the largest n whose alternating tally stays under 48 MB")),
-    "7.rhogamma": (10, "the largest n whose rho-gamma images stay under 48 MB"),
-    **dict.fromkeys(("8.phi", "8.1", "8.2"), (8, "the largest n whose phi and psi images stay under 48 MB")),
+# 8.phi, 8.1, 8.2: 25.9 at 8, 128.5 at 9; 7.rhogamma (odd n only): 19.5 at
+# 9, 80.9 at 11; triple.*: 42.6 at 10, 99.3 at 11.  3.1, 3.bij, 10.7, 10.8
+# and 10.tq hold little as n grows, nor does rewrite_n, the triple checks'
+# --n; 1.3 clamps brute_n at 7
+_N_LIMITS: Dict[str, Tuple[str, int, str]] = {
+    "7.1": ("alt_inv_n", 15, "alternating tally stays"),
+    "7.imaj": ("alt_imaj_n", 15, "alternating tally stays"),
+    "7.rhogamma": ("perm_sweep_n", 10, "rho-gamma images stay"),
+    **dict.fromkeys(("8.phi", "8.1", "8.2"), ("perm_sweep_n", 8, "phi and psi images stay")),
+    **dict.fromkeys(("triple.A", "triple.B", "triple.Ac"), ("brute_n", 10, "--bound-bruteforce oracle tallies stay")),
 }
 
 
@@ -1367,11 +1368,12 @@ def adjusted_bounds(
     spec: CheckSpec,
     n: Optional[int] = None,
     order: Optional[int] = None,
-    fixtures=None,
 ) -> Bounds:
     """Apply the n/order overrides to the fields ``spec`` reads.
 
-    Raises InvalidBoundsError when the result leaves the check unable to run.
+    Raises InvalidBoundsError when the result leaves the check unable to
+    run: an order below n, a field above its size limit (``_N_LIMITS``), or
+    a 10.2 n past the Carlitz fixture of ``DEFAULT_FIXTURES``.
     """
     updates = {}
     if n is not None and spec.n_field is not None:
@@ -1385,14 +1387,15 @@ def adjusted_bounds(
             "check %s needs order >= n, got n=%d, order=%d"
             % (spec.id, bounds.series_n, bounds.series_order)
         )
-    limit, why = _N_LIMITS.get(spec.id, (None, None))
-    if limit is not None and getattr(bounds, spec.n_field) > limit:
+    field, limit, held = _N_LIMITS.get(spec.id, (None, None, None))
+    if field is not None and getattr(bounds, field) > limit:
         raise InvalidBoundsError(
-            "check %s needs n <= %d (%s), got n=%d" % (spec.id, limit, why, getattr(bounds, spec.n_field))
+            "check %s needs n <= %d (the largest n whose %s under 48 MB), got n=%d"
+            % (spec.id, limit, held, getattr(bounds, field))
         )
     if spec.id == "10.2":
         # a missing or empty fixture is left for check_carlitz to report
-        fixture_n = max((key[0] for key in _fx(fixtures).get("carlitz", ())), default=None)
+        fixture_n = max((key[0] for key in DEFAULT_FIXTURES.get("carlitz", ())), default=None)
         if fixture_n is not None and bounds.carlitz_n > fixture_n:
             raise InvalidBoundsError(
                 "check 10.2 needs n <= %d (the largest n of the Carlitz fixture), got n=%d"
@@ -1410,15 +1413,15 @@ def _failure(spec: CheckSpec, bounds: Bounds, actual: str) -> VerificationReport
     )
 
 
-def _run_guarded(spec: CheckSpec, bounds: Bounds, fixtures) -> List[VerificationReport]:
+def _run_guarded(spec: CheckSpec, bounds: Bounds) -> List[VerificationReport]:
     # failures are data: a check that raises becomes a failing report
     try:
-        return spec.run(bounds, fixtures)
+        return spec.run(bounds)
     except Exception as exc:  # noqa: BLE001 - deliberate catch-all boundary
         return [_failure(spec, bounds, repr(exc))]
 
 
-def _run_lane(tasks, fixtures) -> List[List[VerificationReport]]:
+def _run_lane(tasks) -> List[List[VerificationReport]]:
     """Each task's reports, in task order.  The tasks whose checks share a
     pass (``_SWEEP_BODIES``) at one n share one ``_Sweep``, which ends
     with the lane, so no report or image outlives one run.  The pass runs
@@ -1432,7 +1435,7 @@ def _run_lane(tasks, fixtures) -> List[List[VerificationReport]]:
     for (body, n_max), ids in groups.items():
         _current_lane.sweeps.update(dict.fromkeys(ids, _Sweep(body, n_max, ids)))
     try:
-        return [_run_guarded(spec, bnd, fixtures) for spec, bnd in tasks]
+        return [_run_guarded(spec, bnd) for spec, bnd in tasks]
     finally:
         _current_lane.sweeps = {}
 
@@ -1443,7 +1446,7 @@ def _lanes() -> int:
     return len(affinity(0)) if affinity else os.cpu_count() or 1
 
 
-def _run_two_lanes(tasks, fixtures) -> Optional[List[List[VerificationReport]]]:
+def _run_two_lanes(tasks) -> Optional[List[List[VerificationReport]]]:
     """Each task's reports, in task order: a forked child runs the tasks
     whose check shares a pass (``_SWEEP_BODIES``) while this process runs
     the others.
@@ -1470,7 +1473,7 @@ def _run_two_lanes(tasks, fixtures) -> Optional[List[List[VerificationReport]]]:
         status = 1
         try:
             os.close(read_fd)
-            reports = _run_lane(forked, fixtures)
+            reports = _run_lane(forked)
             with open(write_fd, "wb") as pipe:
                 pipe.write(pickle.dumps(reports))
             status = 0
@@ -1479,7 +1482,7 @@ def _run_two_lanes(tasks, fixtures) -> Optional[List[List[VerificationReport]]]:
     os.close(write_fd)
     try:
         with open(read_fd, "rb") as pipe:
-            here = _run_lane([(spec, bnd) for spec, bnd in tasks if spec.id not in _SWEEP_BODIES], fixtures)
+            here = _run_lane([(spec, bnd) for spec, bnd in tasks if spec.id not in _SWEEP_BODIES])
             data = pipe.read()
         code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
         pid = 0  # reaped
@@ -1499,7 +1502,6 @@ def _run_two_lanes(tasks, fixtures) -> Optional[List[List[VerificationReport]]]:
 def run_checks(
     specs,
     bounds: Optional[Bounds] = None,
-    fixtures=None,
     n: Optional[int] = None,
     order: Optional[int] = None,
 ) -> List[VerificationReport]:
@@ -1514,18 +1516,22 @@ def run_checks(
     another thread holds would stay held in the child), and both lanes
     have a check.  Otherwise, or if the fork fails, every check runs here,
     one after another; the reports are the same.
+
+    The fixture checks, and the 10.2 bound, read ``DEFAULT_FIXTURES`` when
+    they run: rebinding ``verify.DEFAULT_FIXTURES`` is the one way to
+    alter the printed values they compare with.
     """
     bounds = bounds or Bounds()
-    tasks = [(spec, adjusted_bounds(bounds, spec, n, order, fixtures)) for spec in specs]
+    tasks = [(spec, adjusted_bounds(bounds, spec, n, order)) for spec in specs]
     forked = sum(spec.id in _SWEEP_BODIES for spec, _ in tasks)
     results = None
     if 0 < forked < len(tasks) and _lanes() >= 2 and hasattr(os, "fork") and threading.active_count() == 1:
-        results = _run_two_lanes(tasks, fixtures)
+        results = _run_two_lanes(tasks)
     if results is None:
-        results = _run_lane(tasks, fixtures)
+        results = _run_lane(tasks)
     return [report for result in results for report in result]
 
 
-def run_suite(bounds: Optional[Bounds] = None, fixtures=None) -> List[VerificationReport]:
+def run_suite(bounds: Optional[Bounds] = None) -> List[VerificationReport]:
     """Run every registered check with the given bounds."""
-    return run_checks(CHECKS, bounds, fixtures)
+    return run_checks(CHECKS, bounds)

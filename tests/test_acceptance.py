@@ -99,14 +99,14 @@ def test_criterion_07_structural_identities():
 
 def test_criterion_08_specializations():
     reports = [
-        verify.check_carlitz(None, 5),
+        verify.check_carlitz(5),
         verify.check_10_5(6),
         verify.check_10_7(6),
         verify.check_10_8(8, 7),
         verify.check_subdiagonal("10.3", 8),
         verify.check_subdiagonal("10.4", 8),
         verify.check_tq(7),
-        verify.check_springer(None, 8),
+        verify.check_springer(8),
     ]
     _finish("criterion-08 specializations", reports)
 
@@ -121,16 +121,16 @@ def test_criterion_09_fibonacci_layer():
 
 
 FIXTURE_CHECKS = (
-    ("table1", lambda fx: verify.check_table1(fx)),
-    ("table2", lambda fx: verify.check_table2(fx)),
-    ("table3", lambda fx: verify.check_table3(fx)),
-    ("table4", lambda fx: verify.check_table4(fx)),
-    ("fig10.1", lambda fx: verify.check_fig101(fx)),
-    ("sec7.values", lambda fx: verify.check_sec7_values(fx)),
-    ("1.1", lambda fx: verify.check_classical_tan(fx)),
-    ("1.2", lambda fx: verify.check_classical_sec(fx)),
-    ("10.2", lambda fx: verify.check_carlitz(fx)),
-    ("springer", lambda fx: verify.check_springer(fx, 6)),
+    ("table1", lambda: verify.check_table1()),
+    ("table2", lambda: verify.check_table2()),
+    ("table3", lambda: verify.check_table3()),
+    ("table4", lambda: verify.check_table4()),
+    ("fig10.1", lambda: verify.check_fig101()),
+    ("sec7.values", lambda: verify.check_sec7_values()),
+    ("1.1", lambda: verify.check_classical_tan()),
+    ("1.2", lambda: verify.check_classical_sec()),
+    ("10.2", lambda: verify.check_carlitz()),
+    ("springer", lambda: verify.check_springer(6)),
 )
 
 FIXTURE_OWNERS = {
@@ -174,14 +174,15 @@ def _mutations():
                 yield key, owner, pos, tuple(mutated)
 
 
-def test_criterion_10_mutation_sensitivity():
+def test_criterion_10_mutation_sensitivity(monkeypatch):
     ok = True
     for key, owner, cell, mutated in _mutations():
         fixtures = dict(DEFAULT_FIXTURES)
         fixtures[key] = mutated
+        monkeypatch.setattr(verify, "DEFAULT_FIXTURES", fixtures)
         failed = []
         for check_id, run in FIXTURE_CHECKS:
-            report = run(fixtures)
+            report = run()
             if not report.passed:
                 failed.append(report)
         assert [r.id for r in failed] == [owner], (

@@ -163,6 +163,9 @@ class TestVerifyCommand:
         (("7.rhogamma", "--n", "11"), "7.rhogamma", 10, "rho-gamma images"),
         # 8.phi is the first check of the registry above its limit at n = 9
         (("all", "--n", "9"), "8.phi", 8, "phi and psi images"),
+        (("triple.A", "--bound-bruteforce", "11"), "triple.A", 10, "--bound-bruteforce oracle tallies"),
+        # triple.A is the first check of the registry whose brute_n is capped
+        (("all", "--bound-bruteforce", "11"), "triple.A", 10, "--bound-bruteforce oracle tallies"),
     ])
     def test_walk_n_above_its_memory_limit_exit_2(self, capsys, args, check_id, limit, held):
         code, out, err = run_cli(capsys, "verify", *args)

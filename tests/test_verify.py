@@ -66,9 +66,9 @@ class TestReports:
         assert data["status"] == "pass"
         assert data["first_discrepancy"] is None
 
-    def test_failure_carries_discrepancy(self):
-        fixtures = mutate_poly_fixture("table2.a", (3, 1, 1, 1))
-        report = verify.check_table2(fixtures)
+    def test_failure_carries_discrepancy(self, monkeypatch):
+        monkeypatch.setattr(verify, "DEFAULT_FIXTURES", mutate_poly_fixture("table2.a", (3, 1, 1, 1)))
+        report = verify.check_table2()
         assert not report.passed
         d = report.first_discrepancy
         assert d is not None
@@ -190,6 +190,7 @@ class TestRegistry:
         (["1.1", "8.2"], Bounds(perm_sweep_n=9), None),
         (["1.1", "3.1", "7.rhogamma"], None, 11),
         (["all"], None, 9),
+        (["1.1", "3.1", "triple.A"], Bounds(brute_n=11), None),
     ])
     def test_an_n_above_a_memory_limit_raises_before_any_check_runs_or_forks(self, monkeypatch, ids, bounds, n):
         def never(*args):
@@ -202,27 +203,29 @@ class TestRegistry:
             verify.run_checks(verify.specs_for(ids), bounds, n=n)
 
     def test_the_memory_limits_admit_their_own_n_and_the_defaults(self):
-        for check_id, (limit, _) in verify._N_LIMITS.items():
+        for check_id, (field, limit, _) in verify._N_LIMITS.items():
             spec = verify._BY_ID[check_id]
-            assert getattr(verify.adjusted_bounds(Bounds(), spec, n=limit), spec.n_field) == limit
+            bounds = Bounds()._replace(**{field: limit})
+            assert getattr(verify.adjusted_bounds(bounds, spec), field) == limit
             with pytest.raises(verify.InvalidBoundsError):
-                verify.adjusted_bounds(Bounds(), spec, n=limit + 1)
+                verify.adjusted_bounds(bounds._replace(**{field: limit + 1}), spec)
         for spec in verify.CHECKS:
             verify.adjusted_bounds(Bounds(), spec)
 
-    @pytest.mark.parametrize("check_id", ["3.1", "3.bij", "10.7", "10.8", "10.tq"])
+    @pytest.mark.parametrize("check_id", ["3.1", "3.bij", "10.7", "10.8", "10.tq", "triple.A"])
     def test_the_walks_that_hold_little_take_any_n(self, check_id):
         spec = verify._BY_ID[check_id]
         assert getattr(verify.adjusted_bounds(Bounds(), spec, n=100000), spec.n_field) == 100000
 
     @pytest.mark.parametrize("carlitz", [None, {}])
-    def test_carlitz_fixture_missing_or_empty(self, carlitz):
+    def test_carlitz_fixture_missing_or_empty(self, monkeypatch, carlitz):
         fixtures = dict(DEFAULT_FIXTURES)
         if carlitz is None:
             del fixtures["carlitz"]
         else:
             fixtures["carlitz"] = carlitz
-        reports = verify.run_checks(verify.specs_for(["9.1", "10.2"]), SMALL, fixtures=fixtures)
+        monkeypatch.setattr(verify, "DEFAULT_FIXTURES", fixtures)
+        reports = verify.run_checks(verify.specs_for(["9.1", "10.2"]), SMALL)
         assert [r.id for r in reports] == ["9.1", "10.2"]
         assert reports[0].passed and not reports[1].passed
 
@@ -236,9 +239,9 @@ class TestRegistry:
         assert list(report.first_discrepancy.index) == ["exception"]
         assert report.params == {"rewrite_n": 10}
 
-    def test_mutated_fixture_fails_exactly_one_check(self):
-        fixtures = mutate_poly_fixture("table3", (3, (0, 1, 2)))
-        reports = verify.run_suite(SMALL, fixtures=fixtures)
+    def test_mutated_fixture_fails_exactly_one_check(self, monkeypatch):
+        monkeypatch.setattr(verify, "DEFAULT_FIXTURES", mutate_poly_fixture("table3", (3, (0, 1, 2))))
+        reports = verify.run_suite(SMALL)
         failed = [r for r in reports if not r.passed]
         assert [r.id for r in failed] == ["table3"]
         assert (0, 1, 2) in tuple(failed[0].first_discrepancy.index)
@@ -831,8 +834,8 @@ class TestTwoLanes:
         assert code == 0 and len(out.splitlines()) == 93
 
     def test_mutated_fixture_fails_exactly_one_check(self, monkeypatch):
-        fixtures = mutate_poly_fixture("table3", (3, (0, 1, 2)))
-        reports = self.both(monkeypatch, lambda: verify.run_suite(SMALL, fixtures=fixtures))
+        monkeypatch.setattr(verify, "DEFAULT_FIXTURES", mutate_poly_fixture("table3", (3, (0, 1, 2))))
+        reports = self.both(monkeypatch, lambda: verify.run_suite(SMALL))
         assert [r.id for r in reports if not r.passed] == ["table3"]
 
     def test_one_lane_with_work_runs_here(self, monkeypatch):
@@ -876,7 +879,7 @@ class TestTwoLanes:
     def test_an_interrupt_here_kills_and_reaps_the_child(self, monkeypatch):
         pids = _use_lanes(monkeypatch, 2)
 
-        def interrupt(fixtures):
+        def interrupt():
             raise KeyboardInterrupt
 
         monkeypatch.setattr(verify, "check_3_1", lambda n: time.sleep(60))
@@ -1185,3 +1188,47 @@ class TestOneScopePerStep:
             '"index": ["exception"]}, "id": "%s", "params": {"%s": %d}, "status": "fail"}'
             % (message, check, field, getattr(bounds, field))
         }
+
+
+def _foata_phi_reverse_complemented(word):
+    # reverse-complement keeps inv and is a bijection of S_4, so of 8.phi's
+    # tests only iligne sees it
+    image = _real_foata_phi(word)
+    return tuple(5 - y for y in reversed(image)) if len(image) == 4 else image
+
+
+def _walk_of_s4_raises(n, rising=None):
+    # the walk of S_4 raises; the alternating walks (rising set) do not
+    if n == 4 and rising is None:
+        raise ArithmeticError("walk failed")
+    return _real_walk(n, rising)
+
+
+# faults on two paths of the 8.x pass: 8.phi's iligne test, and the walk
+# that every check in the pass reads, which raises outside each check's own
+# scope (_Sweep.report's catch-all).  7.rhogamma reads neither phi nor the
+# walk of S_n, and with two lanes it runs here while the 8.x pass forks;
+# psi is built on foata_phi, so 8.1 and 8.2 stay out of the first fault
+_PASS_FAULTS = {
+    "8.phi-iligne": (["8.phi", "7.rhogamma"], [(permstats, "foata_phi", _foata_phi_reverse_complemented)], {
+        "8.phi": '{"first_discrepancy": {"actual": "frozenset({1})", "expected": "frozenset({3})", '
+                 '"index": [4, [1, 2, 4, 3], "iligne"]}, "id": "8.phi", "params": {"n_max": 5}, "status": "fail"}',
+    }),
+    "walk-raises": (["8.phi", "8.1", "8.2", "7.rhogamma"], [(permstats, "walk", _walk_of_s4_raises)], {
+        check: '{"first_discrepancy": {"actual": "ArithmeticError(\'walk failed\')", "expected": "no exception", '
+               '"index": ["exception"]}, "id": "%s", "params": {"perm_sweep_n": 5}, "status": "fail"}' % check
+        for check in ("8.phi", "8.1", "8.2")
+    }),
+}
+
+
+class TestPassFaults:
+    @pytest.mark.parametrize("fault", sorted(_PASS_FAULTS))
+    @pytest.mark.parametrize("lanes", [1, 2])
+    def test_a_fault_in_the_8x_pass_fails_the_checks_that_read_it(self, monkeypatch, fault, lanes):
+        ids, patches, expected = _PASS_FAULTS[fault]
+        pids = _use_lanes(monkeypatch, lanes)
+        for module, name, fake in patches:
+            monkeypatch.setattr(module, name, fake)
+        assert _failing(verify.run_checks(verify.specs_for(ids), Bounds(perm_sweep_n=5))) == expected
+        assert len(pids) == lanes - 1 and all(map(_reaped, pids))
