@@ -205,10 +205,16 @@ class TestRegistry:
     def test_the_memory_limits_admit_their_own_n_and_the_defaults(self):
         for check_id, (field, limit, _) in verify._N_LIMITS.items():
             spec = verify._BY_ID[check_id]
-            bounds = Bounds()._replace(**{field: limit})
-            assert getattr(verify.adjusted_bounds(bounds, spec), field) == limit
+            if check_id.startswith("triple."):
+                # --bound-bruteforce, not --n, is capped for the triple checks
+                assert field == "brute_n"
+                assert verify.adjusted_bounds(Bounds(brute_n=limit), spec).brute_n == limit
+                with pytest.raises(verify.InvalidBoundsError):
+                    verify.adjusted_bounds(Bounds(brute_n=limit + 1), spec)
+                continue
+            assert getattr(verify.adjusted_bounds(Bounds(), spec, n=limit), spec.n_field) == limit
             with pytest.raises(verify.InvalidBoundsError):
-                verify.adjusted_bounds(bounds._replace(**{field: limit + 1}), spec)
+                verify.adjusted_bounds(Bounds(), spec, n=limit + 1)
         for spec in verify.CHECKS:
             verify.adjusted_bounds(Bounds(), spec)
 
@@ -1035,6 +1041,20 @@ def _walk_repeats(n, rising=None):
             yield row
 
 
+def _foata_phi_reverse_complemented(word):
+    # reverse-complement keeps inv and is a bijection of S_4, so of 8.phi's
+    # tests only iligne sees it
+    image = _real_foata_phi(word)
+    return tuple(5 - y for y in reversed(image)) if len(image) == 4 else image
+
+
+def _walk_of_s4_raises(n, rising=None):
+    # the walk of S_4 raises; the alternating walks (rising set) do not
+    if n == 4 and rising is None:
+        raise ArithmeticError("walk failed")
+    return _real_walk(n, rising)
+
+
 # several checks' faults at once, with each check's report recorded when it
 # swept alone: 8.phi stops at order 4, before 8.1 and 8.2 stop at order 5,
 # and 3.1 and 3.bij stop at the same image, 3.1 first
@@ -1059,6 +1079,25 @@ _SEVERAL_FAULTS = {
     "walk-repeats": ([(permstats, "walk", _walk_repeats)], _AT_8, {
         "8.2": '{"first_discrepancy": {"actual": "120", "expected": "121", "index": [5, "bijective"]}, '
                '"id": "8.2", "params": {"n_max": 5}, "status": "fail"}',
+    }),
+    # 8.phi's iligne test; psi is built on foata_phi, so 8.1 and 8.2 fail too
+    "phi-iligne": ([(permstats, "foata_phi", _foata_phi_reverse_complemented)], _AT_8, {
+        "8.phi": '{"first_discrepancy": {"actual": "frozenset({1})", "expected": "frozenset({3})", '
+                 '"index": [4, [1, 2, 4, 3], "iligne"]}, "id": "8.phi", "params": {"n_max": 5}, "status": "fail"}',
+        "8.1": '{"first_discrepancy": {"actual": "frozenset({1})", "expected": "frozenset({3})", '
+               '"index": [4, [1, 2, 4, 3], "ligne"]}, "id": "8.1", "params": {"n_max": 5}, "status": "fail"}',
+        "8.2": '{"first_discrepancy": {"actual": "ValueError(\'component shapes violate the alternation rules: '
+               '((4, 1), (2, 3))\')", "expected": "no exception", "index": ["exception"]}, "id": "8.2", '
+               '"params": {"perm_sweep_n": 5}, "status": "fail"}',
+    }),
+    # a walk that raises outside every check's own scope fails each check
+    # that reads it (the 8.x pass's catch-all; 3.bij reads the walk of S_4)
+    "walk-raises": ([(permstats, "walk", _walk_of_s4_raises)], _AT_8, {
+        **{check: '{"first_discrepancy": {"actual": "ArithmeticError(\'walk failed\')", "expected": "no exception", '
+                  '"index": ["exception"]}, "id": "%s", "params": {"perm_sweep_n": 5}, "status": "fail"}' % check
+           for check in ("8.phi", "8.1", "8.2")},
+        "3.bij": '{"first_discrepancy": {"actual": "ArithmeticError(\'walk failed\')", "expected": "no exception", '
+                 '"index": ["exception"]}, "id": "3.bij", "params": {"sweep_n": 3}, "status": "fail"}',
     }),
 }
 
@@ -1188,47 +1227,3 @@ class TestOneScopePerStep:
             '"index": ["exception"]}, "id": "%s", "params": {"%s": %d}, "status": "fail"}'
             % (message, check, field, getattr(bounds, field))
         }
-
-
-def _foata_phi_reverse_complemented(word):
-    # reverse-complement keeps inv and is a bijection of S_4, so of 8.phi's
-    # tests only iligne sees it
-    image = _real_foata_phi(word)
-    return tuple(5 - y for y in reversed(image)) if len(image) == 4 else image
-
-
-def _walk_of_s4_raises(n, rising=None):
-    # the walk of S_4 raises; the alternating walks (rising set) do not
-    if n == 4 and rising is None:
-        raise ArithmeticError("walk failed")
-    return _real_walk(n, rising)
-
-
-# faults on two paths of the 8.x pass: 8.phi's iligne test, and the walk
-# that every check in the pass reads, which raises outside each check's own
-# scope (_Sweep.report's catch-all).  7.rhogamma reads neither phi nor the
-# walk of S_n, and with two lanes it runs here while the 8.x pass forks;
-# psi is built on foata_phi, so 8.1 and 8.2 stay out of the first fault
-_PASS_FAULTS = {
-    "8.phi-iligne": (["8.phi", "7.rhogamma"], [(permstats, "foata_phi", _foata_phi_reverse_complemented)], {
-        "8.phi": '{"first_discrepancy": {"actual": "frozenset({1})", "expected": "frozenset({3})", '
-                 '"index": [4, [1, 2, 4, 3], "iligne"]}, "id": "8.phi", "params": {"n_max": 5}, "status": "fail"}',
-    }),
-    "walk-raises": (["8.phi", "8.1", "8.2", "7.rhogamma"], [(permstats, "walk", _walk_of_s4_raises)], {
-        check: '{"first_discrepancy": {"actual": "ArithmeticError(\'walk failed\')", "expected": "no exception", '
-               '"index": ["exception"]}, "id": "%s", "params": {"perm_sweep_n": 5}, "status": "fail"}' % check
-        for check in ("8.phi", "8.1", "8.2")
-    }),
-}
-
-
-class TestPassFaults:
-    @pytest.mark.parametrize("fault", sorted(_PASS_FAULTS))
-    @pytest.mark.parametrize("lanes", [1, 2])
-    def test_a_fault_in_the_8x_pass_fails_the_checks_that_read_it(self, monkeypatch, fault, lanes):
-        ids, patches, expected = _PASS_FAULTS[fault]
-        pids = _use_lanes(monkeypatch, lanes)
-        for module, name, fake in patches:
-            monkeypatch.setattr(module, name, fake)
-        assert _failing(verify.run_checks(verify.specs_for(ids), Bounds(perm_sweep_n=5))) == expected
-        assert len(pids) == lanes - 1 and all(map(_reaped, pids))
