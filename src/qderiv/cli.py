@@ -158,6 +158,11 @@ def build_oracle(family: str, n_max: int, brute_bound: Optional[int]) -> Table:
     from qderiv.tables import PolyTable, oracle_all
 
     tcomb._guard(n_max, brute_bound)
+    if n_max > tcomb.BRUTE_FORCE_LIMIT:
+        raise tcomb.BruteForceBoundError(
+            "order %d exceeds the brute-force limit %d (the largest n whose oracle tallies stay under 48 MB)"
+            % (n_max, tcomb.BRUTE_FORCE_LIMIT)
+        )
     index = ORACLE_FAMILIES.index(family)
     rows = tuple(oracle_all(n)[index] for n in range(n_max + 1))
     return _poly_family(PolyTable(family, rows))

@@ -33,6 +33,10 @@ from qderiv.permstats import Word
 from qderiv.ring import QPoly
 
 BRUTE_FORCE_BOUND = 8
+# the largest order whose oracle tallies (``tables.oracle_all``) peak under
+# 48 MB RSS: a brute-force bound may be raised up to it, never past it.  The
+# t-permutation walks hold little as n grows, so ``_guard`` does not apply it
+BRUTE_FORCE_LIMIT = 10
 
 
 class BruteForceBoundError(RuntimeError):

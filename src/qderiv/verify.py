@@ -154,6 +154,35 @@ class Bounds(NamedTuple):
     rowsums_n: int = 10
 
 
+# Every check past its default bound and within its size limit
+# (``_N_LIMITS``).  CI runs ``run_suite(DEEP)`` on two lanes and compares the
+# sha256 of its report lines with a recorded digest; that one run replaced
+# seven steps that each ran chosen checks at one raised bound.
+DEEP = Bounds(
+    series_order=14,
+    series_n=8,
+    table_n=14,
+    rewrite_n=14,
+    brute_n=9,
+    sweep_n=7,
+    perm_sweep_n=8,
+    agg_n=14,
+    sym_n=9,
+    product_n=14,
+    alt_inv_n=12,
+    alt_imaj_n=12,
+    reciprocity_n=15,
+    refine_n=8,
+    diag_n=12,
+    tq_n=9,
+    springer_n=12,
+    alpha_n=14,
+    gf_order=12,
+    fib_gf_order=16,
+    rowsums_n=14,
+)
+
+
 class InvalidBoundsError(ValueError):
     """Bounds under which a check cannot run: a usage error, not a failure."""
 
@@ -1349,17 +1378,22 @@ def specs_for(ids) -> Tuple[CheckSpec, ...]:
 # id -> (the Bounds field capped, the largest n it runs at, what it holds),
 # for the checks whose memory grows with n: the largest n whose `verify
 # <ids> --n N` (for brute_n, `--bound-bruteforce N`) peaks under 48 MB RSS
-# (2-core Xeon, Python 3.11.7).  7.1, 7.imaj: 45.7 MB at 15, 80.8 at 16;
-# 8.phi, 8.1, 8.2: 25.9 at 8, 128.5 at 9; 7.rhogamma (odd n only): 19.5 at
-# 9, 80.9 at 11; triple.*: 42.6 at 10, 99.3 at 11.  3.1, 3.bij, 10.7, 10.8
-# and 10.tq hold little as n grows, nor does rewrite_n, the triple checks'
-# --n; 1.3 clamps brute_n at 7
+# (2-core Xeon, Python 3.11.7; 3.10, 3.12 and 3.13 peak no higher but where
+# noted).  7.1, 7.imaj: 45.6 MB at 15, 81.0 at 16; 8.phi, 8.1, 8.2: 25.9 at
+# 8, 87.2 at 9 (87.3 on 3.12); 7.rhogamma (odd n only): 19.6 at 10, 80.9 at
+# 11; triple.*: 42.4 at 10, 99.5 at 11 (tcomb.BRUTE_FORCE_LIMIT, which
+# `qderiv oracle` reads too).  CI runs each group at its limit and gates
+# its RSS.  3.1, 3.bij, 10.7, 10.8 and 10.tq hold little as n grows, nor
+# does rewrite_n, the triple checks' --n; 1.3 clamps brute_n at 7
 _N_LIMITS: Dict[str, Tuple[str, int, str]] = {
     "7.1": ("alt_inv_n", 15, "alternating tally stays"),
     "7.imaj": ("alt_imaj_n", 15, "alternating tally stays"),
     "7.rhogamma": ("perm_sweep_n", 10, "rho-gamma images stay"),
     **dict.fromkeys(("8.phi", "8.1", "8.2"), ("perm_sweep_n", 8, "phi and psi images stay")),
-    **dict.fromkeys(("triple.A", "triple.B", "triple.Ac"), ("brute_n", 10, "--bound-bruteforce oracle tallies stay")),
+    **dict.fromkeys(
+        ("triple.A", "triple.B", "triple.Ac"),
+        ("brute_n", tcomb.BRUTE_FORCE_LIMIT, "--bound-bruteforce oracle tallies stay"),
+    ),
 }
 
 

@@ -8,7 +8,7 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qderiv import cli, verify
+from qderiv import cli, tables, verify
 from qderiv.render import FORMATS, render
 from qderiv.ring import QPoly
 from qderiv.tables import a_table
@@ -96,6 +96,19 @@ class TestOracleCommand:
             "--bound-bruteforce", "2",
         )
         assert code == 0 and "q" in out
+
+    def test_bound_above_the_size_limit_exit_2(self, capsys, monkeypatch):
+        def never(n):
+            raise AssertionError("built the oracle tallies of order %d" % n)
+
+        # the tallies that verify refuses past --bound-bruteforce 10: none is built
+        monkeypatch.setattr(tables, "oracle_all", never)
+        code, out, err = run_cli(capsys, "oracle", "A", "--n", "11", "--bound-bruteforce", "11")
+        assert code == 2 and out == ""
+        assert err == (
+            "error: order 11 exceeds the brute-force limit 10 "
+            "(the largest n whose oracle tallies stay under 48 MB)\n"
+        )
 
 
 class TestVerifyCommand:

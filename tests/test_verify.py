@@ -218,6 +218,29 @@ class TestRegistry:
         for spec in verify.CHECKS:
             verify.adjusted_bounds(Bounds(), spec)
 
+    # the CI steps that run_suite(DEEP) replaced: (check ids, flag, bound)
+    _REPLACED_STEPS = [
+        ("3.1 3.bij", "--n", 7),
+        ("8.phi 8.1 8.2 7.rhogamma", "--n", 8),
+        ("7.1 7.imaj", "--n", 12),
+        ("9.1 1.17 1.18 10.6.alpha tables.bounds", "--n", 14),
+        ("triple.A triple.B triple.Ac", "--bound-bruteforce", 9),
+        ("triple.A triple.B triple.Ac", "--n", 14),
+        ("1.9 1.11 1.12 1.14 1.15 1.16 2.3 2.4 2.5 2.tan", "--order", 14),
+    ]
+
+    @pytest.mark.parametrize("ids, flag, bound", _REPLACED_STEPS)
+    def test_deep_runs_each_check_at_least_at_the_bound_of_the_step_it_replaced(self, ids, flag, bound):
+        for spec in verify.specs_for(ids.split()):
+            field = {"--n": spec.n_field, "--order": spec.order_field, "--bound-bruteforce": "brute_n"}[flag]
+            assert getattr(verify.DEEP, field) >= bound, (spec.id, field)
+
+    def test_deep_is_no_lower_than_the_defaults_and_within_every_limit(self):
+        for field, default in Bounds()._asdict().items():
+            assert getattr(verify.DEEP, field) >= default, field
+        for spec in verify.CHECKS:
+            verify.adjusted_bounds(verify.DEEP, spec)
+
     @pytest.mark.parametrize("check_id", ["3.1", "3.bij", "10.7", "10.8", "10.tq", "triple.A"])
     def test_the_walks_that_hold_little_take_any_n(self, check_id):
         spec = verify._BY_ID[check_id]
