@@ -156,8 +156,8 @@ class Bounds(NamedTuple):
 
 # Every check past its default bound and within its size limit
 # (``_N_LIMITS``).  CI runs ``run_suite(DEEP)`` on two lanes and compares the
-# sha256 of its report lines with a recorded digest; that one run replaced
-# seven steps that each ran chosen checks at one raised bound.
+# sha256 of its report lines with a digest written in that step, so a change
+# here re-records it there.
 DEEP = Bounds(
     series_order=14,
     series_n=8,
@@ -1378,13 +1378,14 @@ def specs_for(ids) -> Tuple[CheckSpec, ...]:
 # id -> (the Bounds field capped, the largest n it runs at, what it holds),
 # for the checks whose memory grows with n: the largest n whose `verify
 # <ids> --n N` (for brute_n, `--bound-bruteforce N`) peaks under 48 MB RSS
-# (2-core Xeon, Python 3.11.7; 3.10, 3.12 and 3.13 peak no higher but where
-# noted).  7.1, 7.imaj: 45.6 MB at 15, 81.0 at 16; 8.phi, 8.1, 8.2: 25.9 at
-# 8, 87.2 at 9 (87.3 on 3.12); 7.rhogamma (odd n only): 19.6 at 10, 80.9 at
-# 11; triple.*: 42.4 at 10, 99.5 at 11 (tcomb.BRUTE_FORCE_LIMIT, which
-# `qderiv oracle` reads too).  CI runs each group at its limit and gates
-# its RSS.  3.1, 3.bij, 10.7, 10.8 and 10.tq hold little as n grows, nor
-# does rewrite_n, the triple checks' --n; 1.3 clamps brute_n at 7
+# (2-core Xeon, Python 3.11.7, the package compiled from source; cached
+# .pyc files take 2-3 MB off, and 3.10, 3.12 and 3.13 peak no higher but
+# where noted).  7.1, 7.imaj: 45.6 MB at 15, 81.0 at 16; 8.phi, 8.1, 8.2:
+# 25.9 at 8, 87.2 at 9 (87.3 on 3.12); 7.rhogamma (odd n only): 19.6 at 10,
+# 80.9 at 11; triple.*: 42.4 at 10, 99.5 at 11 (tcomb.BRUTE_FORCE_LIMIT,
+# which `qderiv oracle` reads too).  CI runs each group at its limit and
+# gates its RSS.  3.1, 3.bij, 10.7, 10.8 and 10.tq hold little as n grows,
+# nor does rewrite_n, the triple checks' --n; 1.3 clamps brute_n at 7
 _N_LIMITS: Dict[str, Tuple[str, int, str]] = {
     "7.1": ("alt_inv_n", 15, "alternating tally stays"),
     "7.imaj": ("alt_imaj_n", 15, "alternating tally stays"),
