@@ -134,7 +134,7 @@ class Bounds(NamedTuple):
     series_n: int = 6
     table_n: int = 12
     rewrite_n: int = 10
-    brute_n: int = 8
+    brute_n: int = tcomb.BRUTE_FORCE_BOUND
     sweep_n: int = 6
     perm_sweep_n: int = 7
     agg_n: int = 7
@@ -1020,16 +1020,18 @@ def check_alternating(check_id: str, n_max: int) -> VerificationReport:
 
 
 def check_rho_gamma(n_max: int) -> VerificationReport:
+    """7.rhogamma: for odd n, rho o gamma maps RA_n into FA_n and keeps inv.  It is one-to-one
+    as it maps each image back to its sigma, and onto as |RA_n| = |FA_n|, so no image is held."""
     with _Collector("7.rhogamma", {"n_max": n_max}) as col:
         for n in range(1, n_max + 1, 2):
-            images = set()
-            for sigma, _, inv, _, _ in permstats.walk(n, True):
+            walked = 0
+            for walked, (sigma, _, inv, _, _) in enumerate(permstats.walk(n, True), 1):
                 image = permstats.mirror_rho(permstats.complement_gamma(sigma))
                 falling = permstats.descent_word(image) == permstats.zigzag(n, False)
                 col.require((n, sigma, "falling"), falling)
                 col.eq((n, sigma, "inv"), inv, permstats.inv(image))
-                images.add(image)
-            col.eq((n, "onto"), sum(1 for _ in permstats.walk(n, False)), len(images))
+                col.eq((n, sigma, "involution"), sigma, permstats.mirror_rho(permstats.complement_gamma(image)))
+            col.eq((n, "onto"), sum(1 for _ in permstats.walk(n, False)), walked)
     return col.report
 
 
@@ -1375,21 +1377,18 @@ def specs_for(ids) -> Tuple[CheckSpec, ...]:
     return tuple(out)
 
 
-# id -> (the Bounds field capped, the largest n it runs at, what it holds),
+# id -> (the Bounds field capped, the largest n it runs at, what it holds)
 # for the checks whose memory grows with n: the largest n whose `verify
-# <ids> --n N` (for brute_n, `--bound-bruteforce N`) peaks under 48 MB RSS
-# (2-core Xeon, Python 3.11.7, the package compiled from source; cached
-# .pyc files take 2-3 MB off, and 3.10, 3.12 and 3.13 peak no higher but
-# where noted).  7.1, 7.imaj: 45.6 MB at 15, 81.0 at 16; 8.phi, 8.1, 8.2:
-# 25.9 at 8, 87.2 at 9 (87.3 on 3.12); 7.rhogamma (odd n only): 19.6 at 10,
-# 80.9 at 11; triple.*: 42.4 at 10, 99.5 at 11 (tcomb.BRUTE_FORCE_LIMIT,
-# which `qderiv oracle` reads too).  CI runs each group at its limit and
-# gates its RSS.  3.1, 3.bij, 10.7, 10.8 and 10.tq hold little as n grows,
-# nor does rewrite_n, the triple checks' --n; 1.3 clamps brute_n at 7
+# <ids> --n N` (brute_n: `--bound-bruteforce N`) peaks under 48 MB RSS, the
+# package compiled from source as in CI's gate (2-core Xeon, 3.11.7; 3.10,
+# 3.12, 3.13 no higher but where noted).  7.1, 7.imaj: 45.6 MB at 15, 81.0
+# at 16; 8.phi, 8.1, 8.2: 25.9 at 8, 87.2 at 9 (87.3 on 3.12); triple.*:
+# 42.4 at 10, 99.5 at 11 (tcomb.BRUTE_FORCE_LIMIT, which `qderiv oracle`
+# reads too).  3.1, 3.bij, 7.rhogamma, 10.7, 10.8, 10.tq and the triple
+# checks' --n hold little as n grows; 1.3 clamps brute_n at 7.
 _N_LIMITS: Dict[str, Tuple[str, int, str]] = {
     "7.1": ("alt_inv_n", 15, "alternating tally stays"),
     "7.imaj": ("alt_imaj_n", 15, "alternating tally stays"),
-    "7.rhogamma": ("perm_sweep_n", 10, "rho-gamma images stay"),
     **dict.fromkeys(("8.phi", "8.1", "8.2"), ("perm_sweep_n", 8, "phi and psi images stay")),
     **dict.fromkeys(
         ("triple.A", "triple.B", "triple.Ac"),

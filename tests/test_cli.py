@@ -173,7 +173,6 @@ class TestVerifyCommand:
     @pytest.mark.parametrize("args, check_id, limit, held", [
         (("8.phi", "--n", "9"), "8.phi", 8, "phi and psi images"),
         (("8.2", "--n", "9"), "8.2", 8, "phi and psi images"),
-        (("7.rhogamma", "--n", "11"), "7.rhogamma", 10, "rho-gamma images"),
         # 8.phi is the first check of the registry above its limit at n = 9
         (("all", "--n", "9"), "8.phi", 8, "phi and psi images"),
         (("triple.A", "--bound-bruteforce", "11"), "triple.A", 10, "--bound-bruteforce oracle tallies"),
@@ -186,6 +185,18 @@ class TestVerifyCommand:
         assert err == "error: check %s needs n <= %d (the largest n whose %s stay under 48 MB), got n=%s\n" % (
             check_id, limit, held, args[-1]
         )
+
+    @pytest.mark.parametrize("n", [11, 101])
+    def test_rho_gamma_takes_an_n_past_its_old_image_limit(self, monkeypatch, capsys, n):
+        # 7.rhogamma keeps no image, so it has no size limit; a stub stands
+        # in for the check, which takes 12 s at 11
+        def check(n_max):
+            return verify.VerificationReport("7.rhogamma", {"n_max": n_max}, "pass", None)
+
+        monkeypatch.setattr(verify, "check_rho_gamma", check)
+        code, out, err = run_cli(capsys, "verify", "7.rhogamma", "--n", str(n))
+        assert code == 0 and err == ""
+        assert json.loads(out)["params"] == {"n_max": n}
 
     def test_refine_bound_is_not_clamped(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "10.7", "--n", "7")

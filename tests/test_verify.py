@@ -188,7 +188,6 @@ class TestRegistry:
     @pytest.mark.parametrize("ids, bounds, n", [
         (["1.1", "8.phi", "8.1", "8.2"], None, 9),
         (["1.1", "8.2"], Bounds(perm_sweep_n=9), None),
-        (["1.1", "3.1", "7.rhogamma"], None, 11),
         (["all"], None, 9),
         (["1.1", "3.1", "triple.A"], Bounds(brute_n=11), None),
     ])
@@ -240,6 +239,12 @@ class TestRegistry:
             assert getattr(verify.DEEP, field) >= default, field
         for spec in verify.CHECKS:
             verify.adjusted_bounds(verify.DEEP, spec)
+
+    @pytest.mark.parametrize("n", [11, 101])
+    def test_rho_gamma_takes_an_n_past_its_old_image_limit(self, n):
+        # the round trip keeps no image; adjusted_bounds runs no check
+        spec = verify._BY_ID["7.rhogamma"]
+        assert verify.adjusted_bounds(Bounds(), spec, n=n).perm_sweep_n == n
 
     @pytest.mark.parametrize("check_id", ["3.1", "3.bij", "10.7", "10.8", "10.tq", "triple.A"])
     def test_the_walks_that_hold_little_take_any_n(self, check_id):
@@ -306,6 +311,18 @@ class TestRecords:
         changed = base._replace(brute_n=9)
         assert changed.brute_n == 9 != base.brute_n
         assert [f for f in Bounds._fields if getattr(changed, f) != getattr(base, f)] == ["brute_n"]
+
+    def test_the_default_brute_n_is_the_oracle_default(self):
+        # `qderiv oracle` and `qderiv verify` walk to the same default order
+        code = (
+            "from qderiv import tcomb\n"
+            "tcomb.BRUTE_FORCE_BOUND = 7\n"
+            "from qderiv.verify import Bounds\n"
+            "assert Bounds().brute_n == 7, Bounds().brute_n\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(verify.__file__)))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr.decode()
 
     def test_t_permutation_copies_and_pickles_through_its_constructor(self):
         w = TPermutation(((), (6,), (4,), (9, 2, 7), (5, 1, 8, 3)))
@@ -807,6 +824,21 @@ class TestCountingArguments:
         report = verify.check_psi_on_t(5)
         assert report.status == "fail"
         assert report.first_discrepancy.index == (4, "bijective")
+
+    def test_7_rhogamma_round_trip_catches_a_shared_image(self, monkeypatch):
+        # (1, 4, 3, 5, 2) and (1, 5, 2, 4, 3) are rising alternating with inv
+        # 4, so the shared image is falling and keeps inv; only mapping it
+        # back tells the two apart
+        real = permstats.mirror_rho
+        first, second = (1, 4, 3, 5, 2), (1, 5, 2, 4, 3)
+        shared = real(permstats.complement_gamma(first))
+        moved = permstats.complement_gamma(second)
+        monkeypatch.setattr(permstats, "mirror_rho", lambda w: shared if tuple(w) == moved else real(w))
+        report = verify.check_rho_gamma(5)
+        assert report.status == "fail"
+        assert report.first_discrepancy == verify.Discrepancy(
+            (5, second, "involution"), str(second), str(first)
+        )
 
 
 def _use_lanes(monkeypatch, lanes):
