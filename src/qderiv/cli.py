@@ -157,7 +157,9 @@ def build_oracle(family: str, n_max: int, brute_bound: Optional[int]) -> Table:
     from qderiv import tcomb
     from qderiv.tables import PolyTable, oracle_all
 
-    tcomb._guard(n_max, brute_bound)
+    bound = tcomb.BRUTE_FORCE_BOUND if brute_bound is None else brute_bound
+    if n_max > bound:
+        raise tcomb.BruteForceBoundError("order %d exceeds the brute-force bound %d" % (n_max, bound))
     if n_max > tcomb.BRUTE_FORCE_LIMIT:
         raise tcomb.BruteForceBoundError(
             "order %d exceeds the brute-force limit %d (the largest n whose oracle tallies stay under 48 MB)"

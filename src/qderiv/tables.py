@@ -361,7 +361,8 @@ def oracle_all(n: int) -> Tuple[dict, dict, dict]:
 
     Returns row n of A, B and Ac, keyed like the recurrence rows: the
     imaj-generating triple rows and the inv-generating composition row.
-    Callers bound n: ``cli.build_oracle`` by ``tcomb._guard``, verify's triple checks by ``_N_LIMITS``.
+    Callers bound n: ``cli.build_oracle`` by its brute-force bound and ``tcomb.BRUTE_FORCE_LIMIT``,
+    verify's triple checks by ``_N_LIMITS``.
 
     Every permutation of S_n is visited once by ``_insertion_tally``, which
     builds S_n by inserting letters and carries each descent word, inv,

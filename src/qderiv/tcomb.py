@@ -34,21 +34,14 @@ from qderiv.ring import QPoly
 
 BRUTE_FORCE_BOUND = 8
 # the largest order whose oracle tallies (``tables.oracle_all``) peak under
-# 48 MB RSS: a brute-force bound may be raised up to it, never past it.  The
-# t-permutation walks hold little as n grows, so ``_guard`` does not apply it
+# 48 MB RSS: ``qderiv oracle``'s brute-force bound may be raised up to it,
+# never past it.  The t-permutation walks hold little as n grows and take any n
 BRUTE_FORCE_LIMIT = 10
 
 
 class BruteForceBoundError(RuntimeError):
-    """Raised when an exhaustive enumeration would exceed the configured bound."""
-
-
-def _guard(n: int, bound: Optional[int]) -> None:
-    limit = BRUTE_FORCE_BOUND if bound is None else bound
-    if n > limit:
-        raise BruteForceBoundError(
-            "order %d exceeds the brute-force bound %d" % (n, limit)
-        )
+    """Raised by ``qderiv oracle`` (``cli.build_oracle``) for an order above
+    its brute-force bound or above ``BRUTE_FORCE_LIMIT``."""
 
 
 def is_t_composition(parts: Tuple[int, ...]) -> bool:
@@ -198,9 +191,7 @@ def _valid_cuts(n: int, desc: Tuple[bool, ...]) -> Tuple[Tuple[int, ...], ...]:
     )
 
 
-def t_permutation_cuts(
-    n: int, bound: Optional[int] = None
-) -> Iterator[Tuple[Word, Tuple[TPermutation, ...]]]:
+def t_permutation_cuts(n: int) -> Iterator[Tuple[Word, Tuple[TPermutation, ...]]]:
     """Each permutation sigma of 1..n, with the t-permutations cut from it.
 
     Permutations come in lexicographic order and the cuts of one in the
@@ -208,15 +199,14 @@ def t_permutation_cuts(
     alone (its statistics, its image under a word bijection) can be done
     once for all of its cuts.
     """
-    _guard(n, bound)
     for sigma, desc, _, _, _ in permstats.walk(n):
         cuts = _valid_cuts(n, desc)
         yield sigma, tuple(TPermutation._flat(sigma, parts, check=False) for parts in cuts)
 
 
-def enumerate_t_permutations(n: int, bound: Optional[int] = None) -> Iterator[TPermutation]:
+def enumerate_t_permutations(n: int) -> Iterator[TPermutation]:
     """Stream all t-permutations of order n in a deterministic order."""
-    for _, cuts in t_permutation_cuts(n, bound):
+    for _, cuts in t_permutation_cuts(n):
         yield from cuts
 
 

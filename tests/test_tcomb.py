@@ -8,7 +8,6 @@ from qderiv import permstats, tcomb
 from qderiv.permstats import descent_word, zigzag
 from qderiv.ring import QPoly
 from qderiv.tcomb import (
-    BruteForceBoundError,
     TPermutation,
     alpha,
     beta,
@@ -256,13 +255,14 @@ class TestTPermutations:
             assert TPermutation(w.components) == w
             assert w.parts == tuple(len(c) for c in w.components)
 
-    def test_bound_guard(self):
-        with pytest.raises(BruteForceBoundError):
-            list(enumerate_t_permutations(9))
-        with pytest.raises(BruteForceBoundError):
-            list(enumerate_t_permutations(4, bound=3))
-        with pytest.raises(BruteForceBoundError):
-            list(t_permutation_cuts(4, bound=3))
+    @pytest.mark.parametrize("n", [9, 12])
+    def test_any_order_yields_its_first_permutation(self, n):
+        # no size refusal: the first permutation comes without a full walk
+        identity = tuple(range(1, n + 1))
+        sigma, cuts = next(t_permutation_cuts(n))
+        assert sigma == identity
+        assert [w.parts for w in cuts] == list(tcomb._valid_cuts(n, descent_word(identity)))
+        assert all(w.word == identity for w in cuts)
 
     @pytest.mark.parametrize("n", range(7))
     def test_cuts_grouped_by_permutation(self, n):

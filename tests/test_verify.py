@@ -388,9 +388,9 @@ class TestIndividualChecks:
         real_cuts, real_walk = verify.t_permutation_cuts, permstats.walk
         built, walked = [], []
 
-        def recording_cuts(n, bound=None):
+        def recording_cuts(n):
             built.append(n)
-            return real_cuts(n, bound)
+            return real_cuts(n)
 
         def recording_walk(n, rising=None):
             walked.append(n)
@@ -607,8 +607,8 @@ def _walk_fault(change):
     """t_permutation_cuts with ``change(sigma, parts list)`` applied to the
     permutations of order 4."""
 
-    def cuts(n, bound=None):
-        for sigma, ws in _real_cuts(n, bound):
+    def cuts(n):
+        for sigma, ws in _real_cuts(n):
             if n == 4:
                 sigma, parts = change(sigma, [w.parts for w in ws])
                 ws = tuple(TPermutation._flat(sigma, p, check=False) for p in parts)
@@ -801,8 +801,8 @@ class TestCountingArguments:
     def test_3_bij_partition_catches_a_missing_target(self, monkeypatch):
         real = verify.t_permutation_cuts
 
-        def skip_first_of_order_4(n, bound=None):
-            walk = real(n, bound)
+        def skip_first_of_order_4(n):
+            walk = real(n)
             if n == 4:
                 sigma, cuts = next(walk)
                 walk = itertools.chain([(sigma, cuts[1:])], walk)
@@ -839,6 +839,18 @@ class TestCountingArguments:
         assert report.first_discrepancy == verify.Discrepancy(
             (5, second, "involution"), str(second), str(first)
         )
+
+    def test_7_rhogamma_counts_fa_n_without_walking_it(self, monkeypatch):
+        # |FA_n| comes from the falling tally, so no falling walk is run
+        real = permstats.walk
+
+        def rising_only(n, rising=None):
+            if rising is False:
+                raise AssertionError("walked FA_%d" % n)
+            return real(n, rising)
+
+        monkeypatch.setattr(permstats, "walk", rising_only)
+        assert verify.check_rho_gamma(7).status == "pass"
 
 
 def _use_lanes(monkeypatch, lanes):
